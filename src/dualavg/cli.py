@@ -3,7 +3,10 @@
 ``dualavg run <config> [--seeds a..b] [--out dir] [--threads k]`` writes one
 regret-curve CSV per seed plus a summary CSV (mean/std over seeds and the
 fitted final slope).  ``dualavg report <summary.csv>...`` aligns summaries at
-shared checkpoints and adds a theoretical-bound column c * t^((d+2)/(d+3)).
+shared checkpoints and adds a theoretical-bound column c * t^r, with the rate
+r of the first summary's algorithm: 1/2 for ``da``, (d+2)/(d+3) otherwise.
+A slope fit that cannot be made leaves its cell empty and prints the reason
+to stderr.
 
 Outputs are byte-deterministic for a fixed config, independent of --threads:
 workers are keyed by seed and results are merged in seed order; floats are
@@ -21,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .config import ExperimentConfig, load_config, parse_seed_spec, run_seed
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .regret import dynamic_regret, fit_slope, static_regret
 
 __all__ = ["main", "run_command", "report_command"]
@@ -29,6 +32,15 @@ __all__ = ["main", "run_command", "report_command"]
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _slope_cell(horizons, values) -> str:
+    """Fitted log-log slope as a CSV cell; empty, with a warning, if no fit is possible."""
+    try:
+        return _fmt(fit_slope(horizons, values).slope)
+    except NumericalError as exc:
+        print(f"warning: slope fit skipped: {exc}", file=sys.stderr)
+        return ""
 
 
 def _seed_result(args: tuple[ExperimentConfig, int]) -> tuple[int, list[list[float]], int]:
@@ -97,11 +109,7 @@ def run_command(config_path: str, seeds: str | None = None, out: str | None = No
     table = np.array([[row[1] for row in per_seed_rows[s]] for s in cfg.seeds])
     means = table.mean(axis=0)
     stds = table.std(axis=0, ddof=1) if len(cfg.seeds) > 1 else np.zeros(len(checkpoints))
-    try:
-        slope = fit_slope(checkpoints, means).slope
-        slope_str = _fmt(slope)
-    except Exception:
-        slope_str = ""
+    slope_str = _slope_cell(checkpoints, means)
     summary_rows = [
         [cfg.algorithm, int(cp), float(m), float(s), slope_str]
         for cp, m, s in zip(checkpoints, means, stds)
@@ -131,14 +139,18 @@ def _read_summary(path: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
 
 def report_command(summary_paths: list[str], dim: int = 1,
                    out: str | None = None) -> list[list]:
-    """Align summaries at shared checkpoints; add diff and theoretical-bound columns."""
+    """Align summaries at shared checkpoints; add diff and theoretical-bound columns.
+
+    The bound is c * t^r anchored at the first checkpoint, where r is the rate
+    of the first summary's algorithm: 1/2 for ``da``, (d+2)/(d+3) otherwise.
+    """
     summaries = [_read_summary(p) for p in summary_paths]
     base_t = summaries[0][1]
     for path, (_, t, _, _) in zip(summary_paths, summaries):
         if len(t) != len(base_t) or not np.array_equal(t, base_t):
             raise ConfigError(f"{path}: checkpoints do not align with {summary_paths[0]}")
 
-    expo = (dim + 2) / (dim + 3)
+    expo = 0.5 if summaries[0][0] == "da" else (dim + 2) / (dim + 3)
     c = summaries[0][2][0] / base_t[0] ** expo
     bound = c * base_t.astype(float) ** expo
 
@@ -154,12 +166,7 @@ def report_command(summary_paths: list[str], dim: int = 1,
         header.append(f"{name}_slope")
     header.append("bound")
 
-    slopes = []
-    for _, t, mean, _ in summaries:
-        try:
-            slopes.append(_fmt(fit_slope(t, mean).slope))
-        except Exception:
-            slopes.append("")
+    slopes = [_slope_cell(t, mean) for _, t, mean, _ in summaries]
 
     rows = []
     for i, cp in enumerate(base_t):
@@ -199,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_rep = sub.add_parser("report", help="align summary CSVs into one table")
     p_rep.add_argument("summaries", nargs="+")
-    p_rep.add_argument("--dim", type=int, default=1, help="dimension for the bound column")
+    p_rep.add_argument("--dim", type=int, default=1, help="dimension for the bandit bound column")
     p_rep.add_argument("--out", help="also write the table as CSV")
 
     args = parser.parse_args(argv)

@@ -1,8 +1,10 @@
 """Experiment configuration: flat dotted key-value files, validation, builders.
 
 The config format is plain text, one ``key = value`` per line, ``#`` comments,
-dotted section names (``stream.kind``, ``schedule.eta_exponent``).  Unknown
-keys and malformed values are hard errors carrying the line number.
+dotted section names (``stream.kind``, ``schedule.eta_exponent``).  A ``#``
+starts a comment anywhere on a line, so no value (an ``out`` path, say) can
+contain one.  Unknown keys and malformed values are hard errors carrying the
+line number.
 """
 
 from __future__ import annotations

@@ -201,7 +201,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         realized = float(f_vals[grid.cell_index(action)])
         recorder.record(t, f_vals, expected, realized, action)
         model_vals = obs.model.values
-        y = y + sign * model_vals
+        y += sign * model_vals
         if diag is not None:
             diag.end_round(t, y, model_vals, x, f_vals, expected)
     extras = {"algorithm": "da", "eta": np.array([eta(t) for t in range(1, T + 2)])}

@@ -3,10 +3,13 @@
 Strategies, losses, scores, and noise all live on the same uniform grid over a
 box domain; integration is the midpoint rule, and sampling from a density is
 categorical over cells followed by a uniform draw inside the chosen cell.
+Domains and grids are immutable: their geometry is computed once, at
+construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """Axis-aligned box X = prod_k [lower_k, upper_k] in R^d."""
+    """Axis-aligned box X = prod_k [lower_k, upper_k] in R^d.
+
+    The geometry (``dim``, ``lengths``, ``volume``, ``diameter``) is fixed at
+    construction and stored; assigning to any attribute raises.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -48,26 +55,15 @@ class BoxDomain:
             raise DomainError("domain bounds must be finite")
         if not np.all(hi > lo):
             raise DomainError("every axis must have strictly positive length")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
+        lengths = hi - lo
+        for arr in (lo, hi, lengths):
+            arr.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.lengths))
+        object.__setattr__(self, "dim", lo.size)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "volume", float(np.prod(lengths)))
+        object.__setattr__(self, "diameter", float(np.linalg.norm(lengths)))
 
     def contains(self, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -81,7 +77,10 @@ class Grid:
     """Uniform tensor grid with ``n`` cells per axis over a box domain.
 
     Cell centers are strictly interior; the cell volume ``w`` satisfies
-    (number of cells) * w == volume(X) up to floating tolerance.
+    (number of cells) * w == volume(X) up to floating tolerance.  The
+    geometry (``dim``, ``shape``, ``n_cells``, ``steps``, ``cell_volume``,
+    ``cell_diameter``) is fixed at construction and stored; assigning to any
+    attribute raises.
     """
 
     domain: BoxDomain
@@ -91,33 +90,33 @@ class Grid:
     def __init__(self, domain: BoxDomain, n: int):
         if int(n) < 1:
             raise DomainError("cells per axis must be >= 1")
+        n = int(n)
+        steps = domain.lengths / n
+        steps.setflags(write=False)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_centers", None)
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
-    @property
-    def shape(self) -> tuple:
-        return (self.n,) * self.dim
-
-    @property
-    def n_cells(self) -> int:
-        return self.n ** self.dim
+        object.__setattr__(self, "dim", domain.dim)
+        object.__setattr__(self, "shape", (n,) * domain.dim)
+        object.__setattr__(self, "n_cells", n ** domain.dim)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_cell_volume", float(np.prod(steps)))
+        object.__setattr__(self, "_cell_diameter", float(np.linalg.norm(steps)))
+        # Per axis (lower, upper, step) as Python floats for the scalar cell lookup.
+        object.__setattr__(self, "_axes", tuple(
+            zip(domain.lower.tolist(), domain.upper.tolist(), steps.tolist())))
 
     @property
     def steps(self) -> np.ndarray:
-        return self.domain.lengths / self.n
+        return self._steps
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.steps))
+        return self._cell_volume
 
     @property
     def cell_diameter(self) -> float:
-        return float(np.linalg.norm(self.steps))
+        return self._cell_diameter
 
     @property
     def centers(self) -> np.ndarray:
@@ -140,14 +139,19 @@ class Grid:
         cell; the upper domain boundary maps to the last cell.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.domain.contains(x):
+        if x.shape != (self.dim,):
             raise DomainError(f"point {x} outside domain")
-        t = (x - self.domain.lower) / self.steps
-        idx = np.floor(t).astype(int)
-        on_boundary = (t == idx) & (idx > 0)
-        idx[on_boundary] -= 1
-        np.clip(idx, 0, self.n - 1, out=idx)
-        return int(np.ravel_multi_index(tuple(idx), self.shape))
+        last = self.n - 1
+        flat = 0
+        for xk, (lo, hi, h) in zip(x.tolist(), self._axes):
+            if not lo <= xk <= hi:
+                raise DomainError(f"point {x} outside domain")
+            tk = (xk - lo) / h
+            i = math.floor(tk)
+            if tk == i and i > 0:
+                i -= 1
+            flat = flat * self.n + min(max(i, 0), last)
+        return flat
 
 
 def ensure_same_grid(a: Grid, b: Grid) -> None:
@@ -171,7 +175,7 @@ class GridFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_cells,):
             values = values.reshape(grid.n_cells)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = values.copy() if copy else values
@@ -219,7 +223,7 @@ class Density(GridFunction):
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         super().__init__(grid, values, copy=copy)
-        if np.any(self.values < 0):
+        if self.values.min() < 0:
             raise ValueError("density values must be nonnegative")
         total = float(self.values.sum() * grid.cell_volume)
         if abs(total - 1.0) > self.INTEGRAL_TOL:
@@ -271,16 +275,15 @@ def sample(p: Density, rng: np.random.Generator, size: int | None = None) -> np.
     Returns shape (d,) for ``size=None`` and (size, d) otherwise.
     """
     grid = p.grid
-    probs = p.values * grid.cell_volume
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(p.values * grid.cell_volume)
     cdf /= cdf[-1]
-    m = 1 if size is None else int(size)
-    u = rng.random(m)
-    cells = np.searchsorted(cdf, u, side="left")
-    np.clip(cells, 0, grid.n_cells - 1, out=cells)
+    if size is None:
+        cell = min(int(cdf.searchsorted(rng.random())), grid.n_cells - 1)
+        return grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
+    m = int(size)
+    cells = np.minimum(cdf.searchsorted(rng.random(m)), grid.n_cells - 1)
     offsets = (rng.random((m, grid.dim)) - 0.5) * grid.steps
-    points = grid.centers[cells] + offsets
-    return points[0] if size is None else points
+    return grid.centers[cells] + offsets
 
 
 def eval_at(f: GridFunction, x) -> float:

@@ -73,21 +73,36 @@ def _axis_cycled_freqs(n_terms: int, dim: int) -> np.ndarray:
 class LossStream:
     """Base stream interface: a deterministic grid function per round.
 
-    ``values(t)`` returns a read-only array; ``loss_function(t)`` wraps it in
-    a fresh GridFunction.  ``payoff_convention`` marks streams whose values
-    are payoffs in [0, 1] rather than losses.
+    ``values(t)`` returns a read-only array; ``loss_function(t)`` wraps that
+    array, without copying, in a GridFunction.  ``payoff_convention`` marks
+    streams whose values are payoffs in [0, 1] rather than losses.
     """
 
     grid: Grid
     V: float
     L: float
     payoff_convention: bool = False
+    _cached_key = None
+    _cached_values = None
 
     def values(self, t: int) -> np.ndarray:
         raise NotImplementedError
 
     def loss_function(self, t: int) -> GridFunction:
-        return GridFunction(self.grid, self.values(t))
+        return GridFunction(self.grid, self.values(t), copy=False)
+
+    def _last_round(self, key: int, compute) -> np.ndarray:
+        """``compute(key)``, made read-only and kept until a different key is asked for.
+
+        A learner and its channel both read round t, so a one-entry cache
+        evaluates each round once.
+        """
+        if self._cached_key != key:
+            vals = compute(key)
+            vals.setflags(write=False)
+            self._cached_values = vals
+            self._cached_key = key
+        return self._cached_values
 
 
 class TrigStream(LossStream):
@@ -111,7 +126,6 @@ class TrigStream(LossStream):
             raise ValueError("one amplitude per frequency vector required")
         self.V = abs(self.offset) + float(np.abs(self.amplitudes).sum())
         self.L = self._basis.lipschitz(self.amplitudes)
-        self._static_cache = None
 
     @property
     def kind(self) -> str:
@@ -123,15 +137,13 @@ class TrigStream(LossStream):
         return self.drift_rate * float(t) ** self.drift_exponent
 
     def values(self, t: int) -> np.ndarray:
-        if self.drift_rate == 0.0:
-            if self._static_cache is None:
-                vals = self._basis.combine(self.amplitudes, self.phases) + self.offset
-                vals.setflags(write=False)
-                self._static_cache = vals
-            return self._static_cache
-        vals = self._basis.combine(self.amplitudes, self.phases + self._phase_shift(t))
+        # A static stream is one function, cached under the key 0.
+        return self._last_round(t if self.drift_rate != 0.0 else 0, self._combine)
+
+    def _combine(self, t: int) -> np.ndarray:
+        phases = self.phases if t == 0 else self.phases + self._phase_shift(t)
+        vals = self._basis.combine(self.amplitudes, phases)
         vals += self.offset
-        vals.setflags(write=False)
         return vals
 
 
@@ -161,9 +173,12 @@ class FiniteSumStream(LossStream):
         if not components:
             raise ValueError("at least one component required")
         self.grid = components[0].grid
-        self.components = [c.values for c in components]
         for c in components:
             components[0]._check_same_grid(c)
+        # Read-only copies: values(t) hands these out, and models may alias them.
+        self.components = [c.values.copy() for c in components]
+        for vals in self.components:
+            vals.setflags(write=False)
         self.seed = int(seed)
         self.V = max(float(np.abs(c).max()) for c in self.components)
         self.L = float(lipschitz)
@@ -194,20 +209,16 @@ class PayoffStream(LossStream):
         self.grid = base.grid
         self.V = 1.0
         self.L = base.L / (2.0 * base.V)
-        self._cache_t = None
-        self._cache = None
 
     @property
     def kind(self) -> str:
         return self.base.kind
 
     def values(self, t: int) -> np.ndarray:
-        if self._cache_t != t:
-            vals = (self.base.V - self.base.values(t)) / (2.0 * self.base.V)
-            vals.setflags(write=False)
-            self._cache = vals
-            self._cache_t = t
-        return self._cache
+        return self._last_round(t, self._from_base)
+
+    def _from_base(self, t: int) -> np.ndarray:
+        return (self.base.V - self.base.values(t)) / (2.0 * self.base.V)
 
 
 def to_payoff(stream: LossStream) -> PayoffStream:

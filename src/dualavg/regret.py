@@ -2,9 +2,10 @@
 
 A trace stores per-round scalars (expected and realized value, per-round best
 fixed value) plus cumulative-loss snapshots at geometric checkpoints; the
-stream handle allows lazy recomputation at arbitrary horizons.  All regrets
-are reported in the usual orientation (nonnegative when the learner is doing
-worse than the benchmark), for loss streams and payoff streams alike.
+stream handle lets other horizons resume from the latest snapshot before
+them.  All regrets are reported in the usual orientation (nonnegative when
+the learner is doing worse than the benchmark), for loss streams and payoff
+streams alike.
 """
 
 from __future__ import annotations
@@ -67,12 +68,22 @@ class RegretTrace:
         return self.stream.payoff_convention
 
     def cumulative_grid(self, T: int) -> np.ndarray:
-        """Cumulative stream values over rounds 1..T on the grid."""
-        pos = np.searchsorted(self.checkpoints, T)
+        """Cumulative stream values over rounds 1..T on the grid.
+
+        Off-checkpoint horizons resume from the latest snapshot before T and
+        add the remaining rounds in order, as the recorder did, so the result
+        is bitwise the sum over all T rounds.
+        """
+        pos = int(np.searchsorted(self.checkpoints, T))
         if pos < len(self.checkpoints) and self.checkpoints[pos] == T:
             return self.cum_grid_checkpoints[pos]
-        cum = np.zeros(self.grid.n_cells)
-        for t in range(1, T + 1):
+        if pos > 0:
+            cum = self.cum_grid_checkpoints[pos - 1].copy()
+            start = int(self.checkpoints[pos - 1]) + 1
+        else:
+            cum = np.zeros(self.grid.n_cells)
+            start = 1
+        for t in range(start, T + 1):
             cum += self.stream.values(t)
         return cum
 
@@ -88,6 +99,12 @@ class TraceRecorder:
         self.checkpoints = (
             default_checkpoints(horizon) if checkpoints is None else np.asarray(checkpoints)
         )
+        # Snapshots are taken by walking the checkpoints in order; any other
+        # layout would leave snapshots unset that cumulative_grid trusts.
+        cps = self.checkpoints
+        if cps.ndim != 1 or (cps.size and (cps[0] < 1 or cps[-1] > horizon
+                                           or np.any(np.diff(cps) <= 0))):
+            raise ValueError("checkpoints must be strictly increasing rounds in [1, horizon]")
         self.expected = np.zeros(horizon)
         self.realized = np.zeros(horizon)
         self.actions = np.zeros((horizon, grid.dim))

@@ -218,7 +218,7 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
         p = np.power((1.0 - g) * (mu - yv), expo)
 
     total = p.sum() * w
-    if not np.isfinite(total) or total <= 0:
+    if not math.isfinite(total) or total <= 0:
         raise NumericalError(f"mirror map produced non-normalizable values (total={total})")
     return Density(grid, p / total, copy=False)
 

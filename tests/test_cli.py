@@ -147,7 +147,7 @@ def test_cli_main_and_errors(tmp_path, capsys):
 
 
 def test_report_passthrough_and_bound(tmp_path, capsys):
-    cfg = write(tmp_path, "base.cfg", BASE_CONFIG)
+    cfg = write(tmp_path, "bda.cfg", BDA_CONFIG)
     run_command(cfg, out=str(tmp_path / "r1"))
     summary = str(tmp_path / "r1" / "summary.csv")
     rows = report_command([summary], dim=1)
@@ -156,6 +156,31 @@ def test_report_passthrough_and_bound(tmp_path, capsys):
     assert rows[0][-1] == pytest.approx(mean0)  # bound anchored at first checkpoint
     expo = 3.0 / 4.0
     assert rows[-1][-1] == pytest.approx(mean0 * (rows[-1][0] / t0) ** expo)
+
+
+def test_report_bound_uses_full_information_rate_for_da(tmp_path, capsys):
+    lines = ["algorithm,t,mean_regret,std_regret,slope"]
+    lines += [f"da,{t},{3.0 * t ** 0.5!r},0.0," for t in (10, 40, 160, 640)]
+    path = tmp_path / "summary.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rows = report_command([str(path)], dim=2)
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split()[-1] == "bound"
+    for row in rows:
+        assert row[-1] == pytest.approx(3.0 * row[0] ** 0.5)  # rate 1/2, not (d+2)/(d+3)
+
+
+def test_slope_fit_failure_warns_and_leaves_cell_empty(tmp_path, capsys):
+    # Checkpoints 10, 16, 26, 41, 66, 105, 150 span 1.18 decades: too short to fit.
+    cfg = write(tmp_path, "base.cfg", BASE_CONFIG)
+    files = run_command(cfg, out=str(tmp_path / "w"))
+    err = capsys.readouterr().err
+    assert "warning: slope fit skipped: checkpoints span only 1.18 decades" in err
+    summary = [f for f in files if f.endswith("summary.csv")][0]
+    rows = open(summary).read().splitlines()
+    assert all(row.endswith(",") for row in rows[1:])  # empty slope cell
+    report_command([summary])
+    assert "warning: slope fit skipped" in capsys.readouterr().err
 
 
 def test_report_identical_data_zero_diff(tmp_path, capsys):

@@ -89,6 +89,34 @@ def test_finite_sum_mean_and_determinism(grid):
     assert np.abs(acc - stacked).max() < 4 * sigma / math.sqrt(N)
 
 
+def test_finite_sum_values_are_read_only_copies(grid):
+    comps = [GridFunction.constant(grid, 1.0), GridFunction.constant(grid, 2.0)]
+    stream = FiniteSumStream(comps, lipschitz=0.0, seed=3)
+    vals = stream.values(1)
+    with pytest.raises(ValueError):
+        vals[0] = 5.0
+    # The caller's arrays stay theirs: mutating them leaves the stream intact.
+    for c in comps:
+        c.values[:] = -7.0
+    assert set(np.unique(stream.values(1))) <= {1.0, 2.0}
+    model = ExactChannel().observe(stream, 1, None, None, None).model
+    with pytest.raises(ValueError):
+        model.values[0] = 0.0
+
+
+def test_drifting_stream_evaluates_each_round_once(grid):
+    stream = default_trig_stream(grid, seed=2, drift_rate=0.1)
+    calls = []
+    combine = stream._basis.combine
+    stream._basis.combine = lambda a, p: calls.append(1) or combine(a, p)
+    first = stream.values(5)
+    assert stream.values(5) is first and len(calls) == 1
+    assert not first.flags.writeable
+    fresh = default_trig_stream(grid, seed=2, drift_rate=0.1)
+    assert np.array_equal(stream.values(6), fresh.values(6)) and len(calls) == 2
+    assert np.array_equal(stream.values(5), first) and len(calls) == 3
+
+
 def test_exact_channel_returns_truth(grid):
     stream = default_trig_stream(grid, seed=6)
     obs = ExactChannel().observe(stream, 3, Density.uniform(grid), np.array([0.5]),

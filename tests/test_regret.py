@@ -217,3 +217,28 @@ def test_cumulative_grid_snapshot_matches_recompute(grid):
         float(trace.expected[:off].sum()) - float((direct + stream.values(off)).min()),
         abs=1e-9,
     )
+
+
+def test_cumulative_grid_resume_is_bitwise(grid):
+    stream = default_trig_stream(grid, seed=4, drift_rate=0.05)
+    T = 300
+    trace = run_da(grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
+                   np.random.default_rng(1),
+                   checkpoints=default_checkpoints(T, start=10, ratio=1.7))
+    brute = np.zeros(grid.n_cells)
+    sums = {}
+    for t in range(1, T + 1):
+        brute += stream.values(t)
+        sums[t] = brute.copy()
+    cps = set(trace.checkpoints.tolist())
+    off = [t for t in (1, 9, 11, 50, 111, 299) if t not in cps]
+    assert off == [1, 9, 11, 50, 111, 299]
+    for t in off + sorted(cps):
+        assert np.array_equal(trace.cumulative_grid(t), sums[t]), t
+
+
+@pytest.mark.parametrize("cps", [[0, 5, 10], [5, 5, 10], [10, 5], [5, 30]])
+def test_recorder_rejects_checkpoints_it_cannot_snapshot(grid, cps):
+    stream = default_trig_stream(grid, seed=1)
+    with pytest.raises(ValueError):
+        TraceRecorder(stream, grid, 20, checkpoints=np.array(cps))
