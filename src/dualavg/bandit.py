@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grids import Density, Grid, GridFunction, ball_patch
+from .grids import Density, Grid, GridFunction, ball_patch, dot
 from .losses import LossStream
 from .regret import RegretTrace, TraceRecorder
 from .regularizers import Regularizer, negentropy, mirror
@@ -177,14 +177,14 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
         payoff = float(f_vals[cell])
         if not (0.0 <= payoff <= 1.0):
             raise ConfigError(f"payoff {payoff} outside [0, 1] at round {t}")
-        expected = float(f_vals @ vals * w)
+        expected = dot(f_vals, vals) * w
         recorder.record(t, f_vals, expected, payoff, action)
 
         support, patch_volume = ball_patch(grid, action, delta_t)
         y[support] += payoff / (patch_volume * vals[cell])
 
         swap_gap[t - 1] = eps_t * float(np.abs(base - uniform_val).max())
-        expected_unmixed[t - 1] = float(f_vals @ base * w)
+        expected_unmixed[t - 1] = dot(f_vals, base) * w
         strategy_min[t - 1] = float(vals.min())
         eps_series[t - 1] = eps_t
         delta_series[t - 1] = delta_t

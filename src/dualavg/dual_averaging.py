@@ -132,7 +132,7 @@ class _EnergyDiagnostics:
         eta_t, eta_next = self.etas[i], self.etas[i + 1]
         w = self.grid.cell_volume
         mu_vals = self.mu.values
-        model_gap = float(model_vals @ (x.values - mu_vals) * w)
+        model_gap = grids.dot(model_vals, x.values - mu_vals) * w
         if not self.payoff:
             model_gap = -model_gap
         sup_model = float(np.abs(model_vals).max())
@@ -143,9 +143,9 @@ class _EnergyDiagnostics:
             + eta_t * self.kappa ** 2 * sup_model ** 2 / (2.0 * self.K)
         )
         self.energy[i + 1] = self._energy_at(t + 1, scores_next)
-        mu_expected = float(f_vals @ mu_vals * w)
+        mu_expected = grids.dot(f_vals, mu_vals) * w
         inc = expected - mu_expected
-        err = float((model_vals - f_vals) @ (mu_vals - x.values) * w)
+        err = grids.dot(model_vals - f_vals, mu_vals - x.values) * w
         if self.payoff:
             inc, err = -inc, -err
         self.reg_mu_inc[i] = inc
@@ -197,7 +197,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         if obs.model is None:
             raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
         f_vals = stream.values(t)
-        expected = float(f_vals @ x.values * w)
+        expected = grids.dot(f_vals, x.values) * w
         realized = float(f_vals[grid.cell_index(action)])
         recorder.record(t, f_vals, expected, realized, action)
         model_vals = obs.model.values

@@ -23,6 +23,7 @@ __all__ = [
     "Density",
     "ensure_same_grid",
     "integrate",
+    "dot",
     "pair",
     "sup_norm",
     "l1_distance",
@@ -249,10 +250,31 @@ def integrate(f: GridFunction) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
+# Cells per block of ``dot``: below the 10 000 elements above which OpenBLAS
+# splits a dot product across threads.
+_DOT_BLOCK = 4096
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` over cell arrays, summed left to right over blocks of 4096 cells.
+
+    Every block runs single-threaded in BLAS, so the result does not depend on
+    the BLAS thread count and no BLAS helper thread is woken; for at most 4096
+    cells it is exactly ``a @ b``.
+    """
+    n = a.shape[0]
+    if n <= _DOT_BLOCK:
+        return float(a @ b)
+    total = 0.0
+    for i in range(0, n, _DOT_BLOCK):
+        total += float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
+    return total
+
+
 def pair(f: GridFunction, p: GridFunction) -> float:
     """Duality pairing <f, p> = integral of f*p; the expected value of f under a density p."""
     f._check_same_grid(p)
-    return float(f.values @ p.values * f.grid.cell_volume)
+    return dot(f.values, p.values) * f.grid.cell_volume
 
 
 def sup_norm(f: GridFunction) -> float:

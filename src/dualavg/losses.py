@@ -91,11 +91,15 @@ class LossStream:
     def loss_function(self, t: int) -> GridFunction:
         return GridFunction(self.grid, self.values(t), copy=False)
 
+    def _cache_key(self, t: int) -> int:
+        """A round whose values equal round t's: 0 for a static stream, else t."""
+        return t
+
     def _last_round(self, key: int, compute) -> np.ndarray:
         """``compute(key)``, made read-only and kept until a different key is asked for.
 
         A learner and its channel both read round t, so a one-entry cache
-        evaluates each round once.
+        evaluates each round once; a static stream, keyed 0, is evaluated once.
         """
         if self._cached_key != key:
             vals = compute(key)
@@ -136,9 +140,11 @@ class TrigStream(LossStream):
             return 0.0
         return self.drift_rate * float(t) ** self.drift_exponent
 
+    def _cache_key(self, t: int) -> int:
+        return t if self.drift_rate != 0.0 else 0
+
     def values(self, t: int) -> np.ndarray:
-        # A static stream is one function, cached under the key 0.
-        return self._last_round(t if self.drift_rate != 0.0 else 0, self._combine)
+        return self._last_round(self._cache_key(t), self._combine)
 
     def _combine(self, t: int) -> np.ndarray:
         phases = self.phases if t == 0 else self.phases + self._phase_shift(t)
@@ -214,8 +220,11 @@ class PayoffStream(LossStream):
     def kind(self) -> str:
         return self.base.kind
 
+    def _cache_key(self, t: int) -> int:
+        return self.base._cache_key(t)
+
     def values(self, t: int) -> np.ndarray:
-        return self._last_round(t, self._from_base)
+        return self._last_round(self._cache_key(t), self._from_base)
 
     def _from_base(self, t: int) -> np.ndarray:
         return (self.base.V - self.base.values(t)) / (2.0 * self.base.V)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .grids import Density, Grid
+from .grids import Density, Grid, dot
 from .losses import LossStream, variation
 
 __all__ = [
@@ -164,7 +164,7 @@ def regret_vs_comparator(trace: RegretTrace, mu: Density, T: int | None = None) 
     T = _check_horizon(trace, T)
     cum = trace.cumulative_grid(T)
     mine = float(trace.expected[:T].sum())
-    theirs = float(cum @ mu.values * trace.grid.cell_volume)
+    theirs = dot(cum, mu.values) * trace.grid.cell_volume
     if trace.payoff_convention:
         return theirs - mine
     return mine - theirs

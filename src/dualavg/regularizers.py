@@ -3,8 +3,12 @@
 Each regularizer is h(p) = integral of theta(p(x)) dx for a strictly convex
 scalar kernel theta.  The mirror map Q(y) maximizes <y,p> - h(p) over
 densities; for the entropic family it is the logit/Gibbs map in closed form,
-for the others it is a one-dimensional bisection on the normalization
-multiplier (monotone, bracketed, robust near the Burg pole).
+for the others it is the root of a one-dimensional normalization equation,
+found by safeguarded Newton (bisection only as a fallback inside the bracket).
+The multiplier lam is measured from max y; for Burg and Tsallis that is the
+gap d = lam - max y to the pole, so the pole cell's value does not come from a
+cancelling difference.  A solve that misses its tolerance raises
+NumericalError naming the family.
 
 Convention: theta(0) = 0 for the entropic, quadratic, and Tsallis kernels, so
 h is finite on densities with zero cells and min h = hvol(volume(X)) is
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .grids import Density, GridFunction, integrate, l1_distance, pair
+from .grids import Density, GridFunction, dot, integrate, l1_distance, pair
 
 __all__ = [
     "Regularizer",
@@ -142,42 +146,53 @@ def min_hval(reg: Regularizer, volume: float) -> float:
 
 
 def _bisect_multiplier(phi, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 200) -> float:
-    """Find the root of the decreasing map ``phi`` (= integral - 1) on [lo, hi].
+                       max_iter: int = 200, *, dphi) -> float:
+    """Root of the convex decreasing map ``phi`` (= integral - 1) on [lo, hi].
 
-    Brackets are exact by construction at the call sites; if floating error
-    spoils them, the bracket is expanded by doubling before failing.
+    Safeguarded Newton: ``dphi(x)`` is the slope of ``phi`` at the point just
+    evaluated.  Started at the left end, where ``phi(lo) >= 0``, Newton steps
+    on a convex decreasing function stay left of the root; a step that leaves
+    the current bracket (or a nonnegative slope) falls back to bisection.  The
+    returned point is always the last one evaluated, and has
+    ``|phi| <= tol``; a solve that cannot reach ``tol`` raises NumericalError.
     """
-    flo, fhi = phi(lo), phi(hi)
-    width = max(hi - lo, 1e-30)
-    for _ in range(60):
-        if flo >= -tol:
-            break
-        lo -= width
-        width *= 2.0
-        flo = phi(lo)
-    for _ in range(60):
-        if fhi <= tol:
-            break
-        hi += width
-        width *= 2.0
-        fhi = phi(hi)
-    if flo < -tol or fhi > tol:
-        raise NumericalError(
-            f"normalization bisection not bracketed: phi({lo})={flo}, phi({hi})={fhi}"
-        )
+    x, fx = lo, phi(lo)
+    if fx < -tol:
+        raise NumericalError(f"normalization root not bracketed: phi({lo}) = {fx} < 0")
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = phi(mid)
-        if abs(fmid) <= tol:
-            return mid
-        if fmid > 0:
-            lo = mid
+        if abs(fx) <= tol:
+            return x
+        if fx > 0:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+            hi = x
+        slope = dphi(x)
+        step = x - fx / slope if slope < 0 else math.nan
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            break  # no float left inside the bracket
+        fx = phi(x)
+    raise NumericalError(
+        f"normalization solve stopped at |phi| = {abs(fx):.3g} > tol = {tol:.3g} "
+        f"(bracket [{lo!r}, {hi!r}])"
+    )
+
+
+def _solve(evaluate, lo: float, hi: float) -> np.ndarray:
+    """Unnormalized cell values at the root, for ``evaluate(x) -> (phi, slope, p)``.
+
+    One pass over the grid gives phi, its slope and the cell values p; the
+    slope answers the ``dphi`` call that follows each ``phi`` call, and p at
+    the root (always the last point evaluated) is the result.
+    """
+    last = [None, None]
+
+    def phi(x):
+        value, last[0], last[1] = evaluate(x)
+        return value
+
+    _bisect_multiplier(phi, lo, hi, dphi=lambda x: last[0])
+    return last[1]
 
 
 def mirror(reg: Regularizer, y: GridFunction) -> Density:
@@ -191,36 +206,61 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
     if reg.family == "negentropy":
         z = np.exp(yv - ymax)
         p = z / (z.sum() * w)
-    elif reg.family == "quadratic":
-        # Water-filling KKT solution p = (y - lam)_+ with lam normalizing.
-        def phi(lam):
-            return float(np.maximum(yv - lam, 0.0).sum() * w) - 1.0
-
-        lam = _bisect_multiplier(phi, float(yv.min()) - 1.0 / vol, ymax)
-        p = np.maximum(yv - lam, 0.0)
-    elif reg.family == "burg":
-        # p = (lam - y)^(-1) with lam > max y.
-        def phi(lam):
-            return float((w / (lam - yv)).sum()) - 1.0
-
-        lam = _bisect_multiplier(phi, ymax + w, ymax + vol)
-        p = 1.0 / (lam - yv)
     else:
-        g = reg.gamma
-        expo = 1.0 / (g - 1.0)
-
-        def phi(mu):
-            return float((np.power((1.0 - g) * (mu - yv), expo)).sum() * w) - 1.0
-
-        lo = ymax + w ** (1.0 - g) / (1.0 - g)
-        hi = ymax + vol ** (1.0 - g) / (1.0 - g)
-        mu = _bisect_multiplier(phi, lo, hi)
-        p = np.power((1.0 - g) * (mu - yv), expo)
+        try:
+            p = _mirror_by_multiplier(reg, ymax - yv, w, vol)
+        except NumericalError as exc:
+            raise NumericalError(f"{reg.family} mirror map: {exc}") from exc
 
     total = p.sum() * w
     if not math.isfinite(total) or total <= 0:
         raise NumericalError(f"mirror map produced non-normalizable values (total={total})")
     return Density(grid, p / total, copy=False)
+
+
+def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,
+                          vol: float) -> np.ndarray:
+    """Unnormalized Q(y) for the families whose multiplier solves phi = 0.
+
+    Every family solves for its multiplier relative to max y, so p depends on
+    y only through ``gap = max y - y``: exactly shift-invariant, and as
+    precise at |y| = 1e8 as at 1.  For Burg and Tsallis, d = lam - max y > 0
+    is the gap to the pole, so the pole cell's p is a function of d alone.
+    """
+    if reg.family == "quadratic":
+        # Water-filling KKT solution p = (y - lam)_+ = (-nu - gap)_+ with
+        # nu = lam - max y; Newton on this piecewise linear phi is Michelot's
+        # algorithm and stops at the exact active set.
+        def evaluate(nu):
+            p = -nu - gap
+            np.maximum(p, 0.0, out=p)
+            return float(p.sum()) * w - 1.0, -w * np.count_nonzero(p), p
+
+        return _solve(evaluate, -float(gap.max()) - 1.0 / vol, 0.0)
+
+    if reg.family == "burg":
+        # p = 1 / (d + gap); the pole cell alone integrates to 1 at d = w, and
+        # every cell is at most 1 / vol at d = vol.
+        def evaluate(d):
+            p = d + gap
+            np.reciprocal(p, out=p)
+            return w * float(p.sum()) - 1.0, -w * dot(p, p), p
+
+        return _solve(evaluate, w, vol)
+
+    # Tsallis: p = ((1 - g) (d + gap))^(1 / (g - 1)); one power per step.
+    g = reg.gamma
+    c = 1.0 - g
+    expo = 1.0 / (g - 1.0)
+    cgap = c * gap
+
+    def evaluate(d):
+        u = c * d + cgap
+        p = np.power(u, expo)
+        np.divide(p, u, out=u)  # p / u = u^(expo - 1), the slope's integrand
+        return w * float(p.sum()) - 1.0, w * expo * c * float(u.sum()), p
+
+    return _solve(evaluate, w ** c / c, vol ** c / c)
 
 
 def conjugate(reg: Regularizer, y: GridFunction) -> float:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +118,41 @@ def test_run_thread_count_invariance(tmp_path):
     serial = run_command(cfg, out=str(tmp_path / "s"), threads=1)
     parallel = run_command(cfg, out=str(tmp_path / "p"), threads=2)
     assert read_all(serial) == read_all(parallel)
+
+
+FINE_BURG_CONFIG = """\
+domain.dim = 2
+grid.n = 256
+algorithm = da
+regularizer.family = burg
+channel.kind = biased
+channel.noise_scale = 0.5
+channel.bias_scale = 0.5
+channel.bias_decay = 0.5
+horizon = 8
+seeds = 0
+"""
+
+_HASH_EXPECTED = """\
+import hashlib, sys
+from dualavg.config import parse_config, run_seed
+trace = run_seed(parse_config(sys.stdin.read()), 0)
+print(hashlib.sha256(trace.expected.tobytes()).hexdigest())
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    # 65536 cells: large enough that an unblocked BLAS dot product would be split
+    # across threads.  The thread count is set only in the children's environment.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _HASH_EXPECTED], input=FINE_BURG_CONFIG,
+                             env=env, capture_output=True, text=True, check=True)
+        hashes.append(out.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
 def test_run_uniform_baseline_from_config(tmp_path):

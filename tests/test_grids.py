@@ -18,6 +18,7 @@ from dualavg import (
     sup_norm,
     tv_distance,
 )
+from dualavg.grids import dot
 
 
 @pytest.fixture
@@ -89,6 +90,17 @@ def test_pair_is_bilinear(unit_grid):
     assert integrate(f * GridFunction.constant(unit_grid, 1.0)) == pytest.approx(
         integrate(f), abs=1e-12
     )
+
+
+def test_dot_is_blocked_inner_product():
+    rng = np.random.default_rng(11)
+    for n in (1, 4095, 4096):
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        assert dot(a, b) == float(a @ b)
+    a, b = rng.normal(size=65536 + 7), rng.normal(size=65536 + 7)
+    blocks = [float(a[i:i + 4096] @ b[i:i + 4096]) for i in range(0, a.size, 4096)]
+    assert dot(a, b) == sum(blocks)
+    assert dot(a, b) == pytest.approx(float(a @ b), rel=1e-12)
 
 
 def test_grid_mismatch_raises(unit_grid):

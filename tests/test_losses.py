@@ -117,6 +117,18 @@ def test_drifting_stream_evaluates_each_round_once(grid):
     assert np.array_equal(stream.values(5), first) and len(calls) == 3
 
 
+@pytest.mark.parametrize("drift_rate, evaluations", [(0.0, 1), (0.1, 100)])
+def test_payoff_stream_evaluates_base_once_per_key(grid, drift_rate, evaluations):
+    payoffs = to_payoff(default_trig_stream(grid, seed=4, drift_rate=drift_rate))
+    calls = []
+    from_base = payoffs._from_base
+    payoffs._from_base = lambda t: calls.append(t) or from_base(t)
+    fresh = to_payoff(default_trig_stream(grid, seed=4, drift_rate=drift_rate))
+    for t in range(1, 101):
+        assert np.array_equal(payoffs.values(t), fresh._from_base(t))
+    assert len(calls) == evaluations
+
+
 def test_exact_channel_returns_truth(grid):
     stream = default_trig_stream(grid, seed=6)
     obs = ExactChannel().observe(stream, 3, Density.uniform(grid), np.array([0.5]),

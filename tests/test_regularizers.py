@@ -9,6 +9,7 @@ from dualavg import (
     DomainError,
     Grid,
     GridFunction,
+    NumericalError,
     burg,
     conjugate,
     energy,
@@ -20,10 +21,11 @@ from dualavg import (
     negentropy,
     pair,
     quadratic,
+    regularizers,
     tsallis,
     tv_distance,
 )
-from dualavg.regularizers import ambient_distance, min_hval
+from dualavg.regularizers import _bisect_multiplier, ambient_distance, min_hval
 
 ALL_FAMILIES = [negentropy(), quadratic(), burg(), tsallis(0.5)]
 
@@ -140,6 +142,112 @@ def test_mirror_density_invariants_adversarial(grid):
             q = mirror(reg, y)
             assert np.all(q.values >= 0.0)
             assert integrate(q) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mirror_shift_invariant_at_large_offsets(grid):
+    # base is rounded to the offset's spacing, so y and y + offset have bitwise
+    # equal gaps max y - y, and Q(y + offset) must equal Q(y) bit for bit.
+    rng = np.random.default_rng(12)
+    for offset in (1e4, 1e6, 1e8):
+        base = (rng.normal(0.0, 2.0, grid.n_cells) + offset) - offset
+        for reg in ALL_FAMILIES:
+            q = mirror(reg, GridFunction(grid, base))
+            q_shifted = mirror(reg, GridFunction(grid, base + offset))
+            assert np.array_equal(q.values, q_shifted.values)
+
+
+def test_multiplier_solver_newton_count_and_root():
+    # phi(x) = exp(-x) - 1/2 is convex and decreasing with root log 2.
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return math.exp(-x) - 0.5
+
+    root = _bisect_multiplier(phi, 0.0, 10.0, dphi=lambda x: -math.exp(-x))
+    assert abs(root - math.log(2.0)) <= 1e-12
+    assert root == calls[-1] and len(calls) <= 8
+
+
+def test_multiplier_solver_raises_on_miss():
+    # A jump across zero: no point has |phi| <= tol, so the bracket collapses.
+    def step(x):
+        return 0.5 if x < 1.0 else -0.5
+
+    with pytest.raises(NumericalError, match="0.5"):
+        _bisect_multiplier(step, 0.0, 2.0, dphi=lambda x: 0.0)
+    # Too few iterations for a reachable root.
+    with pytest.raises(NumericalError, match="tol"):
+        _bisect_multiplier(lambda x: 1.0 / x - 1.0, 1e-3, 2.0, max_iter=2,
+                           dphi=lambda x: -1.0 / (x * x))
+    # A left end with phi < 0 is not a bracket.
+    with pytest.raises(NumericalError, match="bracket"):
+        _bisect_multiplier(lambda x: -1.0 - x, 0.0, 1.0, dphi=lambda x: -1.0)
+
+
+def test_mirror_names_family_on_solver_miss(grid, monkeypatch):
+    def miss(phi, lo, hi, tol=1e-12, max_iter=200, *, dphi):
+        raise NumericalError("stopped")
+
+    monkeypatch.setattr(regularizers, "_bisect_multiplier", miss)
+    y = GridFunction.constant(grid, 0.0)
+    for reg in (quadratic(), burg(), tsallis(0.5)):
+        with pytest.raises(NumericalError, match=f"^{reg.family} mirror map: stopped"):
+            mirror(reg, y)
+    assert integrate(mirror(negentropy(), y)) == pytest.approx(1.0)
+
+
+def _kkt_multiplier(reg, yv, q):
+    """Multiplier of Q(y) from its optimality conditions, and their largest violation.
+
+    Burg: 1/q + y = lam.  Quadratic: y - q = lam on the support, y <= lam off
+    it.  Tsallis: q^(g-1) / (1-g) + y = mu, with mu = lam + 1/(g(1-g)).
+    """
+    if reg.family == "burg":
+        k = 1.0 / q + yv
+    elif reg.family == "quadratic":
+        support = q > 0
+        k = (yv - q)[support]
+    else:
+        g = reg.gamma
+        k = q ** (g - 1.0) / (1.0 - g) + yv
+    lam = float(np.median(k))
+    violation = float(np.abs(k - lam).max())
+    if reg.family == "quadratic" and not support.all():
+        violation = max(violation, float((yv[~support] - lam).max()))
+    return lam, violation
+
+
+def _closed_form_conjugate(reg, yv, lam, w, vol):
+    """h*(y) = lam + integral of theta*(y - lam), theta* the scalar conjugate."""
+    if reg.family == "quadratic":
+        return lam + 0.5 * w * float((np.maximum(yv - lam, 0.0) ** 2).sum())
+    if reg.family == "burg":
+        return lam - vol - w * float(np.log(lam - yv).sum())
+    # In mu: theta*(y - lam) = ((1-g)(mu - y))^(g/(g-1)) / g.
+    g = reg.gamma
+    mu = lam
+    return (mu - 1.0 / (g * (1.0 - g))
+            + w * float((((1.0 - g) * (mu - yv)) ** (g / (g - 1.0))).sum()) / g)
+
+
+@pytest.mark.parametrize("n", [256, 4096, 65536])
+@pytest.mark.parametrize("reg", [quadratic(), burg(), tsallis(0.5)], ids=lambda r: r.family)
+def test_mirror_kkt_and_closed_form_conjugate(reg, n):
+    grid = Grid(BoxDomain(0.0, 2.0), n)
+    rng = np.random.default_rng(n)
+    x = grid.centers[:, 0]
+    y = GridFunction(grid, 3.0 * np.sin(math.pi * x) + rng.normal(0.0, 0.5, n))
+    yv = y.values
+    q = mirror(reg, y)
+    lam, violation = _kkt_multiplier(reg, yv, q.values)
+    # The solver stops at |integral - 1| <= 1e-12, which shifts each KKT
+    # quantity by about 1e-12 times its size.
+    assert violation <= 1e-11 * (1.0 + abs(lam) + float(np.abs(yv).max()))
+    if reg.family == "quadratic":
+        assert 0 < np.count_nonzero(q.values) < n  # the support is a strict subset
+    closed = _closed_form_conjugate(reg, yv, lam, grid.cell_volume, grid.domain.volume)
+    assert conjugate(reg, y) == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
 
 def test_conjugate_examples(grid):
