@@ -36,7 +36,7 @@ __all__ = ["ExperimentConfig", "parse_config", "run_seed"]
 _DEFAULT_GRID_N = {1: 1024, 2: 64, 3: 16}
 
 _ALGORITHMS = ("da", "bda", "exp3_grid", "uniform")
-_STREAM_KINDS = ("trig_mixture", "drifting", "finite_sum")
+_STREAM_KINDS = ("trig_mixture", "drifting")
 _CHANNEL_KINDS = ("exact", "unbiased", "biased", "bandit")
 _REG_FAMILIES = ("negentropy", "quadratic", "burg", "tsallis")
 
@@ -147,11 +147,6 @@ class ExperimentConfig:
         return Grid(BoxDomain(lo, hi), n)
 
     def build_stream(self, grid: Grid) -> LossStream:
-        if self.stream_kind == "finite_sum":
-            raise ConfigError(
-                "finite_sum streams carry arbitrary components and are "
-                "constructed programmatically, not from config files"
-            )
         base = default_trig_stream(
             grid,
             seed=self.stream_seed,

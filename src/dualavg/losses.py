@@ -9,12 +9,13 @@ function-valued noise), biased (decaying systematic offset), and bandit
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Density, Grid, GridFunction
+from .grids import _DOT_BLOCK, Density, Grid, GridFunction
 
 __all__ = [
     "LossStream",
@@ -34,26 +35,67 @@ __all__ = [
 ]
 
 
+# Read-only (sin, cos) tables per grid and frequency set; an entry goes when
+# its grid does.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _trig_tables(grid: Grid, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of 2*pi*(freqs @ u.T), built once per grid and frequency set."""
+    per_grid = _TABLES.setdefault(grid, {})
+    key = (freqs.shape, freqs.tobytes())
+    tables = per_grid.get(key)
+    if tables is None:
+        u = (grid.centers - grid.domain.lower) / grid.domain.lengths
+        # Axis by axis: freqs @ u.T would wake an OpenBLAS helper thread.
+        args = freqs[:, :1] * u[:, 0]  # (K, n_cells)
+        for k in range(1, grid.dim):
+            args += freqs[:, k:k + 1] * u[:, k]
+        args *= 2.0 * math.pi
+        sin = np.sin(args)
+        cos = np.cos(args, out=args)
+        sin.setflags(write=False)
+        cos.setflags(write=False)
+        tables = per_grid[key] = (sin, cos)
+    return tables
+
+
 class _TrigBasis:
     """Cached sin/cos tables for a fixed set of integer frequency vectors.
 
     Coordinates are normalized per axis to [0, 1], so sup bounds and phase
     shifts are independent of the box geometry.
+
+    The read-only ``sin``/``cos`` arrays are shared by every basis with the
+    same grid and frequencies (a stream and its noise channel, say), and are
+    freed with the grid.  Neither they nor ``combine`` use a BLAS product
+    large enough for OpenBLAS to start helper threads, which would spin on
+    the cores that pool workers run on: the phases are summed axis by axis,
+    and above 4096 cells ``combine`` runs over blocks of 4096 columns.  For
+    frequency vectors with one nonzero entry the tables equal those of
+    ``freqs @ u.T`` bit for bit.
     """
 
     def __init__(self, grid: Grid, freqs: np.ndarray):
         self.grid = grid
         self.freqs = np.asarray(freqs, dtype=float)  # (K, d)
-        u = (grid.centers - grid.domain.lower) / grid.domain.lengths
-        args = 2.0 * math.pi * (self.freqs @ u.T)  # (K, n_cells)
-        self.sin = np.sin(args)
-        self.cos = np.cos(args)
+        if self.freqs.ndim != 2 or self.freqs.shape[1] != grid.dim:
+            raise ValueError("frequency vectors need one entry per grid axis")
+        self.sin, self.cos = _trig_tables(grid, self.freqs)
 
     def combine(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """sum_k a_k * sin(2*pi*f_k.u + phase_k) on all cells."""
-        return (amplitudes * np.cos(phases)) @ self.sin + (
-            amplitudes * np.sin(phases)
-        ) @ self.cos
+        a_sin = amplitudes * np.cos(phases)
+        a_cos = amplitudes * np.sin(phases)
+        n = self.sin.shape[1]
+        if n <= _DOT_BLOCK:
+            return a_sin @ self.sin + a_cos @ self.cos
+        out = np.empty(n)
+        for i in range(0, n, _DOT_BLOCK):
+            cols = slice(i, i + _DOT_BLOCK)
+            out[cols] = a_sin @ self.sin[:, cols]
+            out[cols] += a_cos @ self.cos[:, cols]
+        return out
 
     def lipschitz(self, amplitudes: np.ndarray) -> float:
         grad_scale = 2.0 * math.pi * np.linalg.norm(

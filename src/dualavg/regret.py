@@ -62,10 +62,17 @@ class RegretTrace:
     checkpoints: np.ndarray
     cum_grid_checkpoints: np.ndarray
     extras: dict = field(default_factory=dict)
+    _variation: float | None = field(default=None, init=False, repr=False)
 
     @property
     def payoff_convention(self) -> bool:
         return self.stream.payoff_convention
+
+    def variation(self) -> float:
+        """V_T of the stream over the recorded horizon, computed on first use."""
+        if self._variation is None:
+            self._variation = variation(self.stream, self.horizon)
+        return self._variation
 
     def cumulative_grid(self, T: int) -> np.ndarray:
         """Cumulative stream values over rounds 1..T on the grid.
@@ -242,7 +249,7 @@ def window_decomposition(trace: RegretTrace, delta: int, slack: float = 1e-4,
         start = stop + 1
     regrets = np.asarray(regrets)
     dyn = dynamic_regret(trace)
-    var = variation(trace.stream, T)
+    var = trace.variation()
     bound = float(regrets.sum()) + 2.0 * delta * var
     return WindowDecomposition(
         window_regrets=regrets,

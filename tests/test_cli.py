@@ -92,6 +92,12 @@ def test_semantic_validation():
         parse_config("horizon = 0\n")
 
 
+def test_finite_sum_stream_kind_rejected_at_parse():
+    # Finite-sum streams carry arbitrary components and are built in code only.
+    with pytest.raises(ConfigError, match=r"^exp\.cfg: stream\.kind must be one of"):
+        parse_config("stream.kind = finite_sum\nhorizon = 10\n", source="exp.cfg")
+
+
 def test_run_single_round_single_seed(tmp_path):
     cfg = write(
         tmp_path,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from dualavg import (
     to_payoff,
     variation,
 )
+from dualavg.losses import _axis_cycled_freqs, _TrigBasis
 
 
 @pytest.fixture
@@ -234,3 +238,84 @@ def test_variation_growth_exponent(grid):
     v_short = variation(stream, 1000)
     v_long = variation(stream, 4000)
     assert v_long / v_short == pytest.approx(2.0, rel=0.1)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 48), (3, 12)])
+@pytest.mark.parametrize("n_terms", [5, 64])
+def test_trig_tables_equal_matrix_product_formula(dim, n, n_terms):
+    grid = Grid(BoxDomain([0.0] * dim, [1.0 + 0.5 * k for k in range(dim)]), n)
+    freqs = _axis_cycled_freqs(n_terms, dim)
+    basis = _TrigBasis(grid, freqs)
+    u = (grid.centers - grid.domain.lower) / grid.domain.lengths
+    args = 2.0 * math.pi * (freqs @ u.T)
+    assert np.array_equal(basis.sin, np.sin(args))
+    assert np.array_equal(basis.cos, np.cos(args))
+
+
+def test_trig_tables_shared_per_grid_and_read_only():
+    grid = Grid(BoxDomain([0.0, 0.0], [1.0, 2.0]), 32)
+    stream = default_trig_stream(grid, seed=1)
+    channel = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5)
+    channel.observe(stream, 1, None, None, np.random.default_rng(2))
+    assert channel._basis is not stream._basis
+    assert channel._basis.sin is stream._basis.sin
+    assert channel._basis.cos is stream._basis.cos
+    other = default_trig_stream(Grid(BoxDomain([0.0, 0.0], [1.0, 2.0]), 32), seed=1)
+    assert other._basis.sin is not stream._basis.sin
+    assert np.array_equal(other._basis.sin, stream._basis.sin)
+    for table in (stream._basis.sin, stream._basis.cos):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n_terms", [5, 64])
+def test_blocked_combine_matches_unblocked_formula(n_terms):
+    grid = Grid(BoxDomain(0.0, 1.0), 65536)
+    basis = _TrigBasis(grid, _axis_cycled_freqs(n_terms, 1))
+    rng = np.random.default_rng(n_terms)
+    amplitudes = rng.standard_normal(n_terms)
+    phases = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+    expected = (amplitudes * np.cos(phases)) @ basis.sin + (
+        amplitudes * np.sin(phases)) @ basis.cos
+    got = basis.combine(amplitudes, phases)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+_HELPER_THREAD_CPU = """\
+import os, sys, time
+from dualavg.config import parse_config, run_seed
+
+def helper_cpu():
+    # utime + stime of every thread but the main one, whose id is the pid.
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid != str(os.getpid()):
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+cfg = parse_config(sys.stdin.read())
+time.sleep(0.3)  # OpenBLAS helpers spin for a while after they start, at import
+before = helper_cpu()
+run_seed(cfg, 0)
+time.sleep(0.3)  # and after each call that woke them
+print(helper_cpu() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("terms, horizon", [(5, 3), (64, 8)])
+def test_run_starts_no_blas_helper_work(terms, horizon):
+    # 65536 cells.  The thread count is set only in the child's environment.
+    config = (f"domain.dim = 2\ngrid.n = 256\nalgorithm = da\nregularizer.family = quadratic\n"
+              f"stream.terms = {terms}\nchannel.kind = biased\nchannel.noise_scale = 0.5\n"
+              f"channel.bias_scale = 0.5\nchannel.bias_decay = 0.5\n"
+              f"horizon = {horizon}\nseeds = 0\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _HELPER_THREAD_CPU], input=config,
+                         env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 0.05

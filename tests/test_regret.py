@@ -20,6 +20,7 @@ from dualavg import (
     static_regret,
     window_decomposition,
 )
+from dualavg import regret as regret_module
 from dualavg.errors import NumericalError
 from dualavg.losses import LossStream
 from dualavg.regret import (
@@ -179,6 +180,29 @@ def test_window_decomposition_drifting(grid):
         delta = int(rng.integers(1, T + 1))
         result = window_decomposition(trace, delta)
         assert result.holds, (k, delta, result.dynamic, result.bound)
+
+
+def test_window_decomposition_computes_variation_once(grid, monkeypatch):
+    def drifting_trace():
+        stream = default_trig_stream(grid, seed=21, drift_rate=0.05)
+        return run_da(grid, negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60,
+                      np.random.default_rng(22))
+
+    deltas = (1, 7, 20, 60)
+    # Reference: a fresh trace per window length, so nothing is shared.
+    fresh = [window_decomposition(drifting_trace(), d) for d in deltas]
+    trace = drifting_trace()
+    calls = []
+    original = regret_module.variation
+    monkeypatch.setattr(regret_module, "variation",
+                        lambda s, T: calls.append(T) or original(s, T))
+    shared = [window_decomposition(trace, d) for d in deltas]
+    assert calls == [60]
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a.window_regrets, b.window_regrets)
+        assert (a.window_length, a.dynamic, a.variation, a.bound, a.holds) == (
+            b.window_length, b.dynamic, b.variation, b.bound, b.holds)
+    assert shared[0].variation > 0
 
 
 def test_fit_slope_exact():
