@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import _DOT_BLOCK, Density, Grid, GridFunction
+from .grids import Density, Grid, GridFunction
 
 __all__ = [
     "LossStream",
@@ -34,6 +34,11 @@ __all__ = [
     "variation",
 ]
 
+
+# Most table entries in one product of ``_TrigBasis.combine``.  With OpenBLAS
+# 0.3.31 a gemv over 458 752 entries runs on the calling thread and one over
+# 460 800 wakes a helper thread, whatever the shape.
+_GEMV_LIMIT = 409_600
 
 # Read-only (sin, cos) tables per grid and frequency set; an entry goes when
 # its grid does.
@@ -71,9 +76,9 @@ class _TrigBasis:
     freed with the grid.  Neither they nor ``combine`` use a BLAS product
     large enough for OpenBLAS to start helper threads, which would spin on
     the cores that pool workers run on: the phases are summed axis by axis,
-    and above 4096 cells ``combine`` runs over blocks of 4096 columns.  For
-    frequency vectors with one nonzero entry the tables equal those of
-    ``freqs @ u.T`` bit for bit.
+    and ``combine`` splits a product of more than ``_GEMV_LIMIT`` table
+    entries into column blocks.  For frequency vectors with one nonzero
+    entry the tables equal those of ``freqs @ u.T`` bit for bit.
     """
 
     def __init__(self, grid: Grid, freqs: np.ndarray):
@@ -87,12 +92,13 @@ class _TrigBasis:
         """sum_k a_k * sin(2*pi*f_k.u + phase_k) on all cells."""
         a_sin = amplitudes * np.cos(phases)
         a_cos = amplitudes * np.sin(phases)
-        n = self.sin.shape[1]
-        if n <= _DOT_BLOCK:
+        n_terms, n = self.sin.shape
+        width = max(1, _GEMV_LIMIT // n_terms)
+        if n <= width:
             return a_sin @ self.sin + a_cos @ self.cos
         out = np.empty(n)
-        for i in range(0, n, _DOT_BLOCK):
-            cols = slice(i, i + _DOT_BLOCK)
+        for i in range(0, n, width):
+            cols = slice(i, i + width)
             out[cols] = a_sin @ self.sin[:, cols]
             out[cols] += a_cos @ self.cos[:, cols]
         return out

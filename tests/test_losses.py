@@ -268,9 +268,9 @@ def test_trig_tables_shared_per_grid_and_read_only():
             table[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("n_terms", [5, 64])
-def test_blocked_combine_matches_unblocked_formula(n_terms):
-    grid = Grid(BoxDomain(0.0, 1.0), 65536)
+@pytest.mark.parametrize("n_terms, n", [(5, 65536), (64, 65536), (256, 8192)])
+def test_blocked_combine_matches_unblocked_formula(n_terms, n):
+    grid = Grid(BoxDomain(0.0, 1.0), n)
     basis = _TrigBasis(grid, _axis_cycled_freqs(n_terms, 1))
     rng = np.random.default_rng(n_terms)
     amplitudes = rng.standard_normal(n_terms)
@@ -296,20 +296,30 @@ def helper_cpu():
             ticks += int(fields[11]) + int(fields[12])
     return ticks / os.sysconf("SC_CLK_TCK")
 
+def settled_helper_cpu():
+    # OpenBLAS helpers spin for a while after they start (at import) and after
+    # each call that woke them: wait until two readings 0.1 s apart agree.
+    last = helper_cpu()
+    for _ in range(50):
+        time.sleep(0.1)
+        now = helper_cpu()
+        if now == last:
+            break
+        last = now
+    return now
+
 cfg = parse_config(sys.stdin.read())
-time.sleep(0.3)  # OpenBLAS helpers spin for a while after they start, at import
-before = helper_cpu()
+before = settled_helper_cpu()
 run_seed(cfg, 0)
-time.sleep(0.3)  # and after each call that woke them
-print(helper_cpu() - before)
+print(settled_helper_cpu() - before)
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-@pytest.mark.parametrize("terms, horizon", [(5, 3), (64, 8)])
-def test_run_starts_no_blas_helper_work(terms, horizon):
-    # 65536 cells.  The thread count is set only in the child's environment.
-    config = (f"domain.dim = 2\ngrid.n = 256\nalgorithm = da\nregularizer.family = quadratic\n"
+@pytest.mark.parametrize("n, terms, horizon", [(256, 5, 3), (256, 64, 8), (64, 256, 3)])
+def test_run_starts_no_blas_helper_work(n, terms, horizon):
+    # n * n cells.  The thread count is set only in the child's environment.
+    config = (f"domain.dim = 2\ngrid.n = {n}\nalgorithm = da\nregularizer.family = quadratic\n"
               f"stream.terms = {terms}\nchannel.kind = biased\nchannel.noise_scale = 0.5\n"
               f"channel.bias_scale = 0.5\nchannel.bias_decay = 0.5\n"
               f"horizon = {horizon}\nseeds = 0\n")
