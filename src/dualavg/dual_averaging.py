@@ -185,7 +185,6 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         else None
     )
     w = grid.cell_volume
-    sign = 1.0 if payoff else -1.0
     y = np.zeros(grid.n_cells)
     for t in range(1, T + 1):
         eta_t = eta(t)
@@ -201,7 +200,10 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         realized = float(f_vals[grid.cell_index(action)])
         recorder.record(t, f_vals, expected, realized, action)
         model_vals = obs.model.values
-        y += sign * model_vals
+        if payoff:
+            y += model_vals
+        else:
+            y -= model_vals
         if diag is not None:
             diag.end_round(t, y, model_vals, x, f_vals, expected)
     extras = {"algorithm": "da", "eta": np.array([eta(t) for t in range(1, T + 2)])}

@@ -119,14 +119,15 @@ class Grid:
     def cell_diameter(self) -> float:
         return self._cell_diameter
 
+    def axis_centers(self, k: int) -> np.ndarray:
+        """The n cell-center coordinates along axis k, in increasing order."""
+        return self.domain.lower[k] + (np.arange(self.n) + 0.5) * self._steps[k]
+
     @property
     def centers(self) -> np.ndarray:
         """Cell centers as an (n_cells, d) array, C-ordered over axes."""
         if self._centers is None:
-            axes = [
-                self.domain.lower[k] + (np.arange(self.n) + 0.5) * self.steps[k]
-                for k in range(self.dim)
-            ]
+            axes = [self.axis_centers(k) for k in range(self.dim)]
             mesh = np.meshgrid(*axes, indexing="ij")
             centers = np.stack([m.ravel() for m in mesh], axis=-1)
             centers.setflags(write=False)

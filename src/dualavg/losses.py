@@ -40,45 +40,75 @@ __all__ = [
 # 460 800 wakes a helper thread, whatever the shape.
 _GEMV_LIMIT = 409_600
 
-# Read-only (sin, cos) tables per grid and frequency set; an entry goes when
-# its grid does.
+# Read-only per-axis (terms, sin, cos) tables per grid and frequency set; an
+# entry goes when its grid does.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _trig_tables(grid: Grid, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of 2*pi*(freqs @ u.T), built once per grid and frequency set."""
+def _trig_tables(grid: Grid, freqs: np.ndarray) -> tuple:
+    """Per axis k, (terms, sin, cos) with sin/cos of 2*pi*f_k*u_k for those terms.
+
+    ``terms`` indexes the frequency vectors that lie on axis k (a zero vector
+    goes to axis 0), and the (len(terms), n) tables run over the n cell
+    centers of that axis.  Built once per grid and frequency set.
+    """
     per_grid = _TABLES.setdefault(grid, {})
     key = (freqs.shape, freqs.tobytes())
     tables = per_grid.get(key)
     if tables is None:
-        u = (grid.centers - grid.domain.lower) / grid.domain.lengths
-        # Axis by axis: freqs @ u.T would wake an OpenBLAS helper thread.
-        args = freqs[:, :1] * u[:, 0]  # (K, n_cells)
-        for k in range(1, grid.dim):
-            args += freqs[:, k:k + 1] * u[:, k]
-        args *= 2.0 * math.pi
-        sin = np.sin(args)
-        cos = np.cos(args, out=args)
-        sin.setflags(write=False)
-        cos.setflags(write=False)
-        tables = per_grid[key] = (sin, cos)
+        axis_of = (freqs != 0.0).argmax(axis=1)
+        lower, lengths = grid.domain.lower, grid.domain.lengths
+        tables = []
+        for k in range(grid.dim):
+            terms = np.flatnonzero(axis_of == k)
+            u = (grid.axis_centers(k) - lower[k]) / lengths[k]
+            args = freqs[terms, k:k + 1] * u  # (len(terms), n)
+            args *= 2.0 * math.pi
+            sin = np.sin(args)
+            cos = np.cos(args, out=args)
+            for arr in (terms, sin, cos):
+                arr.setflags(write=False)
+            tables.append((terms, sin, cos))
+        tables = per_grid[key] = tuple(tables)
     return tables
 
 
+def _sum_terms(a_sin: np.ndarray, a_cos: np.ndarray, sin: np.ndarray,
+               cos: np.ndarray) -> np.ndarray:
+    """a_sin @ sin + a_cos @ cos, in column blocks of at most ``_GEMV_LIMIT`` entries."""
+    n_terms, n = sin.shape
+    if n_terms * n <= _GEMV_LIMIT:
+        return a_sin @ sin + a_cos @ cos
+    width = max(1, _GEMV_LIMIT // n_terms)
+    out = np.empty(n)
+    for i in range(0, n, width):
+        cols = slice(i, i + width)
+        out[cols] = a_sin @ sin[:, cols]
+        out[cols] += a_cos @ cos[:, cols]
+    return out
+
+
 class _TrigBasis:
-    """Cached sin/cos tables for a fixed set of integer frequency vectors.
+    """Cached per-axis sin/cos tables for a fixed set of integer frequency vectors.
 
     Coordinates are normalized per axis to [0, 1], so sup bounds and phase
-    shifts are independent of the box geometry.
+    shifts are independent of the box geometry.  Every frequency vector has
+    at most one nonzero entry (``_axis_cycled_freqs`` makes them), so each
+    term is a function of one axis: ``tables`` holds, per axis, the terms on
+    that axis and their (K_axis, n) sin/cos tables over the axis's n
+    centers, and ``combine`` sums one n-vector per axis over the grid by
+    broadcasting, in the C order of ``Grid.centers``.  At d = 1 this is one
+    (K, n) product; on a 256 x 256 grid a term's sin and cos tables hold 256
+    entries each instead of 65536.
 
-    The read-only ``sin``/``cos`` arrays are shared by every basis with the
-    same grid and frequencies (a stream and its noise channel, say), and are
-    freed with the grid.  Neither they nor ``combine`` use a BLAS product
+    The read-only tables are shared by every basis with the same grid and
+    frequencies (a stream and its noise channel, say), and are freed with
+    the grid.  Neither building them nor ``combine`` uses a BLAS product
     large enough for OpenBLAS to start helper threads, which would spin on
-    the cores that pool workers run on: the phases are summed axis by axis,
-    and ``combine`` splits a product of more than ``_GEMV_LIMIT`` table
-    entries into column blocks.  For frequency vectors with one nonzero
-    entry the tables equal those of ``freqs @ u.T`` bit for bit.
+    the cores that pool workers run on: an axis product of more than
+    ``_GEMV_LIMIT`` table entries (in practice a 1-D grid with many terms)
+    runs in column blocks.  The entries equal sin/cos of 2*pi*(f @ u) at
+    every cell bit for bit.
     """
 
     def __init__(self, grid: Grid, freqs: np.ndarray):
@@ -86,22 +116,19 @@ class _TrigBasis:
         self.freqs = np.asarray(freqs, dtype=float)  # (K, d)
         if self.freqs.ndim != 2 or self.freqs.shape[1] != grid.dim:
             raise ValueError("frequency vectors need one entry per grid axis")
-        self.sin, self.cos = _trig_tables(grid, self.freqs)
+        if (np.count_nonzero(self.freqs, axis=1) > 1).any():
+            raise ValueError("each frequency vector must lie on a single axis")
+        self.tables = _trig_tables(grid, self.freqs)
 
     def combine(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """sum_k a_k * sin(2*pi*f_k.u + phase_k) on all cells."""
         a_sin = amplitudes * np.cos(phases)
         a_cos = amplitudes * np.sin(phases)
-        n_terms, n = self.sin.shape
-        width = max(1, _GEMV_LIMIT // n_terms)
-        if n <= width:
-            return a_sin @ self.sin + a_cos @ self.cos
-        out = np.empty(n)
-        for i in range(0, n, width):
-            cols = slice(i, i + width)
-            out[cols] = a_sin @ self.sin[:, cols]
-            out[cols] += a_cos @ self.cos[:, cols]
-        return out
+        out = None
+        for terms, sin, cos in self.tables:
+            axis = _sum_terms(a_sin[terms], a_cos[terms], sin, cos)
+            out = axis if out is None else np.add.outer(out, axis)
+        return out.ravel()
 
     def lipschitz(self, amplitudes: np.ndarray) -> float:
         grad_scale = 2.0 * math.pi * np.linalg.norm(

@@ -45,7 +45,8 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
         points.append(int(round(c)))
         c *= ratio
     points.append(T)
-    return np.unique(np.asarray(points, dtype=int))
+    # Not np.unique: it imports numpy.ma, about 17 ms in every fresh worker.
+    return np.asarray(sorted(set(points)), dtype=int)
 
 
 @dataclass

@@ -7,8 +7,11 @@ for the others it is the root of a one-dimensional normalization equation,
 found by safeguarded Newton (bisection only as a fallback inside the bracket).
 The multiplier lam is measured from max y; for Burg and Tsallis that is the
 gap d = lam - max y to the pole, so the pole cell's value does not come from a
-cancelling difference.  A solve that misses its tolerance raises
-NumericalError naming the family.
+cancelling difference, and Newton runs in s = log d on the log of the
+integral, which is linear in s for constant scores (solved in two
+evaluations).  The quadratic runs Newton on lam - max y itself (Michelot's
+algorithm).  A solve that misses its tolerance raises NumericalError naming
+the family.
 
 Convention: theta(0) = 0 for the entropic, quadratic, and Tsallis kernels, so
 h is finite on densities with zero cells and min h = hvol(volume(X)) is
@@ -147,14 +150,17 @@ def min_hval(reg: Regularizer, volume: float) -> float:
 
 def _bisect_multiplier(phi, lo: float, hi: float, tol: float = 1e-12,
                        max_iter: int = 200, *, dphi) -> float:
-    """Root of the convex decreasing map ``phi`` (= integral - 1) on [lo, hi].
+    """Root of the decreasing map ``phi`` (integral - 1, or its log) on [lo, hi].
 
     Safeguarded Newton: ``dphi(x)`` is the slope of ``phi`` at the point just
-    evaluated.  Started at the left end, where ``phi(lo) >= 0``, Newton steps
-    on a convex decreasing function stay left of the root; a step that leaves
-    the current bracket (or a nonnegative slope) falls back to bisection.  The
-    returned point is always the last one evaluated, and has
-    ``|phi| <= tol``; a solve that cannot reach ``tol`` raises NumericalError.
+    evaluated.  Newton starts at the left end, where ``phi(lo) >= 0``, and
+    each evaluation shrinks the bracket to the side of the root it lies on.
+    ``phi`` need not be convex (Burg and Tsallis solve in log d), so a step
+    may overshoot; a step that leaves the current bracket (or a nonnegative
+    slope) falls back to bisection, and that fallback, not convexity, keeps
+    every iterate inside the shrinking bracket.  The returned point is always
+    the last one evaluated, and has ``|phi| <= tol``; a solve that cannot
+    reach ``tol`` raises NumericalError.
     """
     x, fx = lo, phi(lo)
     if fx < -tol:
@@ -246,7 +252,7 @@ def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,
             np.reciprocal(p, out=p)
             return w * float(p.sum()) - 1.0, -w * dot(p, p), p
 
-        return _solve(evaluate, w, vol)
+        return _solve_in_log(evaluate, w, vol)
 
     # Tsallis: p = ((1 - g) (d + gap))^(1 / (g - 1)); one power per step.
     g = reg.gamma
@@ -260,7 +266,28 @@ def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,
         np.divide(p, u, out=u)  # p / u = u^(expo - 1), the slope's integrand
         return w * float(p.sum()) - 1.0, w * expo * c * float(u.sum()), p
 
-    return _solve(evaluate, w ** c / c, vol ** c / c)
+    return _solve_in_log(evaluate, w ** c / c, vol ** c / c)
+
+
+def _solve_in_log(evaluate, lo: float, hi: float) -> np.ndarray:
+    """``_solve`` for a multiplier d > 0, with Newton in s = log d.
+
+    The integral I(d) = phi(d) + 1 of Burg and Tsallis is a power of d when
+    the scores are constant (I = vol / d for Burg), and log I is close to
+    linear in s when they vary little, so Newton runs on log I(e^s) =
+    log1p(phi), whose slope is d * phi'(d) / I: exact in one step for a pure
+    power law, where Newton on phi itself grows d by only 1.5x per step from
+    the left end.  The root is
+    ``hi`` itself when the scores are constant, so the bracket ends at 2 hi
+    (where phi < 0 too): a first Newton step that lands on ``hi`` up to
+    rounding is then inside the bracket and not sent to bisection.
+    """
+    def evaluate_log(s):
+        d = math.exp(s)
+        value, slope, p = evaluate(d)
+        return math.log1p(value), d * slope / (value + 1.0), p
+
+    return _solve(evaluate_log, math.log(lo), math.log(2.0 * hi))
 
 
 def conjugate(reg: Regularizer, y: GridFunction) -> float:

@@ -40,6 +40,7 @@ from dualavg import (
 from dualavg.cli import run_command
 from dualavg.config import parse_config, run_seed
 from dualavg.regularizers import ambient_distance, burg, tsallis
+from test_regularizers import _closed_form_conjugate, _kkt_multiplier
 
 THREADS = 2
 
@@ -215,6 +216,15 @@ def test_criterion_1_fenchel_property_suite():
         q = mirror(reg, y)
         if fenchel_coupling(reg, q, y) > 1e-8:
             violations.append(("fenchel-young-equality", i))
+        if reg.family != "negentropy":
+            # conjugate() is <y, Q(y)> - h(Q(y)) for these families, so the
+            # equality above holds by construction; the closed form in the
+            # multiplier recovered from Q(y) checks it independently.
+            lam, _ = _kkt_multiplier(reg, y.values, q.values)
+            closed = _closed_form_conjugate(reg, y.values, lam, grid.cell_volume,
+                                            grid.domain.volume)
+            if abs(conjugate(reg, y) - closed) > 1e-10 * max(1.0, abs(closed)):
+                violations.append(("closed-form-conjugate", i, conjugate(reg, y), closed))
         if tv_distance(p, q) > 0.05 and F <= 1e-8:
             violations.append(("fenchel-young-strictness", i))
 

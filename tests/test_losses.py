@@ -240,16 +240,39 @@ def test_variation_growth_exponent(grid):
     assert v_long / v_short == pytest.approx(2.0, rel=0.1)
 
 
+def _dense_tables(grid, freqs):
+    """sin and cos of 2*pi*(freqs @ u.T) on every cell: the (K, n_cells) reference."""
+    u = (grid.centers - grid.domain.lower) / grid.domain.lengths
+    args = 2.0 * math.pi * (freqs @ u.T)
+    return np.sin(args), np.cos(args)
+
+
+def _dense_combine(grid, freqs, amplitudes, phases):
+    sin, cos = _dense_tables(grid, freqs)
+    return (amplitudes * np.cos(phases)) @ sin + (amplitudes * np.sin(phases)) @ cos
+
+
 @pytest.mark.parametrize("dim, n", [(1, 1024), (2, 48), (3, 12)])
 @pytest.mark.parametrize("n_terms", [5, 64])
 def test_trig_tables_equal_matrix_product_formula(dim, n, n_terms):
     grid = Grid(BoxDomain([0.0] * dim, [1.0 + 0.5 * k for k in range(dim)]), n)
     freqs = _axis_cycled_freqs(n_terms, dim)
     basis = _TrigBasis(grid, freqs)
-    u = (grid.centers - grid.domain.lower) / grid.domain.lengths
-    args = 2.0 * math.pi * (freqs @ u.T)
-    assert np.array_equal(basis.sin, np.sin(args))
-    assert np.array_equal(basis.cos, np.cos(args))
+    dense_sin, dense_cos = _dense_tables(grid, freqs)
+    assert len(basis.tables) == dim
+    seen = []
+    for k, (terms, sin, cos) in enumerate(basis.tables):
+        assert sin.shape == cos.shape == (len(terms), n)
+        assert np.all(freqs[terms, k] != 0)
+        seen.extend(terms.tolist())
+        # Term j of axis k, spread over the grid along axis k, is its dense row.
+        shape = [1] * dim
+        shape[k] = n
+        for table, dense in ((sin, dense_sin), (cos, dense_cos)):
+            for row, j in zip(table, terms):
+                spread = np.broadcast_to(row.reshape(shape), grid.shape).ravel()
+                assert np.array_equal(spread, dense[j])
+    assert sorted(seen) == list(range(n_terms))
 
 
 def test_trig_tables_shared_per_grid_and_read_only():
@@ -258,14 +281,19 @@ def test_trig_tables_shared_per_grid_and_read_only():
     channel = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5)
     channel.observe(stream, 1, None, None, np.random.default_rng(2))
     assert channel._basis is not stream._basis
-    assert channel._basis.sin is stream._basis.sin
-    assert channel._basis.cos is stream._basis.cos
+    assert channel._basis.tables is stream._basis.tables
     other = default_trig_stream(Grid(BoxDomain([0.0, 0.0], [1.0, 2.0]), 32), seed=1)
-    assert other._basis.sin is not stream._basis.sin
-    assert np.array_equal(other._basis.sin, stream._basis.sin)
-    for table in (stream._basis.sin, stream._basis.cos):
+    assert other._basis.tables is not stream._basis.tables
+    for (terms, sin, cos), (o_terms, o_sin, o_cos) in zip(stream._basis.tables,
+                                                          other._basis.tables):
+        assert o_sin is not sin
+        assert np.array_equal(o_terms, terms)
+        assert np.array_equal(o_sin, sin) and np.array_equal(o_cos, cos)
+        for table in (sin, cos):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
         with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+            terms[0] = 1
 
 
 @pytest.mark.parametrize("n_terms, n", [(5, 65536), (64, 65536), (256, 8192)])
@@ -275,11 +303,38 @@ def test_blocked_combine_matches_unblocked_formula(n_terms, n):
     rng = np.random.default_rng(n_terms)
     amplitudes = rng.standard_normal(n_terms)
     phases = rng.uniform(0.0, 2.0 * math.pi, n_terms)
-    expected = (amplitudes * np.cos(phases)) @ basis.sin + (
-        amplitudes * np.sin(phases)) @ basis.cos
+    (terms, sin, cos), = basis.tables
+    assert np.array_equal(terms, np.arange(n_terms))
+    expected = (amplitudes * np.cos(phases)) @ sin + (amplitudes * np.sin(phases)) @ cos
     got = basis.combine(amplitudes, phases)
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dim, n, n_terms", [(2, 256, 5), (2, 64, 64), (3, 16, 5),
+                                             (3, 16, 64), (3, 8, 2)])
+def test_per_axis_combine_matches_dense_formula(dim, n, n_terms):
+    # (3, 8, 2) leaves axis 2 without terms.
+    grid = Grid(BoxDomain([-1.0] * dim, [0.5 + k for k in range(dim)]), n)
+    freqs = _axis_cycled_freqs(n_terms, dim)
+    rng = np.random.default_rng(dim * n_terms)
+    amplitudes = rng.standard_normal(n_terms)
+    phases = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+    expected = _dense_combine(grid, freqs, amplitudes, phases)
+    got = _TrigBasis(grid, freqs).combine(amplitudes, phases)
+    assert got.shape == (grid.n_cells,)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_multi_axis_frequency_vector_rejected():
+    grid = Grid(BoxDomain([0.0, 0.0], [1.0, 1.0]), 8)
+    with pytest.raises(ValueError, match="single axis"):
+        _TrigBasis(grid, np.array([[1.0, 0.0], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="single axis"):
+        TrigStream(grid, amplitudes=[1.0], freqs=[[1.0, 1.0]], phases=[0.0])
+    # A zero vector (a constant term) lies on no axis and is accepted.
+    stream = TrigStream(grid, amplitudes=[1.0], freqs=[[0.0, 0.0]], phases=[0.5])
+    assert np.array_equal(stream.values(1), np.full(grid.n_cells, math.sin(0.5)))
 
 
 _HELPER_THREAD_CPU = """\

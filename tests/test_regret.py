@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,3 +270,47 @@ def test_recorder_rejects_checkpoints_it_cannot_snapshot(grid, cps):
     stream = default_trig_stream(grid, seed=1)
     with pytest.raises(ValueError):
         TraceRecorder(stream, grid, 20, checkpoints=np.array(cps))
+
+
+def _unique_checkpoints(T, start, ratio):
+    """The geometric checkpoint rule with np.unique: the reference."""
+    points = []
+    c = float(start)
+    while c <= T:
+        points.append(int(round(c)))
+        c *= ratio
+    points.append(T)
+    return np.unique(np.asarray(points, dtype=int))
+
+
+@pytest.mark.parametrize("T, start, ratio", [
+    (1, 100, 1.3), (100, 100, 1.3), (101, 100, 1.3), (1600, 50, 1.3),
+    (10**6, 100, 1.3), (32, 1, 1.3), (20, 1, 2.0), (5, 1, 1.01),
+    (1000, 3, 1.7), (400, 10, 1.3), (7, 7, 1.5),
+])
+def test_default_checkpoints_match_unique(T, start, ratio):
+    got = default_checkpoints(T, start=start, ratio=ratio)
+    expected = _unique_checkpoints(T, start, ratio)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+_NUMPY_MA_PROBE = """\
+import sys
+from dualavg.config import parse_config, run_seed
+run_seed(parse_config(sys.stdin.read()), 0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_run_seed_leaves_numpy_ma_unimported():
+    # numpy.ma costs a pool worker about 17 ms to import; nothing in a run needs it.
+    config = ("domain.dim = 2\ngrid.n = 16\nalgorithm = da\nregularizer.family = burg\n"
+              "channel.kind = biased\nchannel.noise_scale = 0.5\nchannel.bias_scale = 0.5\n"
+              "channel.bias_decay = 0.5\nhorizon = 20\nseeds = 0\ncheckpoint.start = 2\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE], input=config, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

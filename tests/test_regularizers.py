@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualavg import (
     BoxDomain,
@@ -248,6 +251,51 @@ def test_mirror_kkt_and_closed_form_conjugate(reg, n):
         assert 0 < np.count_nonzero(q.values) < n  # the support is a strict subset
     closed = _closed_form_conjugate(reg, yv, lam, grid.cell_volume, grid.domain.volume)
     assert conjugate(reg, y) == pytest.approx(closed, rel=1e-10, abs=1e-12)
+
+
+def _counting_solver():
+    """A stand-in for ``_bisect_multiplier`` that counts phi evaluations per solve."""
+    solve = regularizers._bisect_multiplier
+    counts = []
+
+    def counted(phi, lo, hi, *args, **kwargs):
+        counts.append(0)
+
+        def counted_phi(x):
+            counts[-1] += 1
+            return phi(x)
+
+        return solve(counted_phi, lo, hi, *args, **kwargs)
+
+    return counted, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["burg", "tsallis"]),
+    gamma=st.floats(0.05, 0.95),
+    dim=st.integers(1, 2),
+    n=st.integers(1, 48),
+    lengths=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2),
+    scale=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    offset=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirror_kkt_property(family, gamma, dim, n, lengths, scale, offset, seed):
+    reg = burg() if family == "burg" else tsallis(gamma)
+    grid = Grid(BoxDomain([0.0] * dim, lengths[:dim]), n)
+    yv = offset + scale * np.random.default_rng(seed).standard_normal(grid.n_cells)
+    counted, counts = _counting_solver()
+    with mock.patch.object(regularizers, "_bisect_multiplier", counted):
+        q = mirror(reg, GridFunction(grid, yv))
+    assert len(counts) == 1
+    assert integrate(q) == pytest.approx(1.0, abs=1e-12)
+    lam, violation = _kkt_multiplier(reg, yv, q.values)
+    assert violation <= 1e-11 * (1.0 + abs(lam) + float(np.abs(yv).max()))
+    if scale == 0.0:
+        # Constant scores: the uniform density, from at most 3 phi evaluations.
+        assert counts[0] <= 3
+        assert np.allclose(q.values, 1.0 / grid.domain.volume, rtol=1e-12, atol=0.0)
 
 
 def test_conjugate_examples(grid):
