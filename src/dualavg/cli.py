@@ -8,9 +8,13 @@ r of the first summary's algorithm: 1/2 for ``da``, (d+2)/(d+3) otherwise.
 A slope fit that cannot be made leaves its cell empty and prints the reason
 to stderr.
 
-Outputs are byte-deterministic for a fixed config, independent of --threads:
-workers are keyed by seed and results are merged in seed order; floats are
-written with 12 significant digits.
+Each of the ``--threads`` workers runs one contiguous block of the seeds, and
+DA moves a block forward as one array program; under exact feedback it
+computes one strategy per round for the whole block.  Outputs are
+byte-deterministic for a fixed config and independent of --threads: every
+seed draws from its own generator in the same order whatever its block, and
+results are merged in seed order; floats are written with 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, parse_seed_spec, run_seed
+from .config import ExperimentConfig, load_config, parse_seed_spec, run_seeds
 from .errors import ConfigError, NumericalError
 from .regret import dynamic_regret, fit_slope, static_regret
 
@@ -43,22 +47,38 @@ def _slope_cell(horizons, values) -> str:
         return ""
 
 
-def _seed_result(args: tuple[ExperimentConfig, int]) -> tuple[int, list[list[float]], int]:
-    """Worker: run one seed, return rows (t, expected, realized, dynamic) per checkpoint."""
-    cfg, seed = args
-    trace = run_seed(cfg, seed)
-    rows = []
-    for cp in trace.checkpoints:
-        rows.append(
+def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, list, int]]:
+    """Worker: run one block of seeds.
+
+    Returns, per seed, (seed, rows (t, expected, realized, dynamic) per
+    checkpoint, count of kernel-radius-floor rounds).
+    """
+    cfg, seeds = args
+    results = []
+    for seed, trace in zip(seeds, run_seeds(cfg, seeds)):
+        rows = [
             [
                 int(cp),
                 static_regret(trace, int(cp)),
                 static_regret(trace, int(cp), realized=True),
                 dynamic_regret(trace, int(cp)),
             ]
-        )
-    floored = int(trace.extras.get("delta_floor_rounds", 0))
-    return seed, rows, floored
+            for cp in trace.checkpoints
+        ]
+        results.append((seed, rows, int(trace.extras.get("delta_floor_rounds", 0))))
+    return results
+
+
+def _seed_blocks(seeds: list[int], workers: int) -> list[list[int]]:
+    """Split ``seeds`` into at most ``workers`` contiguous blocks whose sizes differ by <= 1."""
+    k = max(1, min(workers, len(seeds)))
+    size, extra = divmod(len(seeds), k)
+    blocks, start = [], 0
+    for i in range(k):
+        stop = start + size + (i < extra)
+        blocks.append(seeds[start:stop])
+        start = stop
+    return blocks
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -81,12 +101,12 @@ def run_command(config_path: str, seeds: str | None = None, out: str | None = No
         cfg.out = out
     os.makedirs(cfg.out, exist_ok=True)
 
-    jobs = [(cfg, seed) for seed in cfg.seeds]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_seed_result, jobs))
+    jobs = [(cfg, block) for block in _seed_blocks(cfg.seeds, threads)]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            results = [r for block in pool.map(_block_results, jobs) for r in block]
     else:
-        results = [_seed_result(job) for job in jobs]
+        results = _block_results(jobs[0])
     results.sort(key=lambda r: r[0])
 
     written = []
@@ -202,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seeds", help="override seed list, e.g. 0..15 or 1,2,3")
     p_run.add_argument("--out", help="override output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="workers (one per seed)")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="workers, each running one contiguous block of seeds")
 
     p_rep = sub.add_parser("report", help="align summary CSVs into one table")
     p_rep.add_argument("summaries", nargs="+")

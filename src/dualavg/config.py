@@ -31,7 +31,7 @@ from .regret import RegretTrace, default_checkpoints
 from .regularizers import Regularizer
 from .schedules import Schedule
 
-__all__ = ["ExperimentConfig", "parse_config", "run_seed"]
+__all__ = ["ExperimentConfig", "parse_config", "run_seed", "run_seeds"]
 
 _DEFAULT_GRID_N = {1: 1024, 2: 64, 3: 16}
 
@@ -260,11 +260,16 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read(), source=path)
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> RegretTrace:
-    """Run one algorithm instance with the given seed; deterministic in (cfg, seed)."""
+def run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RegretTrace]:
+    """Run one algorithm instance per seed; trace i is deterministic in (cfg, seeds[i]).
+
+    The grid, stream, channel and schedules are built once for the block,
+    and each seed draws from its own Generator.  DA moves the whole block
+    forward together (``run_da``); the other algorithms run seed by seed.
+    """
     grid = cfg.build_grid()
     stream = cfg.build_stream(grid)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     checkpoints = cfg.checkpoints()
     if cfg.algorithm == "da":
         return run_da(
@@ -274,13 +279,20 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> RegretTrace:
             cfg.build_channel(),
             cfg.eta_schedule(stream),
             cfg.horizon,
-            rng,
+            rngs,
             checkpoints=checkpoints,
         )
     if cfg.algorithm == "bda":
-        return run_bda(grid, stream, cfg.bda_config(grid, stream), cfg.horizon, rng,
-                       checkpoints=checkpoints)
+        bda = cfg.bda_config(grid, stream)
+        return [run_bda(grid, stream, bda, cfg.horizon, rng, checkpoints=checkpoints)
+                for rng in rngs]
     if cfg.algorithm == "exp3_grid":
-        return run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rng,
-                        checkpoints=checkpoints)
-    return run_uniform(grid, stream, cfg.horizon, rng, checkpoints=checkpoints)
+        return [run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rng,
+                         checkpoints=checkpoints) for rng in rngs]
+    return [run_uniform(grid, stream, cfg.horizon, rng, checkpoints=checkpoints)
+            for rng in rngs]
+
+
+def run_seed(cfg: ExperimentConfig, seed: int) -> RegretTrace:
+    """Run one algorithm instance with the given seed; deterministic in (cfg, seed)."""
+    return run_seeds(cfg, [seed])[0]

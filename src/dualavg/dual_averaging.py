@@ -5,10 +5,19 @@ the mirror image of the scaled scores: x_t = Q(eta_t * y_t), y_{t+1} = y_t -
 model_t (payoff-convention streams accumulate with a plus sign).  Optional
 per-step diagnostics track the energy of a fixed comparator and check the
 recursive and telescoped regret bounds along the run.
+
+``run_da`` moves a block of seeds forward together.  The regret bounds are
+on the expected regret over draws from the mixed strategy, so under exact
+feedback the strategy sequence is the same for every seed and is computed
+once per round for the block; only the draws differ.  With noisy feedback
+each seed has its own row of scores.  Either way each trace equals that of
+a run of its seed alone, bit for bit, so outputs do not depend on how seeds
+are blocked (the CLI's ``--threads``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +32,7 @@ from .regularizers import (
     hval,
     min_hval,
     mirror,
+    mirror_rows,
 )
 from .schedules import Schedule
 from . import grids
@@ -168,45 +178,77 @@ class _EnergyDiagnostics:
 
 def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
            channel: FeedbackChannel, eta: Schedule, T: int,
-           rng: np.random.Generator, diagnostics: Density | None = None,
-           checkpoints: np.ndarray | None = None) -> RegretTrace:
+           rng: np.random.Generator | Sequence[np.random.Generator],
+           diagnostics: Density | None = None,
+           checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
     """Run T rounds of dual averaging and record a regret trace.
 
+    ``rng`` is one Generator, for which one trace is returned, or a sequence
+    of Generators, one per seed of a block, for which a list of traces is
+    returned in the same order.  The block moves forward together: each seed
+    draws from its own Generator in the order a run of that seed alone
+    would, and its trace equals that run's bit for bit.  The scores are an
+    (R, n) array.  Under a ``deterministic`` channel (exact feedback) every
+    seed plays the same strategy, so R = 1 and the mirror map, the sampling
+    CDF and the expected value are computed once per round for the block;
+    only the draw and the realized value are per seed.  Otherwise R is the
+    number of seeds.  The stream value, its per-round best and the
+    cumulative snapshots are computed once per round and shared.
+
     Passing a comparator density as ``diagnostics`` turns on per-step energy
-    accounting (roughly doubles the per-round cost).
+    accounting (roughly doubles the per-round cost); it follows one seed.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        raise ValueError("at least one generator required")
+    if diagnostics is not None and len(rngs) > 1:
+        raise ConfigError("energy diagnostics follow one seed; pass a single generator")
+    shared = channel.deterministic  # one strategy row for the whole block
     payoff = stream.payoff_convention
-    recorder = TraceRecorder(stream, grid, T, checkpoints)
+    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     diag = (
         _EnergyDiagnostics(reg, grid, diagnostics, eta, T, payoff)
         if diagnostics is not None
         else None
     )
     w = grid.cell_volume
-    y = np.zeros(grid.n_cells)
+    y = np.zeros((1 if shared else len(rngs), grid.n_cells))
+    expected = np.empty(len(y))
+    actions = np.empty((len(rngs), grid.dim))
+    realized = np.empty(len(rngs))
     for t in range(1, T + 1):
-        eta_t = eta(t)
-        x = mirror(reg, GridFunction(grid, eta_t * y, copy=False))
+        xs = mirror_rows(reg, grid, eta(t) * y)
         if diag is not None:
-            diag.start_round(t, y)
-        action = grids.sample(x, rng)
-        obs = channel.observe(stream, t, x, action, rng)
-        if obs.model is None:
-            raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
-        f_vals = stream.values(t)
-        expected = grids.dot(f_vals, x.values) * w
-        realized = float(f_vals[grid.cell_index(action)])
-        recorder.record(t, f_vals, expected, realized, action)
-        model_vals = obs.model.values
-        if payoff:
-            y += model_vals
+            diag.start_round(t, y[0])
+        if shared:
+            actions = grids.sample(xs[0], rngs)
         else:
-            y -= model_vals
+            for r, (x, g) in enumerate(zip(xs, rngs)):
+                actions[r] = grids.sample(x, g)
+        f_vals = stream.values(t)
+        # Row r is played by seed r, or by every seed when shared; a shared
+        # channel reads neither the action nor the generator it is given.
+        for r, x in enumerate(xs):
+            model = channel.observe(stream, t, x, actions[r], rngs[r]).model
+            if model is None:
+                raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
+            expected[r] = grids.dot(f_vals, x.values) * w
+            if payoff:
+                y[r] += model.values
+            else:
+                y[r] -= model.values
+        for s, a in enumerate(actions):
+            realized[s] = f_vals[grid.cell_index(a)]
+        recorder.record(t, f_vals, expected, realized, actions)
         if diag is not None:
-            diag.end_round(t, y, model_vals, x, f_vals, expected)
-    extras = {"algorithm": "da", "eta": np.array([eta(t) for t in range(1, T + 2)])}
+            diag.end_round(t, y[0], model.values, xs[0], f_vals, expected[0])
+    etas = np.array([eta(t) for t in range(1, T + 2)])
+    etas.setflags(write=False)
+    extras = {"algorithm": "da", "eta": etas}
     if diag is not None:
         extras.update(diag.extras())
-    return recorder.finish(extras)
+    traces = recorder.finish_block(extras)
+    return traces[0] if single else traces

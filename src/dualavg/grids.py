@@ -10,6 +10,7 @@ construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,17 +293,32 @@ def tv_distance(p: Density, q: Density) -> float:
     return l1_distance(p, q)
 
 
-def sample(p: Density, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
+           size: int | None = None) -> np.ndarray:
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
 
-    Returns shape (d,) for ``size=None`` and (size, d) otherwise.
+    Returns shape (d,) for ``size=None`` and (size, d) otherwise.  ``rng`` may
+    also be a sequence of generators (with ``size=None``): the CDF is then
+    built once and row i of the (len(rng), d) result is the point
+    ``sample(p, rng[i])`` draws.
     """
     grid = p.grid
     cdf = np.cumsum(p.values * grid.cell_volume)
     cdf /= cdf[-1]
+
+    def draw(gen):
+        cell = min(int(cdf.searchsorted(gen.random())), grid.n_cells - 1)
+        return grid.centers[cell] + (gen.random(grid.dim) - 0.5) * grid.steps
+
+    if not isinstance(rng, np.random.Generator):
+        if size is not None:
+            raise ValueError("size applies to a single generator")
+        points = np.empty((len(rng), grid.dim))
+        for i, gen in enumerate(rng):
+            points[i] = draw(gen)
+        return points
     if size is None:
-        cell = min(int(cdf.searchsorted(rng.random())), grid.n_cells - 1)
-        return grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
+        return draw(rng)
     m = int(size)
     cells = np.minimum(cdf.searchsorted(rng.random(m)), grid.n_cells - 1)
     offsets = (rng.random((m, grid.dim)) - 0.5) * grid.steps

@@ -345,9 +345,16 @@ class Observation:
 
 
 class FeedbackChannel:
-    """Observation process turning the true round function into feedback."""
+    """Observation process turning the true round function into feedback.
+
+    ``deterministic`` marks a channel whose model is a function of the stream
+    and the round alone: ``observe`` draws nothing from ``rng`` and reads
+    neither the strategy nor the action.  ``run_da`` then plays one strategy
+    per round for a whole block of seeds.
+    """
 
     kind: str
+    deterministic = False
 
     def observe(self, stream: LossStream, t: int, strategy: Density, action,
                 rng: np.random.Generator) -> Observation:
@@ -356,6 +363,7 @@ class FeedbackChannel:
 
 class ExactChannel(FeedbackChannel):
     kind = "exact"
+    deterministic = True
 
     def observe(self, stream, t, strategy, action, rng):
         return Observation(
@@ -413,19 +421,19 @@ class BiasedChannel(UnbiasedChannel):
         self.bias_scale = float(bias_scale)
         self.bias_decay = float(bias_decay)
         self._bias_phase = float(np.random.default_rng(bias_seed).uniform(0, 2 * math.pi))
-        self._bias_profile = None
+        self._bias_profile = None  # (grid, profile) of the last grid observed
 
     def bias_bound(self, t: int) -> float:
         return self.bias_scale * float(t) ** (-self.bias_decay)
 
     def _profile(self, grid: Grid) -> np.ndarray:
         # Fixed unit-sup trig profile; the bound B0 * t^-b is then exact.
-        if self._bias_profile is None:
+        if self._bias_profile is None or self._bias_profile[0] is not grid:
             u = (grid.centers[:, 0] - grid.domain.lower[0]) / grid.domain.lengths[0]
             prof = np.sin(2.0 * math.pi * u + self._bias_phase)
             peak = np.abs(prof).max()
-            self._bias_profile = prof / peak if peak > 0 else prof
-        return self._bias_profile
+            self._bias_profile = (grid, prof / peak if peak > 0 else prof)
+        return self._bias_profile[1]
 
     def observe(self, stream, t, strategy, action, rng):
         vals = stream.values(t) + self._noise(stream.grid, rng)

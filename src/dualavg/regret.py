@@ -97,15 +97,21 @@ class RegretTrace:
 
 
 class TraceRecorder:
-    """Accumulates per-round records and checkpoint snapshots during a run."""
+    """Accumulates per-round records and checkpoint snapshots during a run.
+
+    One recorder serves a block of ``seeds`` runs against one stream: the
+    per-round best value and the cumulative snapshots depend on the stream
+    alone, so they are recorded once and the block's traces share them,
+    read-only.  Expected and realized values and actions are kept per seed.
+    """
 
     def __init__(self, stream: LossStream, grid: Grid, horizon: int,
-                 checkpoints: np.ndarray | None = None):
+                 checkpoints: np.ndarray | None = None, seeds: int = 1):
         self.stream = stream
         self.grid = grid
         self.horizon = horizon
         self.checkpoints = (
-            default_checkpoints(horizon) if checkpoints is None else np.asarray(checkpoints)
+            default_checkpoints(horizon) if checkpoints is None else np.array(checkpoints)
         )
         # Snapshots are taken by walking the checkpoints in order; any other
         # layout would leave snapshots unset that cumulative_grid trusts.
@@ -113,20 +119,24 @@ class TraceRecorder:
         if cps.ndim != 1 or (cps.size and (cps[0] < 1 or cps[-1] > horizon
                                            or np.any(np.diff(cps) <= 0))):
             raise ValueError("checkpoints must be strictly increasing rounds in [1, horizon]")
-        self.expected = np.zeros(horizon)
-        self.realized = np.zeros(horizon)
-        self.actions = np.zeros((horizon, grid.dim))
+        self.expected = np.zeros((seeds, horizon))
+        self.realized = np.zeros((seeds, horizon))
+        self.actions = np.zeros((seeds, horizon, grid.dim))
         self.round_best = np.zeros(horizon)
         self._cum = np.zeros(grid.n_cells)
         self._snapshots = np.zeros((len(self.checkpoints), grid.n_cells))
         self._cp_pos = 0
 
-    def record(self, t: int, f_values: np.ndarray, expected: float,
-               realized: float, action) -> None:
+    def record(self, t: int, f_values: np.ndarray, expected, realized, action) -> None:
+        """Round t of every seed of the block.
+
+        ``expected``, ``realized`` and ``action`` hold one entry per seed, or
+        one entry that every seed shares.
+        """
         i = t - 1
-        self.expected[i] = expected
-        self.realized[i] = realized
-        self.actions[i] = action
+        self.expected[:, i] = expected
+        self.realized[:, i] = realized
+        self.actions[:, i] = action
         self.round_best[i] = (
             f_values.max() if self.stream.payoff_convention else f_values.min()
         )
@@ -136,18 +146,30 @@ class TraceRecorder:
             self._cp_pos += 1
 
     def finish(self, extras: dict | None = None) -> RegretTrace:
-        return RegretTrace(
-            stream=self.stream,
-            grid=self.grid,
-            horizon=self.horizon,
-            expected=self.expected,
-            realized=self.realized,
-            actions=self.actions,
-            round_best=self.round_best,
-            checkpoints=self.checkpoints,
-            cum_grid_checkpoints=self._snapshots,
-            extras=extras or {},
-        )
+        """The trace of a one-seed recorder."""
+        if len(self.expected) != 1:
+            raise ValueError("finish() is for one seed; use finish_block()")
+        return self.finish_block(extras)[0]
+
+    def finish_block(self, extras: dict | None = None) -> list[RegretTrace]:
+        """One trace per seed, in block order; each gets its own copy of ``extras``."""
+        for shared in (self.checkpoints, self.round_best, self._snapshots):
+            shared.setflags(write=False)
+        return [
+            RegretTrace(
+                stream=self.stream,
+                grid=self.grid,
+                horizon=self.horizon,
+                expected=self.expected[s],
+                realized=self.realized[s],
+                actions=self.actions[s],
+                round_best=self.round_best,
+                checkpoints=self.checkpoints,
+                cum_grid_checkpoints=self._snapshots,
+                extras=dict(extras or {}),
+            )
+            for s in range(len(self.expected))
+        ]
 
 
 def _check_horizon(trace: RegretTrace, T: int | None) -> int:

@@ -119,11 +119,27 @@ def test_run_byte_identical_reruns(tmp_path):
     assert read_all(files1) == read_all(files2)
 
 
+DA_FOUR_SEEDS = BASE_CONFIG.replace("seeds = 0..2", "seeds = 0..3")
+
+THREAD_INVARIANCE_CONFIGS = {
+    "bda": BDA_CONFIG,
+    "da_exact": DA_FOUR_SEEDS,
+    "da_unbiased": DA_FOUR_SEEDS.replace(
+        "channel.kind = exact", "channel.kind = unbiased\nchannel.noise_scale = 0.5"),
+}
+
+
 def test_run_thread_count_invariance(tmp_path):
-    cfg = write(tmp_path, "bda.cfg", BDA_CONFIG)
-    serial = run_command(cfg, out=str(tmp_path / "s"), threads=1)
-    parallel = run_command(cfg, out=str(tmp_path / "p"), threads=2)
-    assert read_all(serial) == read_all(parallel)
+    # Workers run contiguous seed blocks: 3 threads split 4 seeds unevenly, and
+    # 5 threads leave more workers than seeds.
+    for name, text in THREAD_INVARIANCE_CONFIGS.items():
+        cfg = write(tmp_path, f"{name}.cfg", text)
+        serial = read_all(run_command(cfg, out=str(tmp_path / name / "t1"), threads=1))
+        assert len(serial) == len(parse_config(text).seeds) + 1
+        for threads in (2, 3, 5):
+            parallel = run_command(cfg, out=str(tmp_path / name / f"t{threads}"),
+                                   threads=threads)
+            assert read_all(parallel) == serial, (name, threads)
 
 
 FINE_BURG_CONFIG = """\

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualavg import (
     BoxDomain,
@@ -22,6 +24,7 @@ from dualavg import (
     to_payoff,
     tsallis,
 )
+from dualavg.config import ExperimentConfig, run_seeds
 from dualavg.dual_averaging import DAState, da_step, da_strategy, energy_records
 from tests.test_regret import ConstantStream
 
@@ -194,3 +197,70 @@ def test_loss_payoff_consistency(grid):
     assert static_regret(t_pay) == pytest.approx(
         static_regret(t_loss) / (2 * base.V), rel=1e-9
     )
+
+
+def test_diagnostics_follow_one_seed(grid):
+    stream = default_trig_stream(grid, seed=16)
+    with pytest.raises(ConfigError, match="one seed"):
+        run_da(grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
+               [np.random.default_rng(17), np.random.default_rng(18)],
+               diagnostics=_comparator(grid))
+
+
+@st.composite
+def seed_blocks(draw):
+    """A small DA config (d = 1 or 2, any family and function-valued channel) and 1-5 seeds."""
+    dim = draw(st.integers(1, 2))
+    family = draw(st.sampled_from(["negentropy", "quadratic", "burg", "tsallis"]))
+    drifting = draw(st.booleans())
+    cfg = ExperimentConfig(
+        dim=dim,
+        upper=[draw(st.floats(0.5, 3.0))],
+        grid_n=draw(st.integers(1, 24) if dim == 1 else st.integers(1, 6)),
+        reg_family=family,
+        reg_gamma=draw(st.floats(0.1, 0.9)) if family == "tsallis" else None,
+        stream_kind="drifting" if drifting else "trig_mixture",
+        drift_rate=0.05 if drifting else 0.0,
+        stream_seed=draw(st.integers(0, 1000)),
+        stream_payoff=draw(st.booleans()),
+        channel_kind=draw(st.sampled_from(["exact", "unbiased", "biased"])),
+        bias_scale=0.5,
+        horizon=draw(st.integers(1, 12)),
+        checkpoint_start=1,
+    )
+    cfg.validate()
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))
+    return cfg, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed_blocks())
+def test_seed_block_matches_one_run_per_seed(case):
+    cfg, seeds = case
+    block = run_seeds(cfg, seeds)
+    assert len(block) == len(seeds)
+    for seed, trace in zip(seeds, block):
+        alone = run_seeds(cfg, [seed])[0]
+        for name in ("expected", "realized", "actions", "round_best", "checkpoints",
+                     "cum_grid_checkpoints"):
+            mine, theirs = getattr(trace, name), getattr(alone, name)
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+
+
+def test_block_traces_share_read_only_stream_records():
+    cfg = ExperimentConfig(grid_n=32, horizon=20, checkpoint_start=1,
+                           channel_kind="unbiased")
+    traces = run_seeds(cfg, [3, 4, 5])
+    first = traces[0]
+    for trace in traces:
+        assert trace.round_best is first.round_best
+        assert trace.cum_grid_checkpoints is first.cum_grid_checkpoints
+        assert trace.checkpoints is first.checkpoints
+        for shared in (trace.round_best, trace.cum_grid_checkpoints, trace.checkpoints,
+                       trace.extras["eta"]):
+            with pytest.raises(ValueError):
+                shared.flat[0] = 1.0
+    first.extras["note"] = 1
+    assert "note" not in traces[1].extras
+    # Noisy feedback: the seeds play their own strategies.
+    assert not np.array_equal(first.expected, traces[1].expected)

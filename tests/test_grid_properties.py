@@ -109,6 +109,24 @@ def test_sample_lands_in_positive_probability_cells(grid, seed):
 
 
 @SETTINGS
+@given(grids(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
+    rng = np.random.default_rng(seeds[0])
+    weights = rng.random(grid.n_cells) * (rng.random(grid.n_cells) < 0.4)
+    weights[rng.integers(grid.n_cells)] += 1.0
+    p = Density(grid, weights / (weights.sum() * grid.cell_volume))
+    gens = [np.random.default_rng(s) for s in seeds]
+    points = sample(p, gens)
+    assert points.shape == (len(seeds), grid.dim)
+    for point, s, gen in zip(points, seeds, gens):
+        alone = np.random.default_rng(s)
+        assert point.tobytes() == sample(p, alone).tobytes()
+        assert gen.random() == alone.random()  # each generator advanced as one call would
+    with pytest.raises(ValueError):
+        sample(p, gens, size=2)
+
+
+@SETTINGS
 @given(grids())
 def test_cells_tile_the_domain(grid):
     assert grid.n_cells == grid.n ** grid.dim == len(grid.centers)

@@ -193,6 +193,19 @@ def test_biased_channel_bias_decay(grid):
         assert channel.bias_bound(t) == pytest.approx(B0 * t ** (-decay))
 
 
+def test_biased_channel_profile_follows_the_grid():
+    # One channel observed on grids of different sizes uses each grid's own
+    # profile, as a fresh channel would.
+    channel = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5)
+    for n in (8, 16, 8):
+        grid = Grid(BoxDomain(0.0, 1.0), n)
+        stream = default_trig_stream(grid, seed=3)
+        obs = channel.observe(stream, 2, None, None, np.random.default_rng(4))
+        fresh = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5).observe(
+            stream, 2, None, None, np.random.default_rng(4))
+        assert np.array_equal(obs.model.values, fresh.model.values)
+
+
 def test_bandit_channel(grid):
     stream = to_payoff(default_trig_stream(grid, seed=15))
     channel = BanditChannel()
