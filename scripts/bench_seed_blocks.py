@@ -5,12 +5,11 @@
 
 For the acceptance configs c4_exact (exact feedback), c4_noisy (unbiased
 noise) and c6_dynamic (drifting stream, unbiased noise), cut to ``--horizon``
-rounds, this runs ``--seeds`` seeds as one block (``run_seeds(cfg, seeds)``)
-and as a loop of blocks of one (``run_seeds(cfg, [s])`` per seed, which is
-what ``run_seed`` does), alternating the two ``--repeats`` times.  It checks
-that both give the same traces bit for bit and prints, per config, the
-median, quartiles and all samples of microseconds per seed-round, as one JSON
-object (also written to ``--out``).
+rounds, this runs ``--seeds`` seeds as one block (``run_seed(cfg, seeds)``)
+and as a loop of blocks of one (``run_seed(cfg, s)`` per seed), alternating
+the two ``--repeats`` times.  It checks that both give the same traces bit
+for bit and prints, per config, the median, quartiles and all samples of
+microseconds per seed-round, as one JSON object (also written to ``--out``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from time import perf_counter
 
 import numpy as np
 
-from dualavg.config import parse_config, run_seeds
+from dualavg.config import parse_config, run_seed
 
 _COMMON = """\
 domain.dim = 1
@@ -79,10 +78,10 @@ def bench(name: str, seeds: list, horizon: int, repeats: int) -> dict:
         order = ("block", "loop") if i % 2 == 0 else ("loop", "block")
         for side in order:
             if side == "block":
-                s, block = _timed(lambda: run_seeds(cfg, seeds))
+                s, block = _timed(lambda: run_seed(cfg, seeds))
                 block_us.append(1e6 * s / seed_rounds)
             else:
-                s, loop = _timed(lambda: [run_seeds(cfg, [seed])[0] for seed in seeds])
+                s, loop = _timed(lambda: [run_seed(cfg, seed) for seed in seeds])
                 loop_us.append(1e6 * s / seed_rounds)
         for a, b in zip(block, loop):
             if any(getattr(a, f).tobytes() != getattr(b, f).tobytes() for f in _FIELDS):

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, parse_seed_spec, run_seeds
+from .config import ExperimentConfig, load_config, parse_seed_spec, run_seed
 from .errors import ConfigError, NumericalError
 from .regret import dynamic_regret, fit_slope, static_regret
 
@@ -55,7 +55,7 @@ def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, 
     """
     cfg, seeds = args
     results = []
-    for seed, trace in zip(seeds, run_seeds(cfg, seeds)):
+    for seed, trace in zip(seeds, run_seed(cfg, seeds)):
         rows = [
             [
                 int(cp),

@@ -9,6 +9,7 @@ line number.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .regret import RegretTrace, default_checkpoints
 from .regularizers import Regularizer
 from .schedules import Schedule
 
-__all__ = ["ExperimentConfig", "parse_config", "run_seed", "run_seeds"]
+__all__ = ["ExperimentConfig", "parse_config", "run_seed"]
 
 _DEFAULT_GRID_N = {1: 1024, 2: 64, 3: 16}
 
@@ -260,19 +261,25 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read(), source=path)
 
 
-def run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RegretTrace]:
-    """Run one algorithm instance per seed; trace i is deterministic in (cfg, seeds[i]).
+def run_seed(cfg: ExperimentConfig,
+             seed: int | Sequence[int]) -> RegretTrace | list[RegretTrace]:
+    """Run one algorithm instance per seed; trace i is deterministic in (cfg, seed i).
 
-    The grid, stream, channel and schedules are built once for the block,
-    and each seed draws from its own Generator.  DA moves the whole block
-    forward together (``run_da``); the other algorithms run seed by seed.
+    ``seed`` is one seed, for which one trace is returned, or a block of
+    seeds, for which a list of traces is returned in the same order (the
+    one-or-many contract of ``run_da``).  The grid, stream, channel and
+    schedules are built once for the block, and each seed draws from its own
+    Generator.  DA moves the whole block forward together; the other
+    algorithms run seed by seed.
     """
+    single = not isinstance(seed, Sequence)
+    seeds = [seed] if single else list(seed)
     grid = cfg.build_grid()
     stream = cfg.build_stream(grid)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
     checkpoints = cfg.checkpoints()
     if cfg.algorithm == "da":
-        return run_da(
+        traces = run_da(
             grid,
             cfg.build_regularizer(),
             stream,
@@ -282,17 +289,14 @@ def run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RegretTrace]:
             rngs,
             checkpoints=checkpoints,
         )
-    if cfg.algorithm == "bda":
+    elif cfg.algorithm == "bda":
         bda = cfg.bda_config(grid, stream)
-        return [run_bda(grid, stream, bda, cfg.horizon, rng, checkpoints=checkpoints)
-                for rng in rngs]
-    if cfg.algorithm == "exp3_grid":
-        return [run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rng,
-                         checkpoints=checkpoints) for rng in rngs]
-    return [run_uniform(grid, stream, cfg.horizon, rng, checkpoints=checkpoints)
-            for rng in rngs]
-
-
-def run_seed(cfg: ExperimentConfig, seed: int) -> RegretTrace:
-    """Run one algorithm instance with the given seed; deterministic in (cfg, seed)."""
-    return run_seeds(cfg, [seed])[0]
+        traces = [run_bda(grid, stream, bda, cfg.horizon, rng, checkpoints=checkpoints)
+                  for rng in rngs]
+    elif cfg.algorithm == "exp3_grid":
+        traces = [run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rng,
+                           checkpoints=checkpoints) for rng in rngs]
+    else:
+        traces = [run_uniform(grid, stream, cfg.horizon, rng, checkpoints=checkpoints)
+                  for rng in rngs]
+    return traces[0] if single else traces

@@ -32,7 +32,6 @@ from .regularizers import (
     hval,
     min_hval,
     mirror,
-    mirror_rows,
 )
 from .schedules import Schedule
 from . import grids
@@ -187,13 +186,14 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     of Generators, one per seed of a block, for which a list of traces is
     returned in the same order.  The block moves forward together: each seed
     draws from its own Generator in the order a run of that seed alone
-    would, and its trace equals that run's bit for bit.  The scores are an
-    (R, n) array.  Under a ``deterministic`` channel (exact feedback) every
-    seed plays the same strategy, so R = 1 and the mirror map, the sampling
-    CDF and the expected value are computed once per round for the block;
-    only the draw and the realized value are per seed.  Otherwise R is the
-    number of seeds.  The stream value, its per-round best and the
-    cumulative snapshots are computed once per round and shared.
+    would, and its trace equals that run's bit for bit.  The scores are R
+    rows of n cells, each mapped by ``mirror`` every round.  Under a
+    ``deterministic`` channel (exact feedback) every seed plays the same
+    strategy, so R = 1 and the mirror map, the sampling CDF and the expected
+    value are computed once per round for the block; only the draw and the
+    realized value are per seed.  Otherwise R is the number of seeds.  The
+    stream value, its per-round best and the cumulative snapshots are
+    computed once per round and shared.
 
     Passing a comparator density as ``diagnostics`` turns on per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed.
@@ -215,33 +215,32 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         else None
     )
     w = grid.cell_volume
-    y = np.zeros((1 if shared else len(rngs), grid.n_cells))
-    expected = np.empty(len(y))
-    actions = np.empty((len(rngs), grid.dim))
-    realized = np.empty(len(rngs))
+    # Score rows, one per strategy; lists, since iterating a 2-D array makes
+    # a view per row, a cost a block of one would pay every round.
+    y = [np.zeros(grid.n_cells) for _ in range(1 if shared else len(rngs))]
     for t in range(1, T + 1):
-        xs = mirror_rows(reg, grid, eta(t) * y)
+        eta_t = eta(t)
+        xs = [mirror(reg, GridFunction(grid, eta_t * row, copy=False)) for row in y]
         if diag is not None:
             diag.start_round(t, y[0])
-        if shared:
-            actions = grids.sample(xs[0], rngs)
+        if len(xs) < len(rngs):  # one shared strategy: one CDF, one draw per seed
+            actions = list(grids.sample(xs[0], rngs))
         else:
-            for r, (x, g) in enumerate(zip(xs, rngs)):
-                actions[r] = grids.sample(x, g)
+            actions = [grids.sample(x, g) for x, g in zip(xs, rngs)]
         f_vals = stream.values(t)
         # Row r is played by seed r, or by every seed when shared; a shared
         # channel reads neither the action nor the generator it is given.
-        for r, x in enumerate(xs):
-            model = channel.observe(stream, t, x, actions[r], rngs[r]).model
+        expected = []
+        for x, row, action, g in zip(xs, y, actions, rngs):
+            model = channel.observe(stream, t, x, action, g).model
             if model is None:
                 raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
-            expected[r] = grids.dot(f_vals, x.values) * w
+            expected.append(grids.dot(f_vals, x.values) * w)
             if payoff:
-                y[r] += model.values
+                row += model.values
             else:
-                y[r] -= model.values
-        for s, a in enumerate(actions):
-            realized[s] = f_vals[grid.cell_index(a)]
+                row -= model.values
+        realized = [f_vals[grid.cell_index(a)] for a in actions]
         recorder.record(t, f_vals, expected, realized, actions)
         if diag is not None:
             diag.end_round(t, y[0], model.values, xs[0], f_vals, expected[0])

@@ -305,24 +305,22 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     grid = p.grid
     cdf = np.cumsum(p.values * grid.cell_volume)
     cdf /= cdf[-1]
-
-    def draw(gen):
-        cell = min(int(cdf.searchsorted(gen.random())), grid.n_cells - 1)
-        return grid.centers[cell] + (gen.random(grid.dim) - 0.5) * grid.steps
-
     if not isinstance(rng, np.random.Generator):
         if size is not None:
             raise ValueError("size applies to a single generator")
-        points = np.empty((len(rng), grid.dim))
-        for i, gen in enumerate(rng):
-            points[i] = draw(gen)
-        return points
+        return np.array([_draw(grid, cdf, gen) for gen in rng]).reshape(-1, grid.dim)
     if size is None:
-        return draw(rng)
+        return _draw(grid, cdf, rng)
     m = int(size)
     cells = np.minimum(cdf.searchsorted(rng.random(m)), grid.n_cells - 1)
     offsets = (rng.random((m, grid.dim)) - 0.5) * grid.steps
     return grid.centers[cells] + offsets
+
+
+def _draw(grid: Grid, cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One point: the cell by inverting ``cdf``, then a uniform offset in the cell."""
+    cell = min(int(cdf.searchsorted(rng.random())), grid.n_cells - 1)
+    return grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
 
 
 def eval_at(f: GridFunction, x) -> float:

@@ -119,9 +119,11 @@ class TraceRecorder:
         if cps.ndim != 1 or (cps.size and (cps[0] < 1 or cps[-1] > horizon
                                            or np.any(np.diff(cps) <= 0))):
             raise ValueError("checkpoints must be strictly increasing rounds in [1, horizon]")
-        self.expected = np.zeros((seeds, horizon))
-        self.realized = np.zeros((seeds, horizon))
-        self.actions = np.zeros((seeds, horizon, grid.dim))
+        # Round-major, so that recording a round writes one row.
+        self.seeds = seeds
+        self.expected = np.zeros((horizon, seeds))
+        self.realized = np.zeros((horizon, seeds))
+        self.actions = np.zeros((horizon, seeds, grid.dim))
         self.round_best = np.zeros(horizon)
         self._cum = np.zeros(grid.n_cells)
         self._snapshots = np.zeros((len(self.checkpoints), grid.n_cells))
@@ -134,9 +136,9 @@ class TraceRecorder:
         one entry that every seed shares.
         """
         i = t - 1
-        self.expected[:, i] = expected
-        self.realized[:, i] = realized
-        self.actions[:, i] = action
+        self.expected[i] = expected
+        self.realized[i] = realized
+        self.actions[i] = action
         self.round_best[i] = (
             f_values.max() if self.stream.payoff_convention else f_values.min()
         )
@@ -147,7 +149,7 @@ class TraceRecorder:
 
     def finish(self, extras: dict | None = None) -> RegretTrace:
         """The trace of a one-seed recorder."""
-        if len(self.expected) != 1:
+        if self.seeds != 1:
             raise ValueError("finish() is for one seed; use finish_block()")
         return self.finish_block(extras)[0]
 
@@ -160,15 +162,15 @@ class TraceRecorder:
                 stream=self.stream,
                 grid=self.grid,
                 horizon=self.horizon,
-                expected=self.expected[s],
-                realized=self.realized[s],
-                actions=self.actions[s],
+                expected=np.ascontiguousarray(self.expected[:, s]),
+                realized=np.ascontiguousarray(self.realized[:, s]),
+                actions=np.ascontiguousarray(self.actions[:, s]),
                 round_best=self.round_best,
                 checkpoints=self.checkpoints,
                 cum_grid_checkpoints=self._snapshots,
                 extras=dict(extras or {}),
             )
-            for s in range(len(self.expected))
+            for s in range(self.seeds)
         ]
 
 

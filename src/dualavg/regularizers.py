@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .grids import Density, Grid, GridFunction, dot, integrate, l1_distance, pair
+from .grids import Density, GridFunction, dot, integrate, l1_distance, pair
 
 __all__ = [
     "Regularizer",
@@ -217,30 +217,8 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
             p = _mirror_by_multiplier(reg, ymax - yv, w, vol)
         except NumericalError as exc:
             raise NumericalError(f"{reg.family} mirror map: {exc}") from exc
-    return _to_density(grid, p)
 
-
-def mirror_rows(reg: Regularizer, grid: Grid, y: np.ndarray) -> list[Density]:
-    """Q(y_r) for each row y_r of an (R, n) score array, bit for bit as ``mirror``.
-
-    For the entropic family with R > 1 the logit runs as row reductions over
-    all rows at once; a reduction along the rows of a C-ordered array sums
-    each row in the order of the 1-D call, so every row has the bits of its
-    own ``mirror`` call.  Other families, and a single row, call ``mirror``
-    row by row.
-    """
-    if reg.family != "negentropy" or len(y) == 1:
-        return [mirror(reg, GridFunction(grid, row, copy=False)) for row in y]
-    if not np.isfinite(y).all():
-        raise ValueError("grid function values must be finite")
-    z = np.exp(y - y.max(axis=1, keepdims=True))
-    z /= z.sum(axis=1, keepdims=True) * grid.cell_volume
-    return [_to_density(grid, row) for row in z]
-
-
-def _to_density(grid: Grid, p: np.ndarray) -> Density:
-    """The density proportional to the cell values ``p`` (scaled in place)."""
-    total = p.sum() * grid.cell_volume
+    total = p.sum() * w
     if not math.isfinite(total) or total <= 0:
         raise NumericalError(f"mirror map produced non-normalizable values (total={total})")
     p /= total

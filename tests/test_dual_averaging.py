@@ -24,7 +24,7 @@ from dualavg import (
     to_payoff,
     tsallis,
 )
-from dualavg.config import ExperimentConfig, run_seeds
+from dualavg.config import ExperimentConfig, run_seed
 from dualavg.dual_averaging import DAState, da_step, da_strategy, energy_records
 from tests.test_regret import ConstantStream
 
@@ -237,10 +237,10 @@ def seed_blocks(draw):
 @given(seed_blocks())
 def test_seed_block_matches_one_run_per_seed(case):
     cfg, seeds = case
-    block = run_seeds(cfg, seeds)
+    block = run_seed(cfg, seeds)
     assert len(block) == len(seeds)
     for seed, trace in zip(seeds, block):
-        alone = run_seeds(cfg, [seed])[0]
+        alone = run_seed(cfg, seed)
         for name in ("expected", "realized", "actions", "round_best", "checkpoints",
                      "cum_grid_checkpoints"):
             mine, theirs = getattr(trace, name), getattr(alone, name)
@@ -250,7 +250,7 @@ def test_seed_block_matches_one_run_per_seed(case):
 def test_block_traces_share_read_only_stream_records():
     cfg = ExperimentConfig(grid_n=32, horizon=20, checkpoint_start=1,
                            channel_kind="unbiased")
-    traces = run_seeds(cfg, [3, 4, 5])
+    traces = run_seed(cfg, [3, 4, 5])
     first = traces[0]
     for trace in traces:
         assert trace.round_best is first.round_best
