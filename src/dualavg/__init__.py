@@ -8,7 +8,7 @@ comparators and fits empirical growth rates.
 """
 
 from .bandit import BDAConfig, KernelModel, kernel_estimate, mixed_strategy, run_bda
-from .baselines import Exp3State, exp3_probabilities, exp3_step, run_exp3, run_uniform
+from .baselines import exp3_probabilities, run_exp3, run_uniform
 from .dual_averaging import DAState, EnergyRecord, da_step, da_strategy, energy_records, run_da
 from .errors import (
     ConfigError,

@@ -9,6 +9,7 @@ exploration.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grids import Density, Grid, GridFunction, ball_patch, dot
 from .losses import LossStream
-from .regret import RegretTrace, TraceRecorder
+from .regret import RegretTrace, TraceRecorder, generator_block
 from .regularizers import Regularizer, negentropy, mirror
 from .schedules import Schedule
 
@@ -132,69 +133,104 @@ def kernel_estimate(action, payoff: float, strategy: Density, delta: float) -> K
 
 
 def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
-            rng: np.random.Generator,
-            checkpoints: np.ndarray | None = None) -> RegretTrace:
+            rng: np.random.Generator | Sequence[np.random.Generator],
+            checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
     """Run T rounds of bandit dual averaging (Hedge mirror map) on a payoff stream.
 
     Per round: mix the logit strategy with uniform exploration, sample an
     action, observe the realized payoff only, build the kernel model, and add
     it to the scores (payoff ascent).  The trace records expected payoffs
     under the played strategy plus per-round policy-swap diagnostics.
+
+    ``rng`` is one Generator, for which one trace is returned, or a sequence
+    of Generators, one per seed of a block, for which a list of traces is
+    returned in the same order (the contract of ``run_da``).  Each seed plays
+    its own strategy, so the scores are an (S, n) array: the logit, the
+    exploration mix, the sampling CDF and the strategy extremes behind the
+    swap-gap and minimum-density diagnostics are row operations over the
+    block, once per round.  The draw, the payoff, the two expected values
+    and the kernel update are per seed, and each trace equals that of a run
+    of its seed alone, bit for bit.  The exploration and radius series
+    depend on the round alone and are shared, read-only, by the block's
+    traces.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
     if not stream.payoff_convention:
         raise ConfigError("run_bda requires a payoff-convention stream (values in [0,1])")
-    recorder = TraceRecorder(stream, grid, T, checkpoints)
+    rngs, single = generator_block(rng)
+    S, n = len(rngs), grid.n_cells
+    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=S)
     w = grid.cell_volume
-    volume = grid.domain.volume
-    uniform_val = 1.0 / volume
+    uniform_val = 1.0 / grid.domain.volume
     delta_floor = 2.0 * grid.cell_diameter
-    y = np.zeros(grid.n_cells)
-    swap_gap = np.zeros(T)
-    expected_unmixed = np.zeros(T)
-    strategy_min = np.zeros(T)
+    centers, steps, dim = grid.centers, grid.steps, grid.dim
+    # Scores, logit strategies, played strategies and their CDFs, one row per
+    # seed; the buffers and their row views are made once, since a view per
+    # row per round is a cost a block of one would pay.
+    y, base, vals, cdf = (np.zeros((S, n)) for _ in range(4))
+    seed_rows = list(zip(range(S), rngs, y, base, vals, cdf))
+    # Round-major, so that each round writes one row.
+    expected_unmixed = np.zeros((T, S))
+    base_max = np.zeros((T, S))
+    base_min = np.zeros((T, S))
     eps_series = np.zeros(T)
     delta_series = np.zeros(T)
     floor_active = 0
     for t in range(1, T + 1):
+        i = t - 1
         eta_t = config.eta(t)
         eps_t = config.eps_at(t)
-        delta_t = max(config.delta(t), delta_floor)
-        if delta_t > config.delta(t):
+        delta_raw = config.delta(t)
+        delta_t = max(delta_raw, delta_floor)
+        if delta_t > delta_raw:
             floor_active += 1
-        # Logit of the scaled scores, then explicit exploration mixing.
-        z = np.exp(eta_t * y - (eta_t * y).max())
-        base = z / (z.sum() * w)
-        vals = (1.0 - eps_t) * base + eps_t * uniform_val
-
-        cdf = np.cumsum(vals)
-        u = rng.random()
-        cell = min(int(np.searchsorted(cdf, u * cdf[-1], side="left")), grid.n_cells - 1)
-        action = grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
+        # Logit of the scaled scores, then explicit exploration mixing, row by row.
+        np.multiply(y, eta_t, out=base)
+        base -= base.max(axis=1, keepdims=True)
+        np.exp(base, out=base)
+        base /= base.sum(axis=1, keepdims=True) * w
+        np.multiply(base, 1.0 - eps_t, out=vals)
+        vals += eps_t * uniform_val
+        np.cumsum(vals, axis=1, out=cdf)
 
         f_vals = stream.values(t)
-        payoff = float(f_vals[cell])
-        if not (0.0 <= payoff <= 1.0):
-            raise ConfigError(f"payoff {payoff} outside [0, 1] at round {t}")
-        expected = dot(f_vals, vals) * w
-        recorder.record(t, f_vals, expected, payoff, action)
+        expected, payoffs, actions = [], [], []
+        for s, g, y_s, base_s, vals_s, cdf_s in seed_rows:
+            cell = min(int(cdf_s.searchsorted(g.random() * cdf_s[-1])), n - 1)
+            action = centers[cell] + (g.random(dim) - 0.5) * steps
+            payoff = float(f_vals[cell])
+            if not (0.0 <= payoff <= 1.0):
+                raise ConfigError(f"payoff {payoff} outside [0, 1] at round {t}")
+            expected.append(dot(f_vals, vals_s) * w)
+            expected_unmixed[i, s] = dot(f_vals, base_s) * w
+            support, patch_volume = ball_patch(grid, action, delta_t)
+            y_s[support] += payoff / (patch_volume * vals_s[cell])
+            payoffs.append(payoff)
+            actions.append(action)
+        recorder.record(t, f_vals, expected, payoffs, actions)
 
-        support, patch_volume = ball_patch(grid, action, delta_t)
-        y[support] += payoff / (patch_volume * vals[cell])
-
-        swap_gap[t - 1] = eps_t * float(np.abs(base - uniform_val).max())
-        expected_unmixed[t - 1] = dot(f_vals, base) * w
-        strategy_min[t - 1] = float(vals.min())
-        eps_series[t - 1] = eps_t
-        delta_series[t - 1] = delta_t
+        base.max(axis=1, out=base_max[i])
+        base.min(axis=1, out=base_min[i])
+        eps_series[i] = eps_t
+        delta_series[i] = delta_t
+    # Rounding is monotone, so max |base - u| is the larger of max(base) - u and
+    # u - min(base), and the least played value is the mix of min(base): the
+    # two extremes of each round give both diagnostics exactly.
+    eps_col = eps_series[:, None]
+    swap_gap = eps_col * np.maximum(base_max - uniform_val, uniform_val - base_min)
+    strategy_min = base_min * (1.0 - eps_col) + eps_col * uniform_val
+    for shared in (eps_series, delta_series):
+        shared.setflags(write=False)
     extras = {
         "algorithm": "bda",
-        "swap_gap": swap_gap,
-        "expected_unmixed": expected_unmixed,
-        "strategy_min": strategy_min,
         "eps": eps_series,
         "delta": delta_series,
         "delta_floor_rounds": floor_active,
     }
-    return recorder.finish(extras)
+    traces = recorder.finish_block(extras, per_seed={
+        "swap_gap": swap_gap.T,
+        "expected_unmixed": expected_unmixed.T,
+        "strategy_min": strategy_min.T,
+    })
+    return traces[0] if single else traces

@@ -4,115 +4,115 @@ The "grid" baseline discretizes X into a coarse lattice of arm points and
 runs standard EXP3 with importance-weighted payoff estimates; its traces are
 measured against the continuous best point (on the simulation grid), not the
 best arm, so they are directly comparable with the kernel learner's.
+
+``run_exp3`` and ``run_uniform`` take one Generator or a block of them, like
+``run_da``, and move a block of seeds forward together; each trace equals
+that of a run of its seed alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .grids import Density, Grid, sample
 from .losses import LossStream
-from .regret import RegretTrace, TraceRecorder
+from .regret import RegretTrace, TraceRecorder, generator_block
 
-__all__ = ["Exp3State", "exp3_probabilities", "exp3_step", "run_exp3", "run_uniform"]
+__all__ = ["exp3_probabilities", "run_exp3", "run_uniform"]
 
 
-@dataclass(frozen=True, eq=False)
-class Exp3State:
-    """Arm points, cumulative importance-weighted scores, and the round counter.
+def exp3_probabilities(scores: np.ndarray, t: int) -> np.ndarray:
+    """(1 - gamma) * softmax(eta * scores) + gamma / m, for each row of ``scores``.
 
-    Rates follow the standard anytime tuning gamma_t = min(1, sqrt(m log m / t)),
-    eta_t = gamma_t / m.
+    ``scores`` holds the cumulative importance-weighted payoffs of m arms
+    (one row per seed).  The rates follow the standard anytime tuning of
+    round t: gamma_t = min(1, sqrt(m log m / t)) and eta_t = gamma_t / m,
+    both 0 for a single arm.
     """
-
-    arms: np.ndarray
-    scores: np.ndarray
-    t: int = 1
-
-    @classmethod
-    def for_grid(cls, grid: Grid, arms_per_axis: int) -> "Exp3State":
-        if arms_per_axis < 1:
-            raise ConfigError("need at least one arm per axis")
-        lattice = Grid(grid.domain, arms_per_axis)
-        m = lattice.n_cells
-        return cls(arms=lattice.centers, scores=np.zeros(m))
-
-    @property
-    def n_arms(self) -> int:
-        return self.arms.shape[0]
-
-    def rates(self) -> tuple[float, float]:
-        m = self.n_arms
-        if m == 1:
-            return 0.0, 0.0
-        gamma = min(1.0, math.sqrt(m * math.log(m) / self.t))
-        return gamma, gamma / m
-
-
-def exp3_probabilities(state: Exp3State) -> np.ndarray:
-    """(1 - gamma) * softmax(eta * scores) + gamma / m."""
-    gamma, eta = state.rates()
-    z = eta * state.scores
-    z = np.exp(z - z.max())
-    q = z / z.sum()
-    return (1.0 - gamma) * q + gamma / state.n_arms
-
-
-def exp3_step(state: Exp3State, payoff_fn, rng: np.random.Generator) -> tuple[Exp3State, int]:
-    """Choose an arm, feed its realized payoff back, return (new state, arm index).
-
-    ``payoff_fn`` maps the chosen arm index to its realized payoff in [0, 1];
-    the arm is only known after the draw, so the payoff is supplied as a
-    lookup rather than a value.
-    """
-    probs = exp3_probabilities(state)
-    u = rng.random()
-    arm = min(int(np.searchsorted(np.cumsum(probs), u)), state.n_arms - 1)
-    payoff = float(payoff_fn(arm))
-    if not (0.0 <= payoff <= 1.0):
-        raise ConfigError(f"EXP3 payoffs must lie in [0, 1], got {payoff}")
-    scores = state.scores.copy()
-    scores[arm] += payoff / probs[arm]
-    return replace(state, scores=scores, t=state.t + 1), arm
+    m = scores.shape[-1]
+    gamma = 0.0 if m == 1 else min(1.0, math.sqrt(m * math.log(m) / t))
+    z = (gamma / m) * scores
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return (1.0 - gamma) * z + gamma / m
 
 
 def run_exp3(grid: Grid, stream: LossStream, arms_per_axis: int, T: int,
-             rng: np.random.Generator,
-             checkpoints: np.ndarray | None = None) -> RegretTrace:
-    """Run EXP3 on the arm lattice; the trace is graded against the full grid."""
+             rng: np.random.Generator | Sequence[np.random.Generator],
+             checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
+    """Run EXP3 on the arm lattice; the trace is graded against the full grid.
+
+    The arms are the cell centers of an ``arms_per_axis`` lattice over the
+    grid's domain.  ``rng`` is one Generator (one trace) or a sequence of
+    them (one trace per seed, in order).  The scores are an (S, m) array, so
+    the probabilities and their CDF are computed once per round for the
+    block; the draw, the expected value and the score update, payoff over
+    probability at the drawn arm, are per seed.  Each trace's extras hold
+    its final ``scores``.
+    """
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
     if not stream.payoff_convention:
         raise ConfigError("run_exp3 requires a payoff-convention stream")
-    state = Exp3State.for_grid(grid, arms_per_axis)
-    arm_cells = np.array([grid.cell_index(a) for a in state.arms])
-    recorder = TraceRecorder(stream, grid, T, checkpoints)
+    if arms_per_axis < 1:
+        raise ConfigError("need at least one arm per axis")
+    rngs, single = generator_block(rng)
+    arms = Grid(grid.domain, arms_per_axis).centers
+    arm_cells = np.array([grid.cell_index(a) for a in arms])
+    last = len(arms) - 1
+    scores = np.zeros((len(rngs), len(arms)))
+    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
         arm_payoffs = f_vals[arm_cells]
-        probs = exp3_probabilities(state)
-        expected = float(probs @ arm_payoffs)
-        state, arm = exp3_step(state, lambda a: arm_payoffs[a], rng)
-        recorder.record(t, f_vals, expected, float(arm_payoffs[arm]), state.arms[arm])
-    return recorder.finish({"algorithm": "exp3_grid", "arms_per_axis": arms_per_axis})
+        probs = exp3_probabilities(scores, t)
+        cdf = np.cumsum(probs, axis=1)
+        expected, payoffs, actions = [], [], []
+        for s, g in enumerate(rngs):
+            p = probs[s]
+            arm = min(int(cdf[s].searchsorted(g.random())), last)
+            payoff = float(arm_payoffs[arm])
+            if not (0.0 <= payoff <= 1.0):
+                raise ConfigError(f"EXP3 payoffs must lie in [0, 1], got {payoff}")
+            expected.append(float(p @ arm_payoffs))
+            scores[s, arm] += payoff / p[arm]
+            payoffs.append(payoff)
+            actions.append(arms[arm])
+        recorder.record(t, f_vals, expected, payoffs, actions)
+    traces = recorder.finish_block({"algorithm": "exp3_grid", "arms_per_axis": arms_per_axis},
+                                   per_seed={"scores": scores})
+    return traces[0] if single else traces
 
 
-def run_uniform(grid: Grid, stream: LossStream, T: int, rng: np.random.Generator,
-                checkpoints: np.ndarray | None = None) -> RegretTrace:
-    """Play the uniform strategy every round (sanity baseline)."""
+def run_uniform(grid: Grid, stream: LossStream, T: int,
+                rng: np.random.Generator | Sequence[np.random.Generator],
+                checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
+    """Play the uniform strategy every round (sanity baseline).
+
+    ``rng`` is one Generator (one trace) or a sequence of them (one trace per
+    seed, in order).  The expected value is shared by every seed, and one
+    sampling CDF per round serves the block's draws.
+    """
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    rngs, single = generator_block(rng)
     uniform = Density.uniform(grid)
     w = grid.cell_volume
-    recorder = TraceRecorder(stream, grid, T, checkpoints)
+    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
-        action = sample(uniform, rng)
+        actions = sample(uniform, rngs)
         recorder.record(
             t,
             f_vals,
             float(f_vals.sum() * w / grid.domain.volume),
-            float(f_vals[grid.cell_index(action)]),
-            action,
+            [float(f_vals[grid.cell_index(a)]) for a in actions],
+            actions,
         )
-    return recorder.finish({"algorithm": "uniform"})
+    traces = recorder.finish_block({"algorithm": "uniform"})
+    return traces[0] if single else traces

@@ -9,12 +9,15 @@ A slope fit that cannot be made leaves its cell empty and prints the reason
 to stderr.
 
 Each of the ``--threads`` workers runs one contiguous block of the seeds, and
-DA moves a block forward as one array program; under exact feedback it
-computes one strategy per round for the whole block.  Outputs are
-byte-deterministic for a fixed config and independent of --threads: every
-seed draws from its own generator in the same order whatever its block, and
-results are merged in seed order; floats are written with 12 significant
-digits.
+every algorithm moves a block forward as one array program.  DA under exact
+feedback computes one strategy per round for the whole block; under noisy
+feedback it keeps one row of scores per seed and maps each row.  BDA and
+EXP3 keep one row of scores per seed and compute the block's strategies as
+row operations over the whole array, and the uniform player draws the
+block's points from one CDF per round.  Outputs are byte-deterministic for
+a fixed config and independent of --threads: every seed draws from its own
+generator in the same order whatever its block, and results are merged in
+seed order; floats are written with 12 significant digits.
 """
 
 from __future__ import annotations

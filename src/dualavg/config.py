@@ -267,10 +267,10 @@ def run_seed(cfg: ExperimentConfig,
 
     ``seed`` is one seed, for which one trace is returned, or a block of
     seeds, for which a list of traces is returned in the same order (the
-    one-or-many contract of ``run_da``).  The grid, stream, channel and
-    schedules are built once for the block, and each seed draws from its own
-    Generator.  DA moves the whole block forward together; the other
-    algorithms run seed by seed.
+    one-or-many contract of every ``run_*`` function).  The grid, stream,
+    channel and schedules are built once for the block, each seed draws from
+    its own Generator, and the algorithm moves the whole block forward
+    together.
     """
     single = not isinstance(seed, Sequence)
     seeds = [seed] if single else list(seed)
@@ -290,13 +290,11 @@ def run_seed(cfg: ExperimentConfig,
             checkpoints=checkpoints,
         )
     elif cfg.algorithm == "bda":
-        bda = cfg.bda_config(grid, stream)
-        traces = [run_bda(grid, stream, bda, cfg.horizon, rng, checkpoints=checkpoints)
-                  for rng in rngs]
+        traces = run_bda(grid, stream, cfg.bda_config(grid, stream), cfg.horizon, rngs,
+                         checkpoints=checkpoints)
     elif cfg.algorithm == "exp3_grid":
-        traces = [run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rng,
-                           checkpoints=checkpoints) for rng in rngs]
+        traces = run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rngs,
+                          checkpoints=checkpoints)
     else:
-        traces = [run_uniform(grid, stream, cfg.horizon, rng, checkpoints=checkpoints)
-                  for rng in rngs]
+        traces = run_uniform(grid, stream, cfg.horizon, rngs, checkpoints=checkpoints)
     return traces[0] if single else traces

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .grids import Density, Grid, GridFunction
 from .losses import FeedbackChannel, LossStream
-from .regret import RegretTrace, TraceRecorder
+from .regret import RegretTrace, TraceRecorder, generator_block
 from .regularizers import (
     Regularizer,
     conjugate,
@@ -200,10 +200,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    if not rngs:
-        raise ValueError("at least one generator required")
+    rngs, single = generator_block(rng)
     if diagnostics is not None and len(rngs) > 1:
         raise ConfigError("energy diagnostics follow one seed; pass a single generator")
     shared = channel.deterministic  # one strategy row for the whole block

@@ -23,6 +23,7 @@ __all__ = [
     "RegretTrace",
     "TraceRecorder",
     "default_checkpoints",
+    "generator_block",
     "static_regret",
     "regret_vs_comparator",
     "regret_vs_point",
@@ -47,6 +48,22 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
     points.append(T)
     # Not np.unique: it imports numpy.ma, about 17 ms in every fresh worker.
     return np.asarray(sorted(set(points)), dtype=int)
+
+
+def generator_block(rng) -> tuple[list[np.random.Generator], bool]:
+    """The generators of a ``run_*`` call's ``rng``, and whether it was a single one.
+
+    ``run_da``, ``run_bda``, ``run_exp3`` and ``run_uniform`` take one
+    Generator, for which they return one trace, or a sequence of Generators,
+    one per seed of a block, for which they return a list of traces in the
+    same order.
+    """
+    if isinstance(rng, np.random.Generator):
+        return [rng], True
+    rngs = list(rng)
+    if not rngs:
+        raise ValueError("at least one generator required")
+    return rngs, False
 
 
 @dataclass
@@ -147,17 +164,16 @@ class TraceRecorder:
             self._snapshots[self._cp_pos] = self._cum
             self._cp_pos += 1
 
-    def finish(self, extras: dict | None = None) -> RegretTrace:
-        """The trace of a one-seed recorder."""
-        if self.seeds != 1:
-            raise ValueError("finish() is for one seed; use finish_block()")
-        return self.finish_block(extras)[0]
+    def finish_block(self, extras: dict | None = None,
+                     per_seed: dict | None = None) -> list[RegretTrace]:
+        """One trace per seed, in block order; each gets its own copy of ``extras``.
 
-    def finish_block(self, extras: dict | None = None) -> list[RegretTrace]:
-        """One trace per seed, in block order; each gets its own copy of ``extras``."""
+        ``per_seed`` maps further extras to arrays whose first axis is the
+        seed; trace s gets a copy of row s under the same name.
+        """
         for shared in (self.checkpoints, self.round_best, self._snapshots):
             shared.setflags(write=False)
-        return [
+        traces = [
             RegretTrace(
                 stream=self.stream,
                 grid=self.grid,
@@ -172,6 +188,10 @@ class TraceRecorder:
             )
             for s in range(self.seeds)
         ]
+        for name, rows in (per_seed or {}).items():
+            for trace, row in zip(traces, rows):
+                trace.extras[name] = row.copy()
+        return traces
 
 
 def _check_horizon(trace: RegretTrace, T: int | None) -> int:

@@ -121,8 +121,23 @@ def test_run_byte_identical_reruns(tmp_path):
 
 DA_FOUR_SEEDS = BASE_CONFIG.replace("seeds = 0..2", "seeds = 0..3")
 
+EXP3_FOUR_SEEDS = """\
+domain.dim = 1
+grid.n = 64
+algorithm = exp3_grid
+exp3.arms = 8
+stream.payoff = true
+channel.kind = bandit
+horizon = 120
+seeds = 0..3
+checkpoint.start = 10
+checkpoint.ratio = 2.0
+"""
+
 THREAD_INVARIANCE_CONFIGS = {
     "bda": BDA_CONFIG,
+    "exp3_grid": EXP3_FOUR_SEEDS,
+    "uniform": EXP3_FOUR_SEEDS.replace("algorithm = exp3_grid", "algorithm = uniform"),
     "da_exact": DA_FOUR_SEEDS,
     "da_unbiased": DA_FOUR_SEEDS.replace(
         "channel.kind = exact", "channel.kind = unbiased\nchannel.noise_scale = 0.5"),

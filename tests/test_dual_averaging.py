@@ -209,42 +209,76 @@ def test_diagnostics_follow_one_seed(grid):
 
 @st.composite
 def seed_blocks(draw):
-    """A small DA config (d = 1 or 2, any family and function-valued channel) and 1-5 seeds."""
+    """A small config (d = 1 or 2) of any algorithm and 1-5 seeds.
+
+    DA draws any regularizer family and function-valued channel; BDA, EXP3
+    and the uniform player draw the exploration weight and the arm count.
+    """
     dim = draw(st.integers(1, 2))
-    family = draw(st.sampled_from(["negentropy", "quadratic", "burg", "tsallis"]))
+    algorithm = draw(st.sampled_from(["da", "bda", "exp3_grid", "uniform"]))
     drifting = draw(st.booleans())
     cfg = ExperimentConfig(
         dim=dim,
         upper=[draw(st.floats(0.5, 3.0))],
         grid_n=draw(st.integers(1, 24) if dim == 1 else st.integers(1, 6)),
-        reg_family=family,
-        reg_gamma=draw(st.floats(0.1, 0.9)) if family == "tsallis" else None,
+        algorithm=algorithm,
         stream_kind="drifting" if drifting else "trig_mixture",
         drift_rate=0.05 if drifting else 0.0,
         stream_seed=draw(st.integers(0, 1000)),
-        stream_payoff=draw(st.booleans()),
-        channel_kind=draw(st.sampled_from(["exact", "unbiased", "biased"])),
-        bias_scale=0.5,
         horizon=draw(st.integers(1, 12)),
         checkpoint_start=1,
     )
+    if algorithm == "da":
+        cfg.reg_family = draw(st.sampled_from(["negentropy", "quadratic", "burg", "tsallis"]))
+        cfg.reg_gamma = draw(st.floats(0.1, 0.9)) if cfg.reg_family == "tsallis" else None
+        cfg.stream_payoff = draw(st.booleans())
+        cfg.channel_kind = draw(st.sampled_from(["exact", "unbiased", "biased"]))
+        cfg.bias_scale = 0.5
+    else:
+        cfg.stream_payoff = True
+        cfg.channel_kind = "bandit"
+        cfg.eps_coef = draw(st.sampled_from([0.0, 0.35, 1.0]))
+        cfg.exp3_arms = draw(st.integers(1, 4))
     cfg.validate()
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))
     return cfg, seeds
 
 
-@settings(max_examples=80, deadline=None)
+def _shared_records(trace) -> dict:
+    """The records of a trace that depend on the round alone, by name."""
+    records = {"round_best": trace.round_best, "checkpoints": trace.checkpoints,
+               "cum_grid_checkpoints": trace.cum_grid_checkpoints}
+    records.update({name: trace.extras[name] for name in ("eta", "eps", "delta")
+                    if name in trace.extras})
+    return records
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.shape == b.shape and a.dtype == b.dtype
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=160, deadline=None)
 @given(seed_blocks())
 def test_seed_block_matches_one_run_per_seed(case):
     cfg, seeds = case
     block = run_seed(cfg, seeds)
     assert len(block) == len(seeds)
+    first_shared = _shared_records(block[0])
     for seed, trace in zip(seeds, block):
         alone = run_seed(cfg, seed)
         for name in ("expected", "realized", "actions", "round_best", "checkpoints",
                      "cum_grid_checkpoints"):
-            mine, theirs = getattr(trace, name), getattr(alone, name)
-            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+            assert _same(getattr(trace, name), getattr(alone, name)), name
+        assert trace.extras.keys() == alone.extras.keys()
+        for name, value in alone.extras.items():
+            assert _same(trace.extras[name], value), name
+        # Records that depend on the round alone are shared, read-only.
+        for name, array in _shared_records(trace).items():
+            assert array is first_shared[name], name
+            assert not array.flags.writeable, name
 
 
 def test_block_traces_share_read_only_stream_records():

@@ -72,7 +72,7 @@ def replay(stream, strategies, grid):
     for t, x in enumerate(strategies, start=1):
         f = GridFunction(grid, stream.values(t))
         rec.record(t, stream.values(t), pair(f, x), 0.0, grid.centers[0])
-    return rec.finish()
+    return rec.finish_block()[0]
 
 
 def test_constant_stream_zero_regret(grid):
