@@ -1,19 +1,18 @@
 """Time seed blocks against per-seed loops, in one process.
 
     PYTHONPATH=src python3 scripts/bench_seed_blocks.py [--seeds 8] [--horizon 2000]
-                                                        [--repeats 5] [--configs a,b]
-                                                        [--out FILE]
+                                                        [--repeats 5] [--out FILE]
 
 For the acceptance configs c4_exact (exact feedback), c4_noisy (unbiased
 noise), c6_dynamic (drifting stream, unbiased noise), c5_bda and c7_bda
 (kernel bandit) and c7_exp3 (EXP3 on 32 arms), cut to ``--horizon`` rounds,
 this runs ``--seeds`` seeds as one block (``run_seed(cfg, seeds)``) and as a
 loop of blocks of one (``run_seed(cfg, s)`` per seed), alternating the two
-``--repeats`` times.  ``--configs`` picks a subset.  It checks that both give
-the same traces, extras included, bit for bit and prints, per config, the
-median, quartiles and all samples of microseconds per seed-round, as one JSON
-object (also written to ``--out``).  With ``--seeds 1`` both sides are a
-block of one; run it once per package on PYTHONPATH to compare two versions.
+``--repeats`` times.  It checks that both give the same traces, extras
+included, bit for bit and prints, per config, the median, quartiles and all
+samples of microseconds per seed-round, as one JSON object (also written to
+``--out``).  With ``--seeds 1`` both sides are a block of one; run it once
+per package on PYTHONPATH to compare two versions.
 """
 
 from __future__ import annotations
@@ -142,14 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=8)
     parser.add_argument("--horizon", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--configs", default=",".join(CONFIGS),
-                        help="comma-separated subset of " + ", ".join(CONFIGS))
     parser.add_argument("--out")
     args = parser.parse_args(argv)
-    names = args.configs.split(",")
-    unknown = sorted(set(names) - set(CONFIGS))
-    if unknown:
-        parser.error(f"unknown configs: {', '.join(unknown)}")
     seeds = list(range(args.seeds))
     result = {
         "command": " ".join([os.path.basename(sys.executable)] + sys.argv),
@@ -159,7 +152,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "horizon": args.horizon,
         "repeats": args.repeats,
-        "configs": {name: bench(name, seeds, args.horizon, args.repeats) for name in names},
+        "configs": {name: bench(name, seeds, args.horizon, args.repeats) for name in CONFIGS},
     }
     for name, r in result["configs"].items():
         print(f"{name:<12} per-seed loop {r['per_seed_loop_us_per_seed_round']['median']:8.1f} us"

@@ -146,13 +146,12 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
     of Generators, one per seed of a block, for which a list of traces is
     returned in the same order (the contract of ``run_da``).  Each seed plays
     its own strategy, so the scores are an (S, n) array: the logit, the
-    exploration mix, the sampling CDF and the strategy extremes behind the
-    swap-gap and minimum-density diagnostics are row operations over the
-    block, once per round.  The draw, the payoff, the two expected values
-    and the kernel update are per seed, and each trace equals that of a run
-    of its seed alone, bit for bit.  The exploration and radius series
-    depend on the round alone and are shared, read-only, by the block's
-    traces.
+    exploration mix, the sampling CDF and the swap-gap and minimum-density
+    diagnostics are row operations over the block, once per round.  The
+    draw, the payoff, the two expected values and the kernel update are per
+    seed, and each trace equals that of a run of its seed alone, bit for bit.
+    The exploration and radius series depend on the round alone and are
+    shared, read-only, by the block's traces.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -171,9 +170,7 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
     y, base, vals, cdf = (np.zeros((S, n)) for _ in range(4))
     seed_rows = list(zip(range(S), rngs, y, base, vals, cdf))
     # Round-major, so that each round writes one row.
-    expected_unmixed = np.zeros((T, S))
-    base_max = np.zeros((T, S))
-    base_min = np.zeros((T, S))
+    swap_gap, expected_unmixed, strategy_min = (np.zeros((T, S)) for _ in range(3))
     eps_series = np.zeros(T)
     delta_series = np.zeros(T)
     floor_active = 0
@@ -210,16 +207,10 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
             actions.append(action)
         recorder.record(t, f_vals, expected, payoffs, actions)
 
-        base.max(axis=1, out=base_max[i])
-        base.min(axis=1, out=base_min[i])
+        swap_gap[i] = eps_t * np.abs(base - uniform_val).max(axis=1)
+        vals.min(axis=1, out=strategy_min[i])
         eps_series[i] = eps_t
         delta_series[i] = delta_t
-    # Rounding is monotone, so max |base - u| is the larger of max(base) - u and
-    # u - min(base), and the least played value is the mix of min(base): the
-    # two extremes of each round give both diagnostics exactly.
-    eps_col = eps_series[:, None]
-    swap_gap = eps_col * np.maximum(base_max - uniform_val, uniform_val - base_min)
-    strategy_min = base_min * (1.0 - eps_col) + eps_col * uniform_val
     for shared in (eps_series, delta_series):
         shared.setflags(write=False)
     extras = {

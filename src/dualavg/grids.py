@@ -107,11 +107,6 @@ class Grid:
         # Per axis (lower, upper, step) as Python floats for the scalar cell lookup.
         object.__setattr__(self, "_axes", tuple(
             zip(domain.lower.tolist(), domain.upper.tolist(), steps.tolist())))
-        axis_centers = tuple(domain.lower[k] + (np.arange(n) + 0.5) * steps[k]
-                             for k in range(domain.dim))
-        for arr in axis_centers:
-            arr.setflags(write=False)
-        object.__setattr__(self, "_axis_centers", axis_centers)
 
     @property
     def steps(self) -> np.ndarray:
@@ -126,8 +121,8 @@ class Grid:
         return self._cell_diameter
 
     def axis_centers(self, k: int) -> np.ndarray:
-        """The n cell-center coordinates along axis k, in increasing order (read-only)."""
-        return self._axis_centers[k]
+        """The n cell-center coordinates along axis k, in increasing order."""
+        return self.domain.lower[k] + (np.arange(self.n) + 0.5) * self._steps[k]
 
     @property
     def centers(self) -> np.ndarray:
@@ -336,32 +331,15 @@ def eval_at(f: GridFunction, x) -> float:
 def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:
     """Cells whose centers lie within Euclidean distance ``delta`` of ``x``.
 
-    Returns (flat cell indices in increasing order, measured volume = count *
-    cell volume).  The patch is automatically clipped at the boundary of X
-    since the grid covers only X.  Ties at exactly ``delta`` are included.
-    Only the cells of the box of half-width ``delta`` around ``x``, widened
-    by one cell per side against rounding, are measured: no center outside
-    it is within ``delta``.  Inside it the squared offsets are summed axis by
-    axis, in the order a sum over each center's coordinates takes.
+    Returns (flat cell indices, measured volume = count * cell volume).  The
+    patch is automatically clipped at the boundary of X since the grid covers
+    only X.  Ties at exactly ``delta`` are included.
     """
     if delta <= 0:
         raise DomainError("ball radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (grid.dim,):
-        x = np.broadcast_to(x, (grid.dim,))
-    box = dist2 = None
-    for xk, (lo, _, h), axis in zip(x.tolist(), grid._axes, grid._axis_centers):
-        if not math.isfinite(xk):
-            raise DomainError(f"ball center {x} is not finite")
-        first = max(math.floor((xk - delta - lo) / h - 0.5) - 1, 0)
-        stop = max(min(math.ceil((xk + delta - lo) / h - 0.5) + 2, grid.n), first)
-        cells, sq = np.arange(first, stop), (axis[first:stop] - xk) ** 2
-        if box is None:
-            box, dist2 = cells, sq
-        else:
-            box = np.add.outer(box * grid.n, cells).ravel()
-            dist2 = np.add.outer(dist2, sq).ravel()
-    indices = box[dist2 <= delta * delta]
+    dist2 = np.sum((grid.centers - x) ** 2, axis=1)
+    indices = np.nonzero(dist2 <= delta * delta)[0]
     if indices.size == 0:
         raise ResolutionError(
             f"ball of radius {delta} around {x} contains no cell centers "

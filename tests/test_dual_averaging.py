@@ -207,17 +207,11 @@ def test_diagnostics_follow_one_seed(grid):
                diagnostics=_comparator(grid))
 
 
-@st.composite
-def seed_blocks(draw):
-    """A small config (d = 1 or 2) of any algorithm and 1-5 seeds.
-
-    DA draws any regularizer family and function-valued channel; BDA, EXP3
-    and the uniform player draw the exploration weight and the arm count.
-    """
+def _small_config(draw, algorithm: str) -> ExperimentConfig:
+    """A small config of ``algorithm``: d = 1 or 2, a static or drifting stream, T = 1..12."""
     dim = draw(st.integers(1, 2))
-    algorithm = draw(st.sampled_from(["da", "bda", "exp3_grid", "uniform"]))
     drifting = draw(st.booleans())
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         dim=dim,
         upper=[draw(st.floats(0.5, 3.0))],
         grid_n=draw(st.integers(1, 24) if dim == 1 else st.integers(1, 6)),
@@ -228,20 +222,35 @@ def seed_blocks(draw):
         horizon=draw(st.integers(1, 12)),
         checkpoint_start=1,
     )
-    if algorithm == "da":
-        cfg.reg_family = draw(st.sampled_from(["negentropy", "quadratic", "burg", "tsallis"]))
-        cfg.reg_gamma = draw(st.floats(0.1, 0.9)) if cfg.reg_family == "tsallis" else None
-        cfg.stream_payoff = draw(st.booleans())
-        cfg.channel_kind = draw(st.sampled_from(["exact", "unbiased", "biased"]))
-        cfg.bias_scale = 0.5
-    else:
-        cfg.stream_payoff = True
-        cfg.channel_kind = "bandit"
-        cfg.eps_coef = draw(st.sampled_from([0.0, 0.35, 1.0]))
-        cfg.exp3_arms = draw(st.integers(1, 4))
+
+
+def _seeds(draw) -> list:
+    return draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))
+
+
+@st.composite
+def seed_blocks(draw):
+    """A small DA config (any family and function-valued channel) and 1-5 seeds."""
+    cfg = _small_config(draw, "da")
+    cfg.reg_family = draw(st.sampled_from(["negentropy", "quadratic", "burg", "tsallis"]))
+    cfg.reg_gamma = draw(st.floats(0.1, 0.9)) if cfg.reg_family == "tsallis" else None
+    cfg.stream_payoff = draw(st.booleans())
+    cfg.channel_kind = draw(st.sampled_from(["exact", "unbiased", "biased"]))
+    cfg.bias_scale = 0.5
     cfg.validate()
-    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))
-    return cfg, seeds
+    return cfg, _seeds(draw)
+
+
+@st.composite
+def bandit_seed_blocks(draw):
+    """A small BDA, EXP3 or uniform config on a payoff stream and 1-5 seeds."""
+    cfg = _small_config(draw, draw(st.sampled_from(["bda", "exp3_grid", "uniform"])))
+    cfg.stream_payoff = True
+    cfg.channel_kind = "bandit"
+    cfg.eps_coef = draw(st.sampled_from([0.0, 0.35, 1.0]))
+    cfg.exp3_arms = draw(st.integers(1, 4))
+    cfg.validate()
+    return cfg, _seeds(draw)
 
 
 def _shared_records(trace) -> dict:
@@ -260,10 +269,7 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-@settings(max_examples=160, deadline=None)
-@given(seed_blocks())
-def test_seed_block_matches_one_run_per_seed(case):
-    cfg, seeds = case
+def _check_block_matches_one_run_per_seed(cfg, seeds):
     block = run_seed(cfg, seeds)
     assert len(block) == len(seeds)
     first_shared = _shared_records(block[0])
@@ -279,6 +285,18 @@ def test_seed_block_matches_one_run_per_seed(case):
         for name, array in _shared_records(trace).items():
             assert array is first_shared[name], name
             assert not array.flags.writeable, name
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed_blocks())
+def test_seed_block_matches_one_run_per_seed(case):
+    _check_block_matches_one_run_per_seed(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bandit_seed_blocks())
+def test_bandit_seed_block_matches_one_run_per_seed(case):
+    _check_block_matches_one_run_per_seed(*case)
 
 
 def test_block_traces_share_read_only_stream_records():

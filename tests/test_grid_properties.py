@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualavg import BoxDomain, Density, Grid, ball_patch, sample
-from dualavg.errors import DomainError, ResolutionError
+from dualavg import BoxDomain, Density, Grid, sample
+from dualavg.errors import DomainError
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -146,27 +146,3 @@ def test_stored_geometry_is_immutable(grid):
     for arr in (grid.steps, grid.domain.lengths, grid.domain.lower, grid.centers):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-@SETTINGS
-@given(grids(), st.data())
-def test_ball_patch_matches_scan_of_every_center(grid, data):
-    # Centers inside or around the domain; radii from below a cell to beyond
-    # the domain, and exactly at a center's distance, where ties decide.
-    lo, hi = grid.domain.lower, grid.domain.upper
-    x = np.array([data.draw(st.floats(a - 0.5 * (b - a), b + 0.5 * (b - a)))
-                  for a, b in zip(lo, hi)])
-    dist2 = np.sum((grid.centers - x) ** 2, axis=1)
-    if data.draw(st.booleans()):
-        delta = math.sqrt(dist2[data.draw(st.integers(0, grid.n_cells - 1))])
-    else:
-        delta = data.draw(st.floats(1e-3, 2.0)) * grid.domain.diameter
-    assume(delta > 0)
-    expected = np.nonzero(dist2 <= delta * delta)[0]
-    if expected.size == 0:
-        with pytest.raises(ResolutionError):
-            ball_patch(grid, x, delta)
-        return
-    cells, volume = ball_patch(grid, x, delta)
-    assert np.array_equal(cells, expected)
-    assert volume == expected.size * grid.cell_volume
