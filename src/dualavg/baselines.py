@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Density, Grid, sample
+from .grids import Density, Grid, draw_from_cdf
 from .losses import LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block
 
@@ -96,17 +96,19 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
 
     ``rng`` is one Generator (one trace) or a sequence of them (one trace per
     seed, in order).  The expected value is shared by every seed, and one
-    sampling CDF per round serves the block's draws.
+    sampling CDF, built once per run as ``grids.sample`` builds it, serves
+    every draw.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
     rngs, single = generator_block(rng)
-    uniform = Density.uniform(grid)
+    cdf = np.cumsum(Density.uniform(grid).values * grid.cell_volume)
+    cdf /= cdf[-1]
     w = grid.cell_volume
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
-        actions = sample(uniform, rngs)
+        actions = [draw_from_cdf(grid, cdf, g) for g in rngs]
         recorder.record(
             t,
             f_vals,

@@ -11,10 +11,11 @@ to stderr.
 Each of the ``--threads`` workers runs one contiguous block of the seeds, and
 every algorithm moves a block forward as one array program.  DA under exact
 feedback computes one strategy per round for the whole block; under noisy
-feedback it keeps one row of scores per seed and maps each row.  BDA and
+feedback it keeps one row of scores per seed and maps the rows together
+(the logit as row operations, a Newton solve per row otherwise).  BDA and
 EXP3 keep one row of scores per seed and compute the block's strategies as
-row operations over the whole array, and the uniform player draws the
-block's points from one CDF per round.  Outputs are byte-deterministic for
+row operations over the whole array, and the uniform player draws every
+point from one CDF per run.  Outputs are byte-deterministic for
 a fixed config and independent of --threads: every seed draws from its own
 generator in the same order whatever its block, and results are merged in
 seed order; floats are written with 12 significant digits.

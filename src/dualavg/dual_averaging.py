@@ -6,13 +6,15 @@ model_t (payoff-convention streams accumulate with a plus sign).  Optional
 per-step diagnostics track the energy of a fixed comparator and check the
 recursive and telescoped regret bounds along the run.
 
-``run_da`` moves a block of seeds forward together.  The regret bounds are
-on the expected regret over draws from the mixed strategy, so under exact
-feedback the strategy sequence is the same for every seed and is computed
-once per round for the block; only the draws differ.  With noisy feedback
-each seed has its own row of scores.  Either way each trace equals that of
-a run of its seed alone, bit for bit, so outputs do not depend on how seeds
-are blocked (the CLI's ``--threads``).
+``run_da`` moves a block of seeds forward together, with the scores as one
+array of rows.  The regret bounds are on the expected regret over draws
+from the mixed strategy, so under exact feedback the strategy sequence is
+the same for every seed and one row serves the block; only the draws
+differ.  With noisy feedback each seed has its own row, and the mirror
+map, its normalisability check and the sampling CDFs are row operations
+over the block.  Either way each trace equals that of a run of its seed
+alone, bit for bit, so outputs do not depend on how seeds are blocked (the
+CLI's ``--threads``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .regularizers import (
     hval,
     min_hval,
     mirror,
+    mirror_rows,
 )
 from .schedules import Schedule
 from . import grids
@@ -136,12 +139,13 @@ class _EnergyDiagnostics:
             self.energy[0] = self._energy_at(1, scores)
 
     def end_round(self, t: int, scores_next: np.ndarray, model_vals: np.ndarray,
-                  x: Density, f_vals: np.ndarray, expected: float) -> None:
+                  x: np.ndarray, f_vals: np.ndarray, expected: float) -> None:
+        """Round t's bookkeeping; ``x`` holds the played strategy's cell values."""
         i = t - 1
         eta_t, eta_next = self.etas[i], self.etas[i + 1]
         w = self.grid.cell_volume
         mu_vals = self.mu.values
-        model_gap = grids.dot(model_vals, x.values - mu_vals) * w
+        model_gap = grids.dot(model_vals, x - mu_vals) * w
         if not self.payoff:
             model_gap = -model_gap
         sup_model = float(np.abs(model_vals).max())
@@ -154,7 +158,7 @@ class _EnergyDiagnostics:
         self.energy[i + 1] = self._energy_at(t + 1, scores_next)
         mu_expected = grids.dot(f_vals, mu_vals) * w
         inc = expected - mu_expected
-        err = grids.dot(model_vals - f_vals, mu_vals - x.values) * w
+        err = grids.dot(model_vals - f_vals, mu_vals - x) * w
         if self.payoff:
             inc, err = -inc, -err
         self.reg_mu_inc[i] = inc
@@ -186,12 +190,18 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     of Generators, one per seed of a block, for which a list of traces is
     returned in the same order.  The block moves forward together: each seed
     draws from its own Generator in the order a run of that seed alone
-    would, and its trace equals that run's bit for bit.  The scores are R
-    rows of n cells, each mapped by ``mirror`` every round.  Under a
-    ``deterministic`` channel (exact feedback) every seed plays the same
-    strategy, so R = 1 and the mirror map, the sampling CDF and the expected
-    value are computed once per round for the block; only the draw and the
-    realized value are per seed.  Otherwise R is the number of seeds.  The
+    would, and its trace equals that run's bit for bit.
+
+    The scores are one (R, n) array.  Under a ``deterministic`` channel
+    (exact feedback) every seed plays the same strategy, so R = 1;
+    otherwise R is the number of seeds.  Each round, ``mirror_rows`` maps
+    the scaled scores to the R strategies (the logit as row operations, or
+    a Newton solve per row, with one normalisability check for the block)
+    and one cumulative sum over the block gives their sampling CDFs.  Per
+    seed, and in the order a run of that seed alone makes them, are the
+    draw, the channel's observation, the expected value under the seed's
+    strategy and the realized value at its action; under exact feedback
+    the observation and the expected value are made once, for row 0.  The
     stream value, its per-round best and the cumulative snapshots are
     computed once per round and shared.
 
@@ -212,27 +222,25 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         else None
     )
     w = grid.cell_volume
-    # Score rows, one per strategy; lists, since iterating a 2-D array makes
-    # a view per row, a cost a block of one would pay every round.
-    y = [np.zeros(grid.n_cells) for _ in range(1 if shared else len(rngs))]
+    y = np.zeros((1 if shared else len(rngs), grid.n_cells))
+    # Row views made once: iterating a 2-D array makes a view per row, a
+    # cost a block of one would pay every round.
+    score_rows = list(y)
+    row_of_seed = [0 if shared else s for s in range(len(rngs))]
     for t in range(1, T + 1):
-        eta_t = eta(t)
-        xs = [mirror(reg, GridFunction(grid, eta_t * row, copy=False)) for row in y]
+        x = mirror_rows(reg, grid, eta(t) * y)
         if diag is not None:
             diag.start_round(t, y[0])
-        if len(xs) < len(rngs):  # one shared strategy: one CDF, one draw per seed
-            actions = list(grids.sample(xs[0], rngs))
-        else:
-            actions = [grids.sample(x, g) for x, g in zip(xs, rngs)]
+        actions = grids.sample_rows(grid, x, rngs, row_of_seed)
         f_vals = stream.values(t)
         # Row r is played by seed r, or by every seed when shared; a shared
         # channel reads neither the action nor the generator it is given.
         expected = []
-        for x, row, action, g in zip(xs, y, actions, rngs):
-            model = channel.observe(stream, t, x, action, g).model
+        for row, x_r, action, g in zip(score_rows, x, actions, rngs):
+            model = channel.observe(stream, t, x_r, action, g).model
             if model is None:
                 raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
-            expected.append(grids.dot(f_vals, x.values) * w)
+            expected.append(grids.dot(f_vals, x_r) * w)
             if payoff:
                 row += model.values
             else:
@@ -240,7 +248,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         realized = [f_vals[grid.cell_index(a)] for a in actions]
         recorder.record(t, f_vals, expected, realized, actions)
         if diag is not None:
-            diag.end_round(t, y[0], model.values, xs[0], f_vals, expected[0])
+            diag.end_round(t, y[0], model.values, x[0], f_vals, expected[0])
     etas = np.array([eta(t) for t in range(1, T + 2)])
     etas.setflags(write=False)
     extras = {"algorithm": "da", "eta": etas}

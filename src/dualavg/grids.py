@@ -30,6 +30,8 @@ __all__ = [
     "l1_distance",
     "tv_distance",
     "sample",
+    "sample_rows",
+    "draw_from_cdf",
     "eval_at",
     "ball_patch",
 ]
@@ -308,17 +310,33 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     if not isinstance(rng, np.random.Generator):
         if size is not None:
             raise ValueError("size applies to a single generator")
-        return np.array([_draw(grid, cdf, gen) for gen in rng]).reshape(-1, grid.dim)
+        return np.array([draw_from_cdf(grid, cdf, gen) for gen in rng]).reshape(-1, grid.dim)
     if size is None:
-        return _draw(grid, cdf, rng)
+        return draw_from_cdf(grid, cdf, rng)
     m = int(size)
     cells = np.minimum(cdf.searchsorted(rng.random(m)), grid.n_cells - 1)
     offsets = (rng.random((m, grid.dim)) - 0.5) * grid.steps
     return grid.centers[cells] + offsets
 
 
-def _draw(grid: Grid, cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One point: the cell by inverting ``cdf``, then a uniform offset in the cell."""
+def sample_rows(grid: Grid, p: np.ndarray, rngs: Sequence[np.random.Generator],
+                rows: Sequence[int]) -> list[np.ndarray]:
+    """One point per generator: ``rngs[i]`` draws from row ``rows[i]`` of the (R, n) densities.
+
+    The CDFs are one cumulative sum over the rows, each normalised by its last
+    entry, so a row's draw equals what ``sample`` draws from that density.
+    """
+    cdf = np.cumsum(p * grid.cell_volume, axis=1)
+    cdf /= cdf[:, -1:]
+    return [draw_from_cdf(grid, cdf[r], g) for r, g in zip(rows, rngs)]
+
+
+def draw_from_cdf(grid: Grid, cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One point: the cell by inverting ``cdf``, then a uniform offset in the cell.
+
+    ``cdf`` is the cumulative sum of a density's cell masses, divided by its
+    last entry, as ``sample`` builds it.
+    """
     cell = min(int(cdf.searchsorted(rng.random())), grid.n_cells - 1)
     return grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
 

@@ -40,6 +40,11 @@ __all__ = [
 # 460 800 wakes a helper thread, whatever the shape.
 _GEMV_LIMIT = 409_600
 
+# Most entries in one block of per-round trig coefficients (16 KB) in the
+# closed-form window sums and V_T.  Blocks this small reuse memory the run has
+# already freed, so the post-hoc work leaves the peak resident memory as is.
+_POST_HOC_ENTRIES = 2048
+
 # Read-only per-axis (terms, sin, cos) tables per grid and frequency set; an
 # entry goes when its grid does.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -122,13 +127,36 @@ class _TrigBasis:
 
     def combine(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """sum_k a_k * sin(2*pi*f_k.u + phase_k) on all cells."""
-        a_sin = amplitudes * np.cos(phases)
-        a_cos = amplitudes * np.sin(phases)
+        return self.linear(amplitudes * np.cos(phases), amplitudes * np.sin(phases))
+
+    def linear(self, a_sin: np.ndarray, a_cos: np.ndarray) -> np.ndarray:
+        """sum_k a_sin_k * sin(2*pi*f_k.u) + a_cos_k * cos(2*pi*f_k.u) on all cells.
+
+        Every trig sum is linear in these coefficients: a sin(x + phase) has
+        a_sin = a cos(phase) and a_cos = a sin(phase).
+        """
         out = None
         for terms, sin, cos in self.tables:
             axis = _sum_terms(a_sin[terms], a_cos[terms], sin, cos)
             out = axis if out is None else np.add.outer(out, axis)
         return out.ravel()
+
+    def sup_abs(self, a_sin: np.ndarray, a_cos: np.ndarray) -> float:
+        """sup over cells of |``linear(a_sin, a_cos)``|, without forming it on the grid.
+
+        The grid function is a sum of one function per axis, so its largest
+        value is the sum of the per-axis largest values, in the order
+        ``linear`` adds them, and likewise its smallest.  The products are
+        those of ``linear``: matrix-vector, since the first matrix-matrix
+        product of a process adds OpenBLAS code and buffers to its resident
+        memory.
+        """
+        hi = lo = 0.0
+        for terms, sin, cos in self.tables:
+            axis = _sum_terms(a_sin[terms], a_cos[terms], sin, cos)
+            hi += axis.max()
+            lo += axis.min()
+        return float(max(hi, -lo))
 
     def lipschitz(self, amplitudes: np.ndarray) -> float:
         grad_scale = 2.0 * math.pi * np.linalg.norm(
@@ -165,6 +193,23 @@ class LossStream:
 
     def loss_function(self, t: int) -> GridFunction:
         return GridFunction(self.grid, self.values(t), copy=False)
+
+    def window_sum(self, start: int, stop: int) -> np.ndarray:
+        """Sum of the stream values over rounds start..stop, on the grid."""
+        total = np.zeros(self.grid.n_cells)
+        for t in range(start, stop + 1):
+            total += self.values(t)
+        return total
+
+    def variation(self, T: int) -> float:
+        """sum_{t < T} sup|f_{t+1} - f_t|; see ``losses.variation``."""
+        total = 0.0
+        prev = self.values(1)
+        for t in range(2, T + 1):
+            cur = self.values(t)
+            total += float(np.abs(cur - prev).max())
+            prev = cur
+        return total
 
     def _cache_key(self, t: int) -> int:
         """A round whose values equal round t's: 0 for a static stream, else t."""
@@ -226,6 +271,58 @@ class TrigStream(LossStream):
         vals = self._basis.combine(self.amplitudes, phases)
         vals += self.offset
         return vals
+
+    def _coefficients(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a cos(phase_t), a sin(phase_t)) for rounds t = first..last (t >= 1).
+
+        Both are (rounds, K) arrays; round t's values are ``_basis.linear`` of
+        its row, plus the offset.
+        """
+        t = np.arange(first, last + 1, dtype=float)
+        phases = self.phases + (self.drift_rate * t ** self.drift_exponent)[:, None]
+        return self.amplitudes * np.cos(phases), self.amplitudes * np.sin(phases)
+
+    def window_sum(self, start: int, stop: int) -> np.ndarray:
+        """Sum over rounds start..stop in closed form: one ``linear`` of the summed coefficients.
+
+        The coefficients are summed in blocks of rounds of at most
+        ``_POST_HOC_ENTRIES`` entries; no round is evaluated on the grid.
+        """
+        rounds = stop - start + 1
+        if self.drift_rate == 0.0:
+            a_sin = rounds * (self.amplitudes * np.cos(self.phases))
+            a_cos = rounds * (self.amplitudes * np.sin(self.phases))
+        else:
+            a_sin = np.zeros_like(self.amplitudes)
+            a_cos = np.zeros_like(self.amplitudes)
+            block = max(1, _POST_HOC_ENTRIES // len(self.amplitudes))
+            for first in range(start, stop + 1, block):
+                s, c = self._coefficients(first, min(first + block - 1, stop))
+                a_sin += s.sum(axis=0)
+                a_cos += c.sum(axis=0)
+        vals = self._basis.linear(a_sin, a_cos)
+        vals += rounds * self.offset
+        return vals
+
+    def variation(self, T: int) -> float:
+        """V_T from coefficient differences, in blocks of rounds.
+
+        f_{t+1} - f_t is ``linear`` of the difference of the two rounds'
+        coefficients, so a round costs the products of ``linear`` and the
+        sup over the cells, and no round is evaluated on the grid.  The
+        coefficient blocks hold at most ``_POST_HOC_ENTRIES`` entries, and
+        every product at most ``_GEMV_LIMIT``.  A static stream gives
+        exactly 0.0.
+        """
+        if self.drift_rate == 0.0:
+            return 0.0
+        total = 0.0
+        block = max(1, _POST_HOC_ENTRIES // len(self.amplitudes))
+        for first in range(1, T, block):
+            s, c = self._coefficients(first, min(first + block, T))
+            for ds, dc in zip(np.diff(s, axis=0), np.diff(c, axis=0)):
+                total += self._basis.sup_abs(ds, dc)
+        return total
 
 
 def default_trig_stream(grid: Grid, seed: int = 0, n_terms: int = 5,
@@ -304,6 +401,14 @@ class PayoffStream(LossStream):
     def _from_base(self, t: int) -> np.ndarray:
         return (self.base.V - self.base.values(t)) / (2.0 * self.base.V)
 
+    def window_sum(self, start: int, stop: int) -> np.ndarray:
+        """(k V - sum of the base over the k rounds) / (2V), from the base's window sum."""
+        rounds = stop - start + 1
+        return (rounds * self.base.V - self.base.window_sum(start, stop)) / (2.0 * self.base.V)
+
+    def variation(self, T: int) -> float:
+        return self.base.variation(T) / (2.0 * self.base.V)
+
 
 def to_payoff(stream: LossStream) -> PayoffStream:
     return PayoffStream(stream)
@@ -317,16 +422,14 @@ def loss_function(stream: LossStream, t: int) -> GridFunction:
 
 
 def variation(stream: LossStream, T: int) -> float:
-    """V_T = sum_t sup|f_{t+1} - f_t| with the convention f_{T+1} = f_T."""
+    """V_T = sum_t sup|f_{t+1} - f_t| with the convention f_{T+1} = f_T.
+
+    A trig stream and its payoff view compute it from their coefficients;
+    any other stream compares consecutive rounds on the grid.
+    """
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    total = 0.0
-    prev = stream.values(1)
-    for t in range(2, T + 1):
-        cur = stream.values(t)
-        total += float(np.abs(cur - prev).max())
-        prev = cur
-    return total
+    return stream.variation(T)
 
 
 @dataclass
@@ -346,6 +449,10 @@ class Observation:
 
 class FeedbackChannel:
     """Observation process turning the true round function into feedback.
+
+    ``observe`` is given the played ``strategy`` as its cell values (an
+    array) and the drawn ``action``; the channels here read at most the
+    action.
 
     ``deterministic`` marks a channel whose model is a function of the stream
     and the round alone: ``observe`` draws nothing from ``rng`` and reads
@@ -397,10 +504,15 @@ class UnbiasedChannel(FeedbackChannel):
         scale = np.abs(c).sum()
         if scale == 0.0:
             return np.zeros(grid.n_cells)
-        return self.noise_scale * self._basis.combine(c / scale, psi)
+        # Scaling the sum, not the amplitudes: folding the scale into c
+        # changes the last bits at d = 1.
+        noise = self._basis.combine(c / scale, psi)
+        noise *= self.noise_scale
+        return noise
 
     def observe(self, stream, t, strategy, action, rng):
-        vals = stream.values(t) + self._noise(stream.grid, rng)
+        vals = self._noise(stream.grid, rng)
+        vals += stream.values(t)
         return Observation(
             model=GridFunction(stream.grid, vals, copy=False),
             noise_bound=self.noise_scale,
@@ -436,10 +548,11 @@ class BiasedChannel(UnbiasedChannel):
         return self._bias_profile[1]
 
     def observe(self, stream, t, strategy, action, rng):
-        vals = stream.values(t) + self._noise(stream.grid, rng)
+        vals = self._noise(stream.grid, rng)
+        vals += stream.values(t)
         b_t = self.bias_bound(t)
         if b_t != 0.0:
-            vals = vals + b_t * self._profile(stream.grid)
+            vals += b_t * self._profile(stream.grid)
         return Observation(
             model=GridFunction(stream.grid, vals, copy=False),
             bias_bound=b_t,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .grids import Density, GridFunction, dot, integrate, l1_distance, pair
+from .grids import Density, Grid, GridFunction, dot, integrate, l1_distance, pair
 
 __all__ = [
     "Regularizer",
@@ -39,6 +39,7 @@ __all__ = [
     "hvol",
     "min_hval",
     "mirror",
+    "mirror_rows",
     "conjugate",
     "fenchel_coupling",
     "energy",
@@ -203,26 +204,40 @@ def _solve(evaluate, lo: float, hi: float) -> np.ndarray:
 
 def mirror(reg: Regularizer, y: GridFunction) -> Density:
     """Mirror map Q(y) = argmax over densities of <y,p> - h(p)."""
-    grid = y.grid
-    w = grid.cell_volume
-    vol = grid.domain.volume
-    yv = y.values
-    ymax = float(yv.max())
+    p = mirror_rows(reg, y.grid, y.values.reshape(1, -1))
+    return Density(y.grid, p[0], copy=False)
 
+
+def mirror_rows(reg: Regularizer, grid: Grid, y: np.ndarray) -> np.ndarray:
+    """Q(y_r) for each row y_r of an (R, n_cells) score array, as a new (R, n_cells) array.
+
+    The entropic family is the logit, as row operations over the block:
+    shift each row by its max, exponentiate, divide by the row's sum times
+    the cell volume.  The other families solve each row's multiplier by
+    Newton.  A last pass renormalises every row; a row whose integral is not
+    finite and positive raises NumericalError, so the values are finite,
+    nonnegative and integrate to one.  Every row gets the arithmetic that
+    ``mirror`` gives it alone, bit for bit, whatever the other rows are.
+    """
+    w = grid.cell_volume
     if reg.family == "negentropy":
-        z = np.exp(yv - ymax)
-        p = z / (z.sum() * w)
+        p = y - y.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True) * w
     else:
+        vol = grid.domain.volume
         try:
-            p = _mirror_by_multiplier(reg, ymax - yv, w, vol)
+            rows = [_mirror_by_multiplier(reg, float(row.max()) - row, w, vol) for row in y]
         except NumericalError as exc:
             raise NumericalError(f"{reg.family} mirror map: {exc}") from exc
+        p = np.stack(rows) if len(rows) > 1 else rows[0].reshape(1, -1)
 
-    total = p.sum() * w
-    if not math.isfinite(total) or total <= 0:
-        raise NumericalError(f"mirror map produced non-normalizable values (total={total})")
-    p /= total
-    return Density(grid, p, copy=False)
+    total = p.sum(axis=1) * w
+    for value in total.tolist():
+        if not 0.0 < value < math.inf:
+            raise NumericalError(f"mirror map produced non-normalizable values (total={value})")
+    p /= total[:, np.newaxis]
+    return p
 
 
 def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,

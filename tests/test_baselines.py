@@ -6,10 +6,12 @@ import pytest
 from dualavg import (
     BoxDomain,
     ConfigError,
+    Density,
     Grid,
     default_trig_stream,
     run_exp3,
     run_uniform,
+    sample,
     static_regret,
     to_payoff,
 )
@@ -160,6 +162,17 @@ def test_run_uniform_matches_mean(grid):
     mean = stream.values(1).mean()
     assert np.allclose(trace.expected, mean, atol=1e-12)
     assert trace.extras["algorithm"] == "uniform"
+
+
+def test_run_uniform_draws_as_grids_sample(grid):
+    stream = to_payoff(default_trig_stream(grid, seed=12, drift_rate=0.1))
+    seeds = [13, 14, 15]
+    traces = run_uniform(grid, stream, 25, [np.random.default_rng(s) for s in seeds])
+    uniform = Density.uniform(grid)
+    for seed, trace in zip(seeds, traces):
+        g = np.random.default_rng(seed)
+        draws = np.array([sample(uniform, g) for _ in range(trace.horizon)])
+        assert draws.tobytes() == trace.actions.tobytes()
 
 
 def test_horizon_must_be_positive(grid):

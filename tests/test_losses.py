@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualavg import (
     BanditChannel,
@@ -24,6 +26,7 @@ from dualavg import (
     to_payoff,
     variation,
 )
+from dualavg import losses as losses_module
 from dualavg.losses import _axis_cycled_freqs, _TrigBasis
 
 
@@ -251,6 +254,58 @@ def test_variation_growth_exponent(grid):
     v_short = variation(stream, 1000)
     v_long = variation(stream, 4000)
     assert v_long / v_short == pytest.approx(2.0, rel=0.1)
+
+
+@st.composite
+def windowed_streams(draw):
+    """A static or drifting trig stream, as losses or payoffs, at d = 1 or 2, and a window."""
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 64) if dim == 1 else st.integers(1, 12))
+    grid = Grid(BoxDomain([0.0] * dim, [draw(st.floats(0.5, 3.0))] * dim), n)
+    # Drift from 0.05 up: below that the per-round differences the reference
+    # subtracts lose more than 1e-12 of their value to rounding.
+    drifting = draw(st.booleans())
+    stream = default_trig_stream(
+        grid, seed=draw(st.integers(0, 1000)), n_terms=draw(st.integers(1, 8)),
+        drift_rate=draw(st.floats(0.05, 1.0)) if drifting else 0.0,
+        drift_exponent=draw(st.floats(0.2, 1.0)))
+    if draw(st.booleans()):
+        stream = to_payoff(stream)
+    T = draw(st.integers(1, 150))
+    start = draw(st.integers(1, T))
+    stop = draw(st.integers(start, T))
+    return stream, T, start, stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_streams())
+def test_closed_form_window_sum_and_variation_match_round_loop(case):
+    stream, T, start, stop = case
+    loop_sum = np.zeros(stream.grid.n_cells)
+    for t in range(start, stop + 1):
+        loop_sum += stream.values(t)
+    loop_variation = 0.0
+    for t in range(1, T):
+        loop_variation += float(np.abs(stream.values(t + 1) - stream.values(t)).max())
+    got = stream.window_sum(start, stop)
+    assert got.shape == loop_sum.shape
+    assert np.abs(got - loop_sum).max() <= 1e-12 * np.abs(loop_sum).max()
+    got_variation = variation(stream, T)
+    if stream.kind == "trig_mixture":
+        assert got_variation == loop_variation == 0.0
+    else:
+        assert abs(got_variation - loop_variation) <= 1e-12 * loop_variation
+
+
+def test_variation_with_column_blocked_products():
+    # A 1-D grid with many terms: one round's product exceeds the BLAS limit,
+    # so each round's sup comes from products in column blocks.
+    grid = Grid(BoxDomain(0.0, 1.0), 8192)
+    stream = default_trig_stream(grid, seed=3, n_terms=64, drift_rate=0.05)
+    assert 64 * grid.n_cells > losses_module._GEMV_LIMIT
+    expected = sum(float(np.abs(stream.values(t + 1) - stream.values(t)).max())
+                   for t in range(1, 40))
+    assert variation(stream, 40) == pytest.approx(expected, rel=1e-12)
 
 
 def _dense_tables(grid, freqs):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from dualavg import (
     regret_vs_comparator,
     run_da,
     static_regret,
+    to_payoff,
     window_decomposition,
 )
 from dualavg import regret as regret_module
@@ -207,6 +209,43 @@ def test_window_decomposition_computes_variation_once(grid, monkeypatch):
         assert (a.window_length, a.dynamic, a.variation, a.bound, a.holds) == (
             b.window_length, b.dynamic, b.variation, b.bound, b.holds)
     assert shared[0].variation > 0
+
+
+@pytest.mark.parametrize("payoff", [False, True])
+def test_window_decomposition_evaluates_no_round(grid, payoff):
+    base = default_trig_stream(grid, seed=23, drift_rate=0.05)
+    stream = to_payoff(base) if payoff else base
+    trace = run_da(grid, negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 50,
+                   np.random.default_rng(24))
+    reference = {d: window_decomposition(replay_rounds(trace), d) for d in (1, 7, 50)}
+    calls = []
+    for s in {stream, base}:
+        values = s.values
+        s.values = lambda t, values=values: calls.append(t) or values(t)
+    for delta, ref in reference.items():
+        got = window_decomposition(trace, delta)
+        assert got.holds
+        np.testing.assert_allclose(got.window_regrets, ref.window_regrets,
+                                   rtol=1e-12, atol=1e-12)
+        assert got.variation == pytest.approx(ref.variation, rel=1e-12)
+    assert calls == []
+
+
+def replay_rounds(trace):
+    """The trace with its stream behind a wrapper that has only ``values``,
+    so that window sums and V_T loop over the rounds."""
+    return dataclasses.replace(trace, stream=RoundsOnly(trace.stream))
+
+
+class RoundsOnly(LossStream):
+    def __init__(self, stream):
+        self.stream = stream
+        self.grid = stream.grid
+        self.V, self.L = stream.V, stream.L
+        self.payoff_convention = stream.payoff_convention
+
+    def values(self, t):
+        return self.stream.values(t)
 
 
 def test_fit_slope_exact():
