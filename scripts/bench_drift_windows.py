@@ -1,21 +1,20 @@
 """Compare two checkouts on the regret benchmark, in alternating pairs.
 
-    python3 scripts/bench_drift_windows.py --parent DIR --change DIR
-        [--pairs 10] [--seeds 0 5] [--seconds 20] [--workloads all] [--traced 2]
-        [--out FILE]
+    python3 scripts/bench_drift_windows.py --parent DIR --change DIR > BENCH_drift_windows.json
 
-For each workload seed and each of ``--pairs`` pairs, this runs
+For each workload seed (0, and 5 held out) and each of 10 pairs, this runs
 ``python3 regret_bench/run.py --workload <w> --seed <s> --seconds <n> --trace 0``
-once in each checkout (each from its own directory, so each side builds from
-its own sources), alternating which side runs first.  Per workload and seed
-it reports each side's median, quartiles and values of every end-to-end
-metric, how many pairs the change won (ties count for neither), and whether
-the gap between the medians exceeds the parent's interquartile range.  Then
-it runs ``--traced`` traced runs of ``drift_windows`` at seed 0 per side and
-records the post-hoc layer metrics (``regret.window_decomposition.s``,
-``regret.variation.s``, ``regret.post_hoc.stream_evals``) and the DA self
-time per round.  The result is printed as one JSON object and written to
-``--out``.
+on all four workloads, once in each checkout (each from its own directory,
+so each side builds from its own sources), alternating which side runs
+first; ``<n>`` is the ``run_seconds`` of the parent's ``BENCHMARK.json``.
+Per workload and seed it reports each side's median, quartiles and values
+of every end-to-end metric, how many pairs the change won (ties count for
+neither), and whether the gap between the medians exceeds the parent's
+interquartile range.  Then it makes two traced runs of ``drift_windows`` at
+seed 0 per side and records the post-hoc layer metrics
+(``regret.window_decomposition.s``, ``regret.variation.s``,
+``regret.post_hoc.stream_evals``) and the DA self time per round.  The
+result is printed as one JSON object; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ import subprocess
 import sys
 
 WORKLOADS = ("full_info", "drift_windows", "bandit_vs_grid", "fine_grid_2d")
+SEEDS = (0, 5)
+PAIRS = 10
+TRACED_RUNS = 2
 BETTER = {"wall_s": "lower", "rounds_per_s": "higher", "setup_s": "lower",
           "peak_rss_mb": "lower"}
 TRACED = ("regret.window_decomposition.s", "regret.variation.s",
@@ -59,18 +61,18 @@ def compare(parent: list, change: list, better: str) -> dict:
                 sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]}
 
 
-def end_to_end(args, workload: str, seed: int) -> dict:
-    sides = {"parent": args.parent, "change": args.change}
+def end_to_end(sides: dict, workload: str, seed: int, seconds: float) -> dict:
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(sides[side], workload, seed, args.seconds, 0))
-        print(f"{workload}@seed{seed} pair {i + 1}/{args.pairs}: " + ", ".join(
+            runs[side].append(run_bench(sides[side], workload, seed, seconds, 0))
+        print(f"{workload}@seed{seed} pair {i + 1}/{PAIRS}: " + ", ".join(
             f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.4f}"
             for side in order), file=sys.stderr)
     result = {
-        "pairs": args.pairs,
+        "pairs": PAIRS,
+        "seconds": seconds,
         "correct": all(r["correct"] for side in runs.values() for r in side),
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
@@ -82,10 +84,10 @@ def end_to_end(args, workload: str, seed: int) -> dict:
     return result
 
 
-def traced(args) -> dict:
+def traced(sides: dict, seconds: float) -> dict:
     out = {}
-    for side, checkout in (("parent", args.parent), ("change", args.change)):
-        runs = [run_bench(checkout, "drift_windows", 0, 3, 1) for _ in range(args.traced)]
+    for side, checkout in sides.items():
+        runs = [run_bench(checkout, "drift_windows", 0, seconds, 1) for _ in range(TRACED_RUNS)]
         out[side] = [{"correct": r["correct"], "failed": r["failed"],
                       **{name: r["metrics"][name]["value"] for name in TRACED}}
                      for r in runs]
@@ -96,28 +98,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 5])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", nargs="+", default=["all"],
-                        choices=WORKLOADS + ("all",))
-    parser.add_argument("--traced", type=int, default=2, help="traced runs per side")
-    parser.add_argument("--out")
     args = parser.parse_args(argv)
-    names = WORKLOADS if "all" in args.workloads else tuple(args.workloads)
+    sides = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
     result = {
         "command": " ".join([os.path.basename(sys.executable)] + sys.argv),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
-        "end_to_end": {f"{w}@seed{s}": end_to_end(args, w, s)
-                       for s in args.seeds for w in names},
-        "traced_drift_windows": traced(args) if args.traced else {},
+        "end_to_end": {f"{w}@seed{s}": end_to_end(sides, w, s, seconds)
+                       for s in SEEDS for w in WORKLOADS},
+        "traced_drift_windows": traced(sides, seconds),
     }
-    text = json.dumps(result, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(json.dumps(result, indent=1))
     return 0
 
 

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Density, Grid, draw_from_cdf
+from .grids import Density, Grid, draw_from_cdf, sampling_cdf
 from .losses import LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block
 
@@ -102,8 +102,7 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
     if T < 1:
         raise ValueError("horizon must be >= 1")
     rngs, single = generator_block(rng)
-    cdf = np.cumsum(Density.uniform(grid).values * grid.cell_volume)
-    cdf /= cdf[-1]
+    cdf = sampling_cdf(Density.uniform(grid))
     w = grid.cell_volume
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):

@@ -12,7 +12,8 @@ Each of the ``--threads`` workers runs one contiguous block of the seeds, and
 every algorithm moves a block forward as one array program.  DA under exact
 feedback computes one strategy per round for the whole block; under noisy
 feedback it keeps one row of scores per seed and maps the rows together
-(the logit as row operations, a Newton solve per row otherwise).  BDA and
+as one block through ``mirror`` (the logit as row operations, a Newton
+solve per row otherwise) and ``grids.sample``.  BDA and
 EXP3 keep one row of scores per seed and compute the block's strategies as
 row operations over the whole array, and the uniform player draws every
 point from one CDF per run.  Outputs are byte-deterministic for

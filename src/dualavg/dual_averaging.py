@@ -34,7 +34,6 @@ from .regularizers import (
     hval,
     min_hval,
     mirror,
-    mirror_rows,
 )
 from .schedules import Schedule
 from . import grids
@@ -194,10 +193,11 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
 
     The scores are one (R, n) array.  Under a ``deterministic`` channel
     (exact feedback) every seed plays the same strategy, so R = 1;
-    otherwise R is the number of seeds.  Each round, ``mirror_rows`` maps
-    the scaled scores to the R strategies (the logit as row operations, or
-    a Newton solve per row, with one normalisability check for the block)
-    and one cumulative sum over the block gives their sampling CDFs.  Per
+    otherwise R is the number of seeds.  Each round, ``mirror`` maps the
+    scaled scores, as one block of R rows, to the R strategies (the logit
+    as row operations, or a Newton solve per row, with one normalisability
+    check for the block), and ``grids.sample`` builds their sampling CDFs
+    with one cumulative sum over the block and draws each seed's point.  Per
     seed, and in the order a run of that seed alone makes them, are the
     draw, the channel's observation, the expected value under the seed's
     strategy and the realized value at its action; under exact feedback
@@ -226,17 +226,16 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     # Row views made once: iterating a 2-D array makes a view per row, a
     # cost a block of one would pay every round.
     score_rows = list(y)
-    row_of_seed = [0 if shared else s for s in range(len(rngs))]
     for t in range(1, T + 1):
-        x = mirror_rows(reg, grid, eta(t) * y)
+        x = mirror(reg, GridFunction(grid, eta(t) * y, copy=False))
         if diag is not None:
             diag.start_round(t, y[0])
-        actions = grids.sample_rows(grid, x, rngs, row_of_seed)
+        actions = grids.sample(x, rngs)
         f_vals = stream.values(t)
         # Row r is played by seed r, or by every seed when shared; a shared
         # channel reads neither the action nor the generator it is given.
         expected = []
-        for row, x_r, action, g in zip(score_rows, x, actions, rngs):
+        for row, x_r, action, g in zip(score_rows, x.values, actions, rngs):
             model = channel.observe(stream, t, x_r, action, g).model
             if model is None:
                 raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
@@ -248,7 +247,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
         realized = [f_vals[grid.cell_index(a)] for a in actions]
         recorder.record(t, f_vals, expected, realized, actions)
         if diag is not None:
-            diag.end_round(t, y[0], model.values, x[0], f_vals, expected[0])
+            diag.end_round(t, y[0], model.values, x.values[0], f_vals, expected[0])
     etas = np.array([eta(t) for t in range(1, T + 2)])
     etas.setflags(write=False)
     extras = {"algorithm": "da", "eta": etas}

@@ -30,7 +30,7 @@ __all__ = [
     "l1_distance",
     "tv_distance",
     "sample",
-    "sample_rows",
+    "sampling_cdf",
     "draw_from_cdf",
     "eval_at",
     "ball_patch",
@@ -172,13 +172,18 @@ def ensure_same_grid(a: Grid, b: Grid) -> None:
 
 
 class GridFunction:
-    """A real value per grid cell; stand-in for a bounded function on X."""
+    """A real value per grid cell; stand-in for a bounded function on X.
+
+    ``values`` of shape (R, n_cells) make a block of R functions, one per
+    row, as ``regularizers.mirror`` and ``sample`` take them.
+    """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_cells,):
+        if values.shape != (grid.n_cells,) and not (
+                values.ndim == 2 and values.shape[1] == grid.n_cells):
             values = values.reshape(grid.n_cells)
         if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
@@ -222,7 +227,10 @@ class GridFunction:
 
 
 class Density(GridFunction):
-    """Nonnegative grid function integrating to one: a piecewise-constant strategy."""
+    """Nonnegative grid function integrating to one: a piecewise-constant strategy.
+
+    A block (values of shape (R, n_cells)) is R densities, one per row.
+    """
 
     INTEGRAL_TOL = 1e-9
 
@@ -230,9 +238,10 @@ class Density(GridFunction):
         super().__init__(grid, values, copy=copy)
         if self.values.min() < 0:
             raise ValueError("density values must be nonnegative")
-        total = float(self.values.sum() * grid.cell_volume)
-        if abs(total - 1.0) > self.INTEGRAL_TOL:
-            raise ValueError(f"density integrates to {total!r}, not 1")
+        totals = self.values.sum(axis=-1) * grid.cell_volume
+        for total in np.atleast_1d(totals).tolist():
+            if abs(total - 1.0) > self.INTEGRAL_TOL:
+                raise ValueError(f"density integrates to {total!r}, not 1")
 
     @classmethod
     def uniform(cls, grid: Grid) -> "Density":
@@ -300,17 +309,26 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
 
     Returns shape (d,) for ``size=None`` and (size, d) otherwise.  ``rng`` may
-    also be a sequence of generators (with ``size=None``): the CDF is then
-    built once and row i of the (len(rng), d) result is the point
-    ``sample(p, rng[i])`` draws.
+    also be a sequence of generators (with ``size=None``): row i of the
+    (len(rng), d) result is the point ``sample(p, rng[i])`` draws.  With a
+    sequence, ``p`` may be a block of densities: a block of one row serves
+    every generator, and a block of len(rng) rows gives row i to ``rng[i]``.
+    The CDFs are built once per call.
     """
     grid = p.grid
-    cdf = np.cumsum(p.values * grid.cell_volume)
-    cdf /= cdf[-1]
+    cdf = sampling_cdf(p)
     if not isinstance(rng, np.random.Generator):
         if size is not None:
             raise ValueError("size applies to a single generator")
-        return np.array([draw_from_cdf(grid, cdf, gen) for gen in rng]).reshape(-1, grid.dim)
+        rows = cdf.reshape(-1, grid.n_cells)
+        if len(rows) == 1:
+            rows = [rows[0]] * len(rng)
+        elif len(rows) != len(rng):
+            raise ValueError(f"{len(rows)} density rows for {len(rng)} generators")
+        return np.array([draw_from_cdf(grid, c, gen)
+                         for c, gen in zip(rows, rng)]).reshape(-1, grid.dim)
+    if cdf.ndim != 1:
+        raise ValueError("a block of densities needs a sequence of generators")
     if size is None:
         return draw_from_cdf(grid, cdf, rng)
     m = int(size)
@@ -319,24 +337,15 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     return grid.centers[cells] + offsets
 
 
-def sample_rows(grid: Grid, p: np.ndarray, rngs: Sequence[np.random.Generator],
-                rows: Sequence[int]) -> list[np.ndarray]:
-    """One point per generator: ``rngs[i]`` draws from row ``rows[i]`` of the (R, n) densities.
-
-    The CDFs are one cumulative sum over the rows, each normalised by its last
-    entry, so a row's draw equals what ``sample`` draws from that density.
-    """
-    cdf = np.cumsum(p * grid.cell_volume, axis=1)
-    cdf /= cdf[:, -1:]
-    return [draw_from_cdf(grid, cdf[r], g) for r, g in zip(rows, rngs)]
+def sampling_cdf(p: Density) -> np.ndarray:
+    """Cumulative cell masses of ``p`` divided by their last entry, per row of a block."""
+    cdf = np.cumsum(p.values * p.grid.cell_volume, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def draw_from_cdf(grid: Grid, cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One point: the cell by inverting ``cdf``, then a uniform offset in the cell.
-
-    ``cdf`` is the cumulative sum of a density's cell masses, divided by its
-    last entry, as ``sample`` builds it.
-    """
+    """One point: the cell by inverting a ``sampling_cdf`` row, then a uniform offset in the cell."""
     cell = min(int(cdf.searchsorted(rng.random())), grid.n_cells - 1)
     return grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
 

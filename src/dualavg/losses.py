@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Density, Grid, GridFunction
+from .grids import Grid, GridFunction
 
 __all__ = [
     "LossStream",
@@ -463,7 +463,7 @@ class FeedbackChannel:
     kind: str
     deterministic = False
 
-    def observe(self, stream: LossStream, t: int, strategy: Density, action,
+    def observe(self, stream: LossStream, t: int, strategy: np.ndarray, action,
                 rng: np.random.Generator) -> Observation:
         raise NotImplementedError
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .grids import Density, Grid, GridFunction, dot, integrate, l1_distance, pair
+from .grids import Density, GridFunction, dot, integrate, l1_distance, pair
 
 __all__ = [
     "Regularizer",
@@ -39,7 +39,6 @@ __all__ = [
     "hvol",
     "min_hval",
     "mirror",
-    "mirror_rows",
     "conjugate",
     "fenchel_coupling",
     "energy",
@@ -203,41 +202,39 @@ def _solve(evaluate, lo: float, hi: float) -> np.ndarray:
 
 
 def mirror(reg: Regularizer, y: GridFunction) -> Density:
-    """Mirror map Q(y) = argmax over densities of <y,p> - h(p)."""
-    p = mirror_rows(reg, y.grid, y.values.reshape(1, -1))
-    return Density(y.grid, p[0], copy=False)
+    """Mirror map Q(y) = argmax over densities of <y,p> - h(p).
 
-
-def mirror_rows(reg: Regularizer, grid: Grid, y: np.ndarray) -> np.ndarray:
-    """Q(y_r) for each row y_r of an (R, n_cells) score array, as a new (R, n_cells) array.
-
-    The entropic family is the logit, as row operations over the block:
-    shift each row by its max, exponentiate, divide by the row's sum times
-    the cell volume.  The other families solve each row's multiplier by
-    Newton.  A last pass renormalises every row; a row whose integral is not
-    finite and positive raises NumericalError, so the values are finite,
-    nonnegative and integrate to one.  Every row gets the arithmetic that
-    ``mirror`` gives it alone, bit for bit, whatever the other rows are.
+    ``y`` may be a block of R score rows; Q then maps each row, and the
+    result is the block of the R densities.  The entropic family is the
+    logit, as row operations: shift each row by its max, exponentiate,
+    divide by the row's sum times the cell volume.  The other families solve
+    each row's multiplier by Newton.  A last pass renormalises every row; a
+    row whose integral is not finite and positive raises NumericalError.
+    Every row gets the arithmetic that it gets alone, bit for bit, whatever
+    the other rows are.
     """
+    grid = y.grid
     w = grid.cell_volume
+    yv = y.values
     if reg.family == "negentropy":
-        p = y - y.max(axis=1, keepdims=True)
+        p = yv - yv.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True) * w
+        p /= p.sum(axis=-1, keepdims=True) * w
     else:
         vol = grid.domain.volume
         try:
-            rows = [_mirror_by_multiplier(reg, float(row.max()) - row, w, vol) for row in y]
+            rows = [_mirror_by_multiplier(reg, float(row.max()) - row, w, vol)
+                    for row in yv.reshape(-1, grid.n_cells)]
         except NumericalError as exc:
             raise NumericalError(f"{reg.family} mirror map: {exc}") from exc
-        p = np.stack(rows) if len(rows) > 1 else rows[0].reshape(1, -1)
+        p = rows[0].reshape(yv.shape) if len(rows) == 1 else np.stack(rows)
 
-    total = p.sum(axis=1) * w
-    for value in total.tolist():
+    total = p.sum(axis=-1, keepdims=True) * w
+    for value in total.ravel().tolist():
         if not 0.0 < value < math.inf:
             raise NumericalError(f"mirror map produced non-normalizable values (total={value})")
-    p /= total[:, np.newaxis]
-    return p
+    p /= total
+    return Density(grid, p, copy=False)
 
 
 def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,

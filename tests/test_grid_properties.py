@@ -127,6 +127,26 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
 
 
 @SETTINGS
+@given(grids(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_sample_from_density_block_matches_each_row_alone(grid, seeds):
+    rng = np.random.default_rng(seeds[0])
+    weights = rng.random((len(seeds), grid.n_cells)) + 1e-3
+    block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
+    rows = [Density(grid, row) for row in block.values]
+    points = sample(block, [np.random.default_rng(s) for s in seeds])
+    shared = sample(Density(grid, block.values[:1]), [np.random.default_rng(s) for s in seeds])
+    assert points.shape == shared.shape == (len(seeds), grid.dim)
+    for i, s in enumerate(seeds):
+        assert points[i].tobytes() == sample(rows[i], np.random.default_rng(s)).tobytes()
+        assert shared[i].tobytes() == sample(rows[0], np.random.default_rng(s)).tobytes()
+    with pytest.raises(ValueError):
+        sample(block, rng)
+    if len(seeds) > 1:
+        with pytest.raises(ValueError):
+            sample(block, [rng])
+
+
+@SETTINGS
 @given(grids())
 def test_cells_tile_the_domain(grid):
     assert grid.n_cells == grid.n ** grid.dim == len(grid.centers)

@@ -135,6 +135,10 @@ def test_density_invariants(unit_grid):
         Density(unit_grid, np.full(unit_grid.n_cells, 2.0))
     with pytest.raises(ValueError):
         GridFunction(unit_grid, np.full(unit_grid.n_cells, np.nan))
+    ones = np.ones(unit_grid.n_cells) / unit_grid.domain.volume
+    assert Density(unit_grid, np.stack([ones, ones])).values.shape == (2, unit_grid.n_cells)
+    with pytest.raises(ValueError):  # every row of a block integrates to one
+        Density(unit_grid, np.stack([ones, 2.0 * ones]))
 
 
 def test_sample_point_mass(unit_grid):

@@ -147,6 +147,16 @@ def test_mirror_density_invariants_adversarial(grid):
             assert integrate(q) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("reg", ALL_FAMILIES, ids=lambda r: r.family)
+def test_mirror_of_block_maps_each_row_as_alone(grid, reg):
+    rng = np.random.default_rng(5)
+    scores = rng.normal(0.0, 3.0, (3, grid.n_cells))
+    block = mirror(reg, GridFunction(grid, scores))
+    assert isinstance(block, Density) and block.values.shape == scores.shape
+    for row, q in zip(scores, block.values):
+        assert q.tobytes() == mirror(reg, GridFunction(grid, row)).values.tobytes()
+
+
 def test_mirror_shift_invariant_at_large_offsets(grid):
     # base is rounded to the offset's spacing, so y and y + offset have bitwise
     # equal gaps max y - y, and Q(y + offset) must equal Q(y) bit for bit.
