@@ -227,7 +227,8 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     # cost a block of one would pay every round.
     score_rows = list(y)
     for t in range(1, T + 1):
-        x = mirror(reg, GridFunction(grid, eta(t) * y, copy=False))
+        # Sums of checked models; mirror rejects a row it cannot normalise.
+        x = mirror(reg, GridFunction.unchecked(grid, eta(t) * y))
         if diag is not None:
             diag.start_round(t, y[0])
         actions = grids.sample(x, rngs)

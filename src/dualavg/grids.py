@@ -191,6 +191,18 @@ class GridFunction:
         self.values = values.copy() if copy else values
 
     @classmethod
+    def unchecked(cls, grid: Grid, values: np.ndarray):
+        """``values`` (float, one row or a block) as an instance, neither copied nor checked.
+
+        For values whose invariants the caller has just established, such as
+        a mirror map's normalised output, where the checks would repeat work.
+        """
+        f = cls.__new__(cls)
+        f.grid = grid
+        f.values = values
+        return f
+
+    @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
         """Evaluate ``fn`` on all cell centers; ``fn`` maps (n_cells, d) -> (n_cells,)."""
         return cls(grid, np.asarray(fn(grid.centers), dtype=float), copy=False)

@@ -234,7 +234,8 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
         if not 0.0 < value < math.inf:
             raise NumericalError(f"mirror map produced non-normalizable values (total={value})")
     p /= total
-    return Density(grid, p, copy=False)
+    # Nonnegative by construction, and every row integrates to one.
+    return Density.unchecked(grid, p)
 
 
 def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,

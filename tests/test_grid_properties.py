@@ -124,21 +124,15 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
         assert gen.random() == alone.random()  # each generator advanced as one call would
     with pytest.raises(ValueError):
         sample(p, gens, size=2)
-
-
-@SETTINGS
-@given(grids(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-def test_sample_from_density_block_matches_each_row_alone(grid, seeds):
-    rng = np.random.default_rng(seeds[0])
+    # A block of densities: one row serves every generator, R rows one each.
     weights = rng.random((len(seeds), grid.n_cells)) + 1e-3
     block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
-    rows = [Density(grid, row) for row in block.values]
-    points = sample(block, [np.random.default_rng(s) for s in seeds])
-    shared = sample(Density(grid, block.values[:1]), [np.random.default_rng(s) for s in seeds])
-    assert points.shape == shared.shape == (len(seeds), grid.dim)
-    for i, s in enumerate(seeds):
-        assert points[i].tobytes() == sample(rows[i], np.random.default_rng(s)).tobytes()
-        assert shared[i].tobytes() == sample(rows[0], np.random.default_rng(s)).tobytes()
+    for q in (block, Density(grid, block.values[:1])):
+        points = sample(q, [np.random.default_rng(s) for s in seeds])
+        assert points.shape == (len(seeds), grid.dim)
+        for i, s in enumerate(seeds):
+            row = Density(grid, q.values[i % len(q.values)])
+            assert points[i].tobytes() == sample(row, np.random.default_rng(s)).tobytes()
     with pytest.raises(ValueError):
         sample(block, rng)
     if len(seeds) > 1:

@@ -140,21 +140,21 @@ def test_mirror_density_invariants_adversarial(grid):
         GridFunction(grid, spiky),
         GridFunction(grid, -spiky),
     ]
+    block = GridFunction(grid, np.stack([y.values for y in cases]))
     for reg in ALL_FAMILIES:
-        for y in cases:
+        rows = mirror(reg, block).values  # a block maps each row as it maps alone
+        for y, row in zip(cases, rows):
             q = mirror(reg, y)
             assert np.all(q.values >= 0.0)
             assert integrate(q) == pytest.approx(1.0, abs=1e-9)
+            assert row.tobytes() == q.values.tobytes()
 
 
-@pytest.mark.parametrize("reg", ALL_FAMILIES, ids=lambda r: r.family)
-def test_mirror_of_block_maps_each_row_as_alone(grid, reg):
-    rng = np.random.default_rng(5)
-    scores = rng.normal(0.0, 3.0, (3, grid.n_cells))
-    block = mirror(reg, GridFunction(grid, scores))
-    assert isinstance(block, Density) and block.values.shape == scores.shape
-    for row, q in zip(scores, block.values):
-        assert q.tobytes() == mirror(reg, GridFunction(grid, row)).values.tobytes()
+def test_mirror_rejects_a_block_row_it_cannot_normalise(grid):
+    scores = np.zeros((2, grid.n_cells))
+    scores[1, 3] = np.inf  # unchecked scores: mirror is the guard
+    with pytest.raises(NumericalError, match="non-normalizable"), np.errstate(invalid="ignore"):
+        mirror(negentropy(), GridFunction.unchecked(grid, scores))
 
 
 def test_mirror_shift_invariant_at_large_offsets(grid):
