@@ -195,7 +195,9 @@ class GridFunction:
         """``values`` (float, one row or a block) as an instance, neither copied nor checked.
 
         For values whose invariants the caller has just established, such as
-        a mirror map's normalised output, where the checks would repeat work.
+        a mirror map's normalised output, or that the next step checks anyway,
+        such as scores passed to the mirror map, which rejects a row it
+        cannot normalise.
         """
         f = cls.__new__(cls)
         f.grid = grid
