@@ -7,9 +7,9 @@ baselines.  A regret harness grades traces against fixed and per-round
 comparators and fits empirical growth rates.
 """
 
-from .bandit import BDAConfig, KernelModel, kernel_estimate, mixed_strategy, run_bda
+from .bandit import BDAConfig, kernel_estimate, mixed_strategy, run_bda
 from .baselines import exp3_probabilities, run_exp3, run_uniform
-from .dual_averaging import DAState, EnergyRecord, da_step, da_strategy, energy_records, run_da
+from .dual_averaging import run_da
 from .errors import (
     ConfigError,
     DomainError,
@@ -23,24 +23,20 @@ from .grids import (
     Grid,
     GridFunction,
     ball_patch,
-    eval_at,
     integrate,
     l1_distance,
     pair,
     sample,
     sup_norm,
-    tv_distance,
 )
 from .losses import (
     BanditChannel,
     BiasedChannel,
     ExactChannel,
-    FiniteSumStream,
     Observation,
     TrigStream,
     UnbiasedChannel,
     default_trig_stream,
-    loss_function,
     to_payoff,
     variation,
 )
@@ -65,7 +61,6 @@ from .regularizers import (
     fenchel_coupling,
     hval,
     hvol,
-    min_hval,
     mirror,
     negentropy,
     quadratic,

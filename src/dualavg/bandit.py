@@ -2,9 +2,11 @@
 
 From a single realized payoff the learner reconstructs a full payoff model:
 a uniform ball kernel around the chosen action, importance-weighted by the
-played strategy's density there.  Scores accumulate these sparse models and
-the played strategy mixes the logit of the scores with explicit uniform
-exploration.
+played strategy's density there (``kernel_estimate``).  Scores accumulate
+these sparse models and the played strategy mixes the logit of the scores
+with explicit uniform exploration (``mixed_strategy``).  ``run_bda`` builds
+every round from these two functions and the package's one categorical draw
+(``grids.draw_cell``); each exists once.
 """
 
 from __future__ import annotations
@@ -15,15 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grids import Density, Grid, GridFunction, ball_patch, dot
+from .grids import Density, Grid, GridFunction, ball_patch, dot, draw_from_cdf, sampling_cdf
 from .losses import LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block
-from .regularizers import Regularizer, negentropy, mirror
 from .schedules import Schedule
 
 __all__ = [
     "BDAConfig",
-    "KernelModel",
     "mixed_strategy",
     "kernel_estimate",
     "run_bda",
@@ -36,8 +36,9 @@ class BDAConfig:
 
     The optimal exponents in dimension d are eta ~ t^-((d+2)/(d+3)) and
     delta, eps ~ t^-(1/(d+3)); coefficients are free and default to broad
-    early exploration.  The kernel radius is floored at twice the cell
-    diameter so the ball patch can never be empty.  ``eps=None`` disables
+    early exploration.  ``run_bda`` floors the kernel radius at twice the
+    cell diameter, so the ball patch is never empty; ``delta`` is the
+    schedule before that floor.  ``eps=None`` disables
     explicit exploration; the importance weight then relies on the strict
     positivity of the logit strategy on the grid.
     """
@@ -58,78 +59,50 @@ class BDAConfig:
         d = grid.dim
         return cls(
             eta=Schedule(eta_coef, (d + 2) / (d + 3)),
-            delta=Schedule(
-                grid.domain.diameter / 4.0,
-                1.0 / (d + 3),
-                floor=2.0 * grid.cell_diameter,
-            ),
+            delta=Schedule(grid.domain.diameter / 4.0, 1.0 / (d + 3)),
             eps=Schedule(0.5, 1.0 / (d + 3)),
         )
 
 
-@dataclass
-class KernelModel:
-    """Sparse payoff model supported on a ball patch, constant on its support."""
+def mixed_strategy(y: GridFunction, eta: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(logit, mixed) of the scores, per row of a block: Q(eta * y) and its exploration mix.
 
-    grid: Grid
-    support: np.ndarray
-    value: float
-    action: np.ndarray
-    radius: float
-    payoff: float
-    density_at_action: float
-
-    def to_grid_function(self) -> GridFunction:
-        vals = np.zeros(self.grid.n_cells)
-        vals[self.support] = self.value
-        return GridFunction(self.grid, vals, copy=False)
-
-    def kernel(self) -> GridFunction:
-        """The underlying ball kernel K(action, .), normalized to integrate to one."""
-        patch_volume = self.support.size * self.grid.cell_volume
-        vals = np.zeros(self.grid.n_cells)
-        vals[self.support] = 1.0 / patch_volume
-        return GridFunction(self.grid, vals, copy=False)
-
-
-def mixed_strategy(y: GridFunction, eta: float, eps: float,
-                   reg: Regularizer | None = None) -> Density:
-    """(1 - eps) * Q(eta * y) + eps * uniform; floor eps / volume everywhere."""
+    The logit is the Hedge strategy exp(eta * y) normalised on the grid; the
+    played strategy is (1 - eps) * logit + eps * (1 / volume), so every cell
+    has density at least eps / volume.  ``run_bda`` calls this once per
+    round on its (S, n) scores.
+    """
     if not (0.0 <= eps <= 1.0):
         raise DomainError("exploration weight must lie in [0, 1]")
-    reg = negentropy() if reg is None else reg
     grid = y.grid
-    base = mirror(reg, GridFunction(grid, eta * y.values, copy=False))
-    vals = (1.0 - eps) * base.values + eps / grid.domain.volume
-    return Density(grid, vals, copy=False)
+    logit = y.values * eta
+    logit -= logit.max(axis=-1, keepdims=True)
+    np.exp(logit, out=logit)
+    logit /= logit.sum(axis=-1, keepdims=True) * grid.cell_volume
+    mixed = logit * (1.0 - eps)
+    mixed += eps * (1.0 / grid.domain.volume)
+    return logit, mixed
 
 
-def kernel_estimate(action, payoff: float, strategy: Density, delta: float) -> KernelModel:
-    """Importance-weighted ball-kernel model from one realized payoff.
+def kernel_estimate(grid: Grid, action, payoff: float, density_at_action: float,
+                    delta: float) -> tuple[np.ndarray, float]:
+    """Importance-weighted ball-kernel model from one realized payoff: (support, value).
 
-    The support value is payoff / (measured patch volume * strategy(action));
-    the measured volume (cell count times cell volume) makes the kernel
-    integrate to exactly one on the grid, boundary clipping included.
+    The model is ``value`` on the cells of the ball patch of radius ``delta``
+    around ``action`` and 0 elsewhere, with value = payoff / (measured patch
+    volume * density_at_action), the played strategy's density at the
+    action.  The measured volume (cell count times cell volume) makes the
+    kernel integrate to exactly one on the grid, boundary clipping included.
     """
     if not (0.0 <= payoff <= 1.0):
         raise DomainError(f"bandit payoffs must lie in [0, 1], got {payoff}")
-    grid = strategy.grid
-    density_here = float(strategy.values[grid.cell_index(action)])
-    if density_here <= 0.0:
+    if density_at_action <= 0.0:
         raise DomainError(
             "strategy density vanishes at the action; the importance weight "
             "is undefined (cannot happen with positive exploration)"
         )
     support, volume = ball_patch(grid, action, delta)
-    return KernelModel(
-        grid=grid,
-        support=support,
-        value=payoff / (volume * density_here),
-        action=np.atleast_1d(np.asarray(action, dtype=float)),
-        radius=delta,
-        payoff=payoff,
-        density_at_action=density_here,
-    )
+    return support, payoff / (volume * density_at_action)
 
 
 def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
@@ -139,8 +112,11 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
 
     Per round: mix the logit strategy with uniform exploration, sample an
     action, observe the realized payoff only, build the kernel model, and add
-    it to the scores (payoff ascent).  The trace records expected payoffs
-    under the played strategy plus per-round policy-swap diagnostics.
+    it to the scores (payoff ascent).  The kernel radius is the schedule's
+    delta(t) floored at twice the cell diameter; the trace's
+    ``delta_floor_rounds`` counts the rounds where the floor was used.  The
+    trace records expected payoffs under the played strategy plus per-round
+    policy-swap diagnostics.
 
     ``rng`` is one Generator, for which one trace is returned, or a sequence
     of Generators, one per seed of a block, for which a list of traces is
@@ -158,17 +134,14 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
     if not stream.payoff_convention:
         raise ConfigError("run_bda requires a payoff-convention stream (values in [0,1])")
     rngs, single = generator_block(rng)
-    S, n = len(rngs), grid.n_cells
+    S = len(rngs)
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=S)
     w = grid.cell_volume
     uniform_val = 1.0 / grid.domain.volume
     delta_floor = 2.0 * grid.cell_diameter
-    centers, steps, dim = grid.centers, grid.steps, grid.dim
-    # Scores, logit strategies, played strategies and their CDFs, one row per
-    # seed; the buffers and their row views are made once, since a view per
-    # row per round is a cost a block of one would pay.
-    y, base, vals, cdf = (np.zeros((S, n)) for _ in range(4))
-    seed_rows = list(zip(range(S), rngs, y, base, vals, cdf))
+    y = np.zeros((S, grid.n_cells))
+    scores = GridFunction.unchecked(grid, y)
+    score_rows = list(y)  # row views made once, not once per round
     # Round-major, so that each round writes one row.
     swap_gap, expected_unmixed, strategy_min = (np.zeros((T, S)) for _ in range(3))
     eps_series = np.zeros(T)
@@ -176,36 +149,27 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
     floor_active = 0
     for t in range(1, T + 1):
         i = t - 1
-        eta_t = config.eta(t)
         eps_t = config.eps_at(t)
         delta_raw = config.delta(t)
         delta_t = max(delta_raw, delta_floor)
         if delta_t > delta_raw:
             floor_active += 1
-        # Logit of the scaled scores, then explicit exploration mixing, row by row.
-        np.multiply(y, eta_t, out=base)
-        base -= base.max(axis=1, keepdims=True)
-        np.exp(base, out=base)
-        base /= base.sum(axis=1, keepdims=True) * w
-        np.multiply(base, 1.0 - eps_t, out=vals)
-        vals += eps_t * uniform_val
-        np.cumsum(vals, axis=1, out=cdf)
+        base, vals = mixed_strategy(scores, config.eta(t), eps_t)
+        cdf = sampling_cdf(Density.unchecked(grid, vals))
 
         f_vals = stream.values(t)
-        expected, payoffs, actions = [], [], []
-        for s, g, y_s, base_s, vals_s, cdf_s in seed_rows:
-            cell = min(int(cdf_s.searchsorted(g.random() * cdf_s[-1])), n - 1)
-            action = centers[cell] + (g.random(dim) - 0.5) * steps
+        expected, unmixed, payoffs, actions = [], [], [], []
+        for g, y_s, vals_s, base_s, cdf_s in zip(rngs, score_rows, vals, base, cdf):
+            cell, action = draw_from_cdf(grid, cdf_s, g)
             payoff = float(f_vals[cell])
-            if not (0.0 <= payoff <= 1.0):
-                raise ConfigError(f"payoff {payoff} outside [0, 1] at round {t}")
             expected.append(dot(f_vals, vals_s) * w)
-            expected_unmixed[i, s] = dot(f_vals, base_s) * w
-            support, patch_volume = ball_patch(grid, action, delta_t)
-            y_s[support] += payoff / (patch_volume * vals_s[cell])
+            unmixed.append(dot(f_vals, base_s) * w)
+            support, value = kernel_estimate(grid, action, payoff, vals_s[cell], delta_t)
+            y_s[support] += value
             payoffs.append(payoff)
             actions.append(action)
         recorder.record(t, f_vals, expected, payoffs, actions)
+        expected_unmixed[i] = unmixed
 
         swap_gap[i] = eps_t * np.abs(base - uniform_val).max(axis=1)
         vals.min(axis=1, out=strategy_min[i])

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Density, Grid, draw_from_cdf, sampling_cdf
+from .grids import Density, Grid, draw_cell, draw_from_cdf, sampling_cdf
 from .losses import LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block
 
@@ -64,7 +64,6 @@ def run_exp3(grid: Grid, stream: LossStream, arms_per_axis: int, T: int,
     rngs, single = generator_block(rng)
     arms = Grid(grid.domain, arms_per_axis).centers
     arm_cells = np.array([grid.cell_index(a) for a in arms])
-    last = len(arms) - 1
     scores = np.zeros((len(rngs), len(arms)))
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):
@@ -75,7 +74,7 @@ def run_exp3(grid: Grid, stream: LossStream, arms_per_axis: int, T: int,
         expected, payoffs, actions = [], [], []
         for s, g in enumerate(rngs):
             p = probs[s]
-            arm = min(int(cdf[s].searchsorted(g.random())), last)
+            arm = draw_cell(cdf[s], g.random())
             payoff = float(arm_payoffs[arm])
             if not (0.0 <= payoff <= 1.0):
                 raise ConfigError(f"EXP3 payoffs must lie in [0, 1], got {payoff}")
@@ -107,7 +106,7 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
-        actions = [draw_from_cdf(grid, cdf, g) for g in rngs]
+        actions = [draw_from_cdf(grid, cdf, g)[1] for g in rngs]
         recorder.record(
             t,
             f_vals,

@@ -6,7 +6,8 @@ fitted final slope).  ``dualavg report <summary.csv>...`` aligns summaries at
 shared checkpoints and adds a theoretical-bound column c * t^r, with the rate
 r of the first summary's algorithm: 1/2 for ``da``, (d+2)/(d+3) otherwise.
 A slope fit that cannot be made leaves its cell empty and prints the reason
-to stderr.
+to stderr, and a ``bda`` run prints how many rounds (over all seeds) used
+the kernel radius floor of twice the cell diameter.
 
 Each of the ``--threads`` workers runs one contiguous block of the seeds, and
 every algorithm moves a block forward as one array program.  DA under exact
@@ -16,7 +17,8 @@ as one block through ``mirror`` (the logit as row operations, a Newton
 solve per row otherwise) and ``grids.sample``.  BDA and
 EXP3 keep one row of scores per seed and compute the block's strategies as
 row operations over the whole array, and the uniform player draws every
-point from one CDF per run.  Outputs are byte-deterministic for
+point from one CDF per run; every draw picks its cell with
+``grids.draw_cell``.  Outputs are byte-deterministic for
 a fixed config and independent of --threads: every seed draws from its own
 generator in the same order whatever its block, and results are merged in
 seed order; floats are written with 12 significant digits.

@@ -118,10 +118,20 @@ class ExperimentConfig:
             raise ConfigError("horizon must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
-        for name in ("eta_exponent", "delta_exponent", "eps_exponent", "drift_exponent"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for key, value in (("schedule.eta_exponent", self.eta_exponent),
+                           ("schedule.delta_exponent", self.delta_exponent),
+                           ("schedule.eps_exponent", self.eps_exponent),
+                           ("stream.drift_exponent", self.drift_exponent),
+                           ("channel.noise_scale", self.noise_scale),
+                           ("channel.bias_scale", self.bias_scale)):
+            if value is not None and not value >= 0:
+                raise ConfigError(f"{key} must be >= 0")
+        for key, value in (("schedule.eta_coef", self.eta_coef),
+                           ("schedule.delta_coef", self.delta_coef)):
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be > 0")
+        if not 0.0 <= self.eps_coef <= 1.0:
+            raise ConfigError("schedule.eps_coef must lie in [0, 1]")
         if self.algorithm in ("bda", "exp3_grid", "uniform") and not self.stream_payoff:
             raise ConfigError(f"algorithm {self.algorithm!r} requires stream.payoff = true")
         if self.algorithm == "bda" and self.channel_kind not in ("bandit",):
@@ -185,7 +195,7 @@ class ExperimentConfig:
         eps_expo = self.eps_exponent if self.eps_exponent is not None else 1 / (d + 3)
         return BDAConfig(
             eta=self.eta_schedule(stream),
-            delta=Schedule(delta_coef, delta_expo, floor=2.0 * grid.cell_diameter),
+            delta=Schedule(delta_coef, delta_expo),
             eps=Schedule(self.eps_coef, eps_expo) if self.eps_coef > 0 else None,
         )
 

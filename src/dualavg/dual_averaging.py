@@ -6,13 +6,14 @@ model_t (payoff-convention streams accumulate with a plus sign).  Optional
 per-step diagnostics track the energy of a fixed comparator and check the
 recursive and telescoped regret bounds along the run.
 
-``run_da`` moves a block of seeds forward together, with the scores as one
-array of rows.  The regret bounds are on the expected regret over draws
-from the mixed strategy, so under exact feedback the strategy sequence is
-the same for every seed and one row serves the block; only the draws
-differ.  With noisy feedback each seed has its own row, and the mirror
-map, its normalisability check and the sampling CDFs are row operations
-over the block.  Either way each trace equals that of a run of its seed
+``run_da`` is the module's one entry point; it moves a block of seeds
+forward together, with the scores as one array of rows.  The regret bounds
+are on the expected regret over draws from the mixed strategy, so under
+exact feedback the strategy sequence is the same for every seed and one
+row serves the block; only the draws differ.  With noisy feedback each seed
+has its own row, and the mirror map, its normalisability check and the
+sampling CDFs are row operations over the block; every draw goes through
+``grids.sample``.  Either way each trace equals that of a run of its seed
 alone, bit for bit, so outputs do not depend on how seeds are blocked (the
 CLI's ``--threads``).
 """
@@ -20,7 +21,6 @@ CLI's ``--threads``).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,73 +28,11 @@ from .errors import ConfigError
 from .grids import Density, Grid, GridFunction
 from .losses import FeedbackChannel, LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block
-from .regularizers import (
-    Regularizer,
-    conjugate,
-    hval,
-    min_hval,
-    mirror,
-)
+from .regularizers import Regularizer, conjugate, hval, hvol, mirror
 from .schedules import Schedule
 from . import grids
 
-__all__ = [
-    "DAState",
-    "EnergyRecord",
-    "da_strategy",
-    "da_step",
-    "run_da",
-    "energy_records",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class DAState:
-    """Learner state: round counter, score function, and the learning-rate rule."""
-
-    grid: Grid
-    regularizer: Regularizer
-    eta: Schedule
-    t: int = 1
-    scores: np.ndarray = None
-    payoff_convention: bool = False
-
-    def __post_init__(self):
-        if self.scores is None:
-            object.__setattr__(self, "scores", np.zeros(self.grid.n_cells))
-
-    @property
-    def learning_rate(self) -> float:
-        return self.eta(self.t)
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    t: int
-    value: float
-    eta: float
-
-
-def da_strategy(state: DAState) -> Density:
-    """Current mixed strategy Q(eta_t * y_t)."""
-    scaled = GridFunction(state.grid, state.learning_rate * state.scores, copy=False)
-    return mirror(state.regularizer, scaled)
-
-
-def da_step(state: DAState, model: GridFunction) -> DAState:
-    """Score update y_{t+1} = y_t -/+ model; increments the round counter."""
-    grids.ensure_same_grid(model.grid, state.grid)
-    sign = 1.0 if state.payoff_convention else -1.0
-    return replace(state, t=state.t + 1, scores=state.scores + sign * model.values)
-
-
-def energy_records(trace: RegretTrace) -> list[EnergyRecord]:
-    """Energy diagnostics of a diagnostic run as typed records."""
-    if "energy" not in trace.extras:
-        raise KeyError("trace was recorded without energy diagnostics")
-    energies = trace.extras["energy"]
-    etas = trace.extras["eta"]
-    return [EnergyRecord(t + 1, float(e), float(h)) for t, (e, h) in enumerate(zip(energies, etas))]
+__all__ = ["run_da"]
 
 
 class _EnergyDiagnostics:
@@ -113,7 +51,8 @@ class _EnergyDiagnostics:
         self.eta = eta
         self.payoff = payoff
         self.h_mu = hval(reg, comparator)
-        self.h_gap = self.h_mu - min_hval(reg, grid.domain.volume)
+        # h is smallest at the uniform density, whose value is hvol(volume).
+        self.h_gap = self.h_mu - hvol(reg, grid.domain.volume)
         self.kappa = reg.kappa(grid.domain.volume)
         self.K = reg.modulus
         self.energy = np.zeros(T + 1)

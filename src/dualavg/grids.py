@@ -28,11 +28,10 @@ __all__ = [
     "pair",
     "sup_norm",
     "l1_distance",
-    "tv_distance",
     "sample",
     "sampling_cdf",
+    "draw_cell",
     "draw_from_cdf",
-    "eval_at",
     "ball_patch",
 ]
 
@@ -313,11 +312,6 @@ def l1_distance(p: GridFunction, q: GridFunction) -> float:
     return float(np.abs(p.values - q.values).sum() * p.grid.cell_volume)
 
 
-def tv_distance(p: Density, q: Density) -> float:
-    """Total-variation norm of p - q, i.e. the L1 distance (2 for disjoint supports)."""
-    return l1_distance(p, q)
-
-
 def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
            size: int | None = None) -> np.ndarray:
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
@@ -327,7 +321,7 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     (len(rng), d) result is the point ``sample(p, rng[i])`` draws.  With a
     sequence, ``p`` may be a block of densities: a block of one row serves
     every generator, and a block of len(rng) rows gives row i to ``rng[i]``.
-    The CDFs are built once per call.
+    The CDFs are built once per call, and every cell is picked by ``draw_cell``.
     """
     grid = p.grid
     cdf = sampling_cdf(p)
@@ -339,34 +333,45 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
             rows = [rows[0]] * len(rng)
         elif len(rows) != len(rng):
             raise ValueError(f"{len(rows)} density rows for {len(rng)} generators")
-        return np.array([draw_from_cdf(grid, c, gen)
+        return np.array([draw_from_cdf(grid, c, gen)[1]
                          for c, gen in zip(rows, rng)]).reshape(-1, grid.dim)
     if cdf.ndim != 1:
         raise ValueError("a block of densities needs a sequence of generators")
     if size is None:
-        return draw_from_cdf(grid, cdf, rng)
+        return draw_from_cdf(grid, cdf, rng)[1]
     m = int(size)
-    cells = np.minimum(cdf.searchsorted(rng.random(m)), grid.n_cells - 1)
+    cells = draw_cell(cdf, rng.random(m))
     offsets = (rng.random((m, grid.dim)) - 0.5) * grid.steps
     return grid.centers[cells] + offsets
 
 
 def sampling_cdf(p: Density) -> np.ndarray:
-    """Cumulative cell masses of ``p`` divided by their last entry, per row of a block."""
-    cdf = np.cumsum(p.values * p.grid.cell_volume, axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
+    """Unnormalised cumulative sums of the cell values of ``p``, per row of a block.
+
+    ``draw_cell`` scales its variate by a row's last entry, so neither the
+    cell volume nor the total is divided out here.
+    """
+    return np.cumsum(p.values, axis=-1)
 
 
-def draw_from_cdf(grid: Grid, cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One point: the cell by inverting a ``sampling_cdf`` row, then a uniform offset in the cell."""
-    cell = min(int(cdf.searchsorted(rng.random())), grid.n_cells - 1)
-    return grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
+def draw_cell(cdf: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
+    """The cell(s) that uniform variate(s) ``u`` in [0, 1) pick under one ``sampling_cdf`` row.
+
+    A cell is the first whose cumulative sum reaches ``u`` times the row's
+    total, clipped to the last cell.  This is the one categorical draw of
+    the package: every sampler and learner picks its cells or arms here.
+    """
+    last = cdf.shape[-1] - 1
+    if isinstance(u, float):
+        return min(int(cdf.searchsorted(u * cdf[-1])), last)
+    return np.minimum(cdf.searchsorted(u * cdf[-1]), last)
 
 
-def eval_at(f: GridFunction, x) -> float:
-    """Value of ``f`` at the cell containing ``x``."""
-    return float(f.values[f.grid.cell_index(x)])
+def draw_from_cdf(grid: Grid, cdf: np.ndarray,
+                  rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """(cell, point): a cell from ``draw_cell`` on a ``sampling_cdf`` row, then a uniform point in it."""
+    cell = draw_cell(cdf, rng.random())
+    return cell, grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
 
 
 def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:

@@ -20,7 +20,6 @@ from .grids import Grid, GridFunction
 __all__ = [
     "LossStream",
     "TrigStream",
-    "FiniteSumStream",
     "PayoffStream",
     "to_payoff",
     "default_trig_stream",
@@ -30,7 +29,6 @@ __all__ = [
     "BiasedChannel",
     "BanditChannel",
     "Observation",
-    "loss_function",
     "variation",
 ]
 
@@ -340,41 +338,6 @@ def default_trig_stream(grid: Grid, seed: int = 0, n_terms: int = 5,
     )
 
 
-class FiniteSumStream(LossStream):
-    """Uniformly sampled component per round: the online-to-batch adversary.
-
-    The component index at round t is derived from (seed, t), so the stream
-    stays a pure function of the round.
-    """
-
-    def __init__(self, components: list[GridFunction], lipschitz: float, seed: int = 0):
-        if not components:
-            raise ValueError("at least one component required")
-        self.grid = components[0].grid
-        for c in components:
-            components[0]._check_same_grid(c)
-        # Read-only copies: values(t) hands these out, and models may alias them.
-        self.components = [c.values.copy() for c in components]
-        for vals in self.components:
-            vals.setflags(write=False)
-        self.seed = int(seed)
-        self.V = max(float(np.abs(c).max()) for c in self.components)
-        self.L = float(lipschitz)
-
-    @property
-    def kind(self) -> str:
-        return "finite_sum"
-
-    def component_index(self, t: int) -> int:
-        return int(np.random.default_rng((self.seed, t)).integers(len(self.components)))
-
-    def values(self, t: int) -> np.ndarray:
-        return self.components[self.component_index(t)]
-
-    def mean_loss(self) -> GridFunction:
-        return GridFunction(self.grid, np.mean(self.components, axis=0))
-
-
 class PayoffStream(LossStream):
     """Affine payoff view of a loss stream: payoff = (V - loss) / (2V), in [0, 1]."""
 
@@ -412,13 +375,6 @@ class PayoffStream(LossStream):
 
 def to_payoff(stream: LossStream) -> PayoffStream:
     return PayoffStream(stream)
-
-
-def loss_function(stream: LossStream, t: int) -> GridFunction:
-    """The round-t function of the stream (a loss, or a payoff in [0,1])."""
-    if t < 1:
-        raise ValueError("rounds are 1-indexed")
-    return stream.loss_function(t)
 
 
 def variation(stream: LossStream, T: int) -> float:

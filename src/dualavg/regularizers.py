@@ -37,7 +37,6 @@ __all__ = [
     "tsallis",
     "hval",
     "hvol",
-    "min_hval",
     "mirror",
     "conjugate",
     "fenchel_coupling",
@@ -141,11 +140,6 @@ def hvol(reg: Regularizer, z: float) -> float:
         return z * math.log(z)
     g = reg.gamma
     return (1.0 - z ** (1.0 - g)) / (g * (1.0 - g))
-
-
-def min_hval(reg: Regularizer, volume: float) -> float:
-    """Minimum of h over densities, attained at the uniform strategy."""
-    return hvol(reg, volume)
 
 
 def _bisect_multiplier(phi, lo: float, hi: float, tol: float = 1e-12,

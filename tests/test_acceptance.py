@@ -21,11 +21,12 @@ from dualavg import (
     Grid,
     GridFunction,
     Schedule,
-    ball_patch,
     conjugate,
     default_trig_stream,
     fenchel_coupling,
     fit_slope,
+    kernel_estimate,
+    l1_distance,
     mirror,
     mixed_strategy,
     negentropy,
@@ -34,7 +35,6 @@ from dualavg import (
     run_da,
     sample,
     to_payoff,
-    tv_distance,
     window_decomposition,
 )
 from dualavg.cli import run_command
@@ -225,7 +225,7 @@ def test_criterion_1_fenchel_property_suite():
                                             grid.domain.volume)
             if abs(conjugate(reg, y) - closed) > 1e-10 * max(1.0, abs(closed)):
                 violations.append(("closed-form-conjugate", i, conjugate(reg, y), closed))
-        if tv_distance(p, q) > 0.05 and F <= 1e-8:
+        if l1_distance(p, q) > 0.05 and F <= 1e-8:
             violations.append(("fenchel-young-strictness", i))
 
     # Strong-convexity lower bound (Pinsker for negentropy, L2 for quadratic).
@@ -338,7 +338,8 @@ def test_criterion_3_kernel_bias():
     u = stream.values(1)
     rng = np.random.default_rng(1)
     y = GridFunction(grid, rng.normal(0.0, 1.0, grid.n_cells))
-    strategy = mixed_strategy(y, eta=1.0, eps=0.3)
+    _, mixed = mixed_strategy(y, eta=1.0, eps=0.3)
+    strategy = Density(grid, mixed)
     delta = 0.08
     probes = np.array([0.06, 0.19, 0.33, 0.47, 0.55, 0.68, 0.81, 0.94])
     probe_cells = np.array([grid.cell_index(x) for x in probes])
@@ -351,8 +352,7 @@ def test_criterion_3_kernel_bias():
     for i in range(N):
         x_draw = draws[i]
         cell = grid.cell_index(x_draw)
-        support, vol = ball_patch(grid, x_draw, delta)
-        value = u[cell] / (vol * strategy.values[cell])
+        _, value = kernel_estimate(grid, x_draw, u[cell], strategy.values[cell], delta)
         hit = np.abs(probe_centers - x_draw[0]) <= delta
         est = np.where(hit, value, 0.0)
         sums += est

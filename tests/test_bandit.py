@@ -35,10 +35,11 @@ def payoff_stream(grid, seed=0):
 def test_mixed_strategy_extremes(grid):
     rng = np.random.default_rng(0)
     y = GridFunction(grid, rng.normal(0, 3, grid.n_cells))
-    full_explore = mixed_strategy(y, eta=1.0, eps=1.0)
-    assert np.allclose(full_explore.values, 1.0, atol=1e-12)
-    no_explore = mixed_strategy(GridFunction.constant(grid, 0.0), eta=1.0, eps=0.0)
-    assert np.allclose(no_explore.values, 1.0, atol=1e-10)
+    _, full_explore = mixed_strategy(y, eta=1.0, eps=1.0)
+    assert np.allclose(full_explore, 1.0, atol=1e-12)
+    logit, no_explore = mixed_strategy(GridFunction.constant(grid, 0.0), eta=1.0, eps=0.0)
+    assert np.allclose(no_explore, 1.0, atol=1e-10)
+    assert np.array_equal(logit, no_explore)
     with pytest.raises(DomainError):
         mixed_strategy(y, eta=1.0, eps=1.5)
 
@@ -48,12 +49,15 @@ def test_mixed_strategy_floor_and_sup_gap(grid):
 
     rng = np.random.default_rng(1)
     vol = grid.domain.volume
-    for _ in range(20):
-        y = GridFunction(grid, rng.normal(0, 5, grid.n_cells))
+    block = rng.normal(0, 5, (20, grid.n_cells))
+    for row in block:
+        y = GridFunction(grid, row)
         eps = float(rng.uniform(0.01, 0.9))
-        x = mixed_strategy(y, eta=1.0, eps=eps)
+        logit, mixed = mixed_strategy(y, eta=1.0, eps=eps)
+        x = Density(grid, mixed)
         assert x.values.min() >= eps / vol - 1e-12
         base = mirror(negentropy(), y)
+        assert np.abs(logit - base.values).max() <= 1e-12 * base.values.max()
         # Exact mixing identity: |x - x_tilde| = eps * |x_tilde - 1/vol|.
         gap = np.abs(x.values - base.values).max()
         ident = eps * np.abs(base.values - 1.0 / vol).max()
@@ -63,42 +67,47 @@ def test_mixed_strategy_floor_and_sup_gap(grid):
         # which is what the policy-swap argument consumes.
         u = GridFunction(grid, rng.uniform(0.0, 1.0, grid.n_cells))
         assert abs(pair(u, x) - pair(u, base)) <= eps * (1.0 + 1.0 / vol) + 1e-12
+    # A block of scores is mixed row by row, bit for bit.
+    logits, mixed = mixed_strategy(GridFunction(grid, block), eta=0.7, eps=0.2)
+    for row, logit_r, mixed_r in zip(block, logits, mixed):
+        one_logit, one_mixed = mixed_strategy(GridFunction(grid, row), eta=0.7, eps=0.2)
+        assert np.array_equal(one_logit, logit_r) and np.array_equal(one_mixed, mixed_r)
 
 
 def test_kernel_zero_payoff_and_guard(grid):
-    uniform = Density.uniform(grid)
-    model = kernel_estimate(np.array([0.4]), 0.0, uniform, 0.1)
-    assert model.value == 0.0
-    assert np.all(model.to_grid_function().values == 0.0)
+    support, value = kernel_estimate(grid, np.array([0.4]), 0.0, 1.0, 0.1)
+    assert value == 0.0 and support.size > 0
     with pytest.raises(DomainError):
-        kernel_estimate(np.array([0.4]), 1.5, uniform, 0.1)
+        kernel_estimate(grid, np.array([0.4]), 1.5, 1.0, 0.1)
     point_mass = Density.uniform_on_cells(grid, [3])
+    density_there = point_mass.values[grid.cell_index(0.9)]
     with pytest.raises(DomainError):
-        kernel_estimate(np.array([0.9]), 0.5, point_mass, 0.1)
+        kernel_estimate(grid, np.array([0.9]), 0.5, density_there, 0.1)
 
 
 def test_kernel_support_value_oracle():
     # Uniform strategy on [0,1], delta=0.1 at x=0.5: value = 1/(0.2 * 1) = 5.
     g = Grid(BoxDomain(0.0, 1.0), 1000)
-    model = kernel_estimate(np.array([0.5]), 1.0, Density.uniform(g), 0.1)
-    assert model.value == pytest.approx(5.0, abs=0.05)
-    f = model.to_grid_function()
-    outside = np.setdiff1d(np.arange(g.n_cells), model.support)
-    assert np.all(f.values[outside] == 0.0)
+    support, value = kernel_estimate(g, np.array([0.5]), 1.0, 1.0, 0.1)
+    assert value == pytest.approx(5.0, abs=0.05)
+    inside = np.nonzero(np.abs(g.centers[:, 0] - 0.5) <= 0.1)[0]
+    assert np.array_equal(support, inside)
 
 
 def test_kernel_normalization_random_points(grid):
+    # The kernel integrates to one on the grid, so under the uniform strategy
+    # (density 1 on [0,1]) the model integrates to the payoff.
     rng = np.random.default_rng(2)
-    uniform = Density.uniform(grid)
+    w = grid.cell_volume
     for _ in range(100):
         x = rng.uniform(0.0, 1.0, size=1)
         delta = float(rng.uniform(3 * grid.cell_diameter, 0.6))
-        model = kernel_estimate(x, 0.5, uniform, delta)
-        assert integrate(model.kernel()) == pytest.approx(1.0, abs=1e-9)
+        support, value = kernel_estimate(grid, x, 0.5, 1.0, delta)
+        assert value * support.size * w == pytest.approx(0.5, abs=1e-9)
     # Boundary-clipped patches as well.
     for x0 in (0.0, 1.0):
-        model = kernel_estimate(np.array([x0]), 0.5, uniform, 0.05)
-        assert integrate(model.kernel()) == pytest.approx(1.0, abs=1e-9)
+        support, value = kernel_estimate(grid, np.array([x0]), 0.5, 1.0, 0.05)
+        assert value * support.size * w == pytest.approx(0.5, abs=1e-9)
 
 
 def test_importance_weighting_identity():
@@ -122,8 +131,7 @@ def test_importance_weighting_identity():
     for i in range(N):
         x_draw = draws[i]
         cell = g.cell_index(x_draw)
-        support, vol = ball_patch(g, x_draw, delta)
-        val = u_vals[cell] / (vol * strategy.values[cell])
+        _, val = kernel_estimate(g, x_draw, u_vals[cell], strategy.values[cell], delta)
         for x0 in probes:
             if abs(centers[probe_cells[x0]] - x_draw[0]) <= delta:
                 estimates[x0][i] = val
@@ -142,10 +150,10 @@ def test_second_moment_scaling_in_delta():
     rng = np.random.default_rng(6)
     y = GridFunction(g, rng.normal(0, 1, g.n_cells))
     eps = 0.3
-    x = mixed_strategy(y, eta=1.0, eps=eps)
-    from dualavg import mirror, negentropy, sample
+    x_tilde, mixed = mixed_strategy(y, eta=1.0, eps=eps)
+    x = Density(g, mixed)
+    from dualavg import sample
 
-    x_tilde = mirror(negentropy(), y)
     N = 10**4
     draws = sample(x, rng, size=N)
     w = g.cell_volume
@@ -154,9 +162,8 @@ def test_second_moment_scaling_in_delta():
         acc = 0.0
         for i in range(N):
             cell = g.cell_index(draws[i])
-            support, vol = ball_patch(g, draws[i], delta)
-            val = u_vals[cell] / (vol * x.values[cell])
-            acc += float(x_tilde.values[support].sum() * w) * val * val
+            support, val = kernel_estimate(g, draws[i], u_vals[cell], x.values[cell], delta)
+            acc += float(x_tilde[support].sum() * w) * val * val
         return acc / N
 
     m1 = measured_moment(0.2)
@@ -255,10 +262,14 @@ def test_bda_config_validation(grid):
     assert cfg.eta.exponent == pytest.approx(0.75)
     assert cfg.delta.exponent == pytest.approx(0.25)
     assert cfg.eps.exponent == pytest.approx(0.25)
-    assert cfg.delta.floor == pytest.approx(2 * grid.cell_diameter)
-    # Schedules never fall below their floors / stay in range.
-    assert all(cfg.delta(t) >= cfg.delta.floor for t in (1, 10, 10**6))
     assert all(0 < cfg.eps_at(t) <= 1 for t in (1, 10, 10**6))
+    # run_bda floors the radius at twice the cell diameter and counts the
+    # rounds where the schedule fell below it.
+    floor = 2 * grid.cell_diameter
+    coarse = BDAConfig(eta=cfg.eta, delta=Schedule(4 * floor, 1.0), eps=cfg.eps)
+    trace = run_bda(grid, payoff_stream(grid), coarse, 10, np.random.default_rng(0))
+    assert list(trace.extras["delta"]) == [max(coarse.delta(t), floor) for t in range(1, 11)]
+    assert trace.extras["delta_floor_rounds"] == 6  # 4 * floor / t < floor for t > 4
 
 
 def test_bda_no_exploration_mode(grid):

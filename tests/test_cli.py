@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualavg.cli import main, report_command, run_command
-from dualavg.config import parse_config, parse_seed_spec
+from dualavg.config import parse_config, parse_seed_spec, run_seed
 from dualavg.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -90,6 +91,21 @@ def test_semantic_validation():
         parse_config("stream.kind = drifting\nhorizon = 10\n")  # no drift rate
     with pytest.raises(ConfigError):
         parse_config("horizon = 0\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("schedule.eps_coef = -0.5", "schedule.eps_coef"),
+    ("schedule.eps_coef = 1.5", "schedule.eps_coef"),
+    ("schedule.delta_coef = -1", "schedule.delta_coef"),
+    ("schedule.eta_coef = 0", "schedule.eta_coef"),
+    ("channel.noise_scale = -1", "channel.noise_scale"),
+    ("channel.bias_scale = -0.1", "channel.bias_scale"),
+    ("schedule.eps_exponent = -0.25", "schedule.eps_exponent"),
+])
+def test_out_of_range_values_rejected_at_parse(line, key):
+    text = BDA_CONFIG + line + "\n"
+    with pytest.raises(ConfigError, match=rf"^exp\.cfg: {key.replace('.', '[.]')} must"):
+        parse_config(text, source="exp.cfg")
 
 
 def test_finite_sum_stream_kind_rejected_at_parse():
@@ -218,6 +234,24 @@ def test_cli_main_and_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "nonsense = 1\n")
     assert main(["run", bad]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_kernel_radius_floor_rounds_counted_and_warned(tmp_path, capsys):
+    # d = 2 on 16 x 16 cells: the default radius sqrt(2)/4 * t^(-1/5) falls
+    # below twice the cell diameter after about 32 rounds.
+    text = BDA_CONFIG.replace("domain.dim = 1\ngrid.n = 64", "domain.dim = 2\ngrid.n = 16")
+    text = text.replace("horizon = 120\nseeds = 1,4", "horizon = 3000\nseeds = 0")
+    cfg_path = write(tmp_path, "floor.cfg", text)
+    cfg = parse_config(text)
+    trace = run_seed(cfg, 0)
+    floor = 2.0 * math.sqrt(2.0) / 16
+    radius = math.sqrt(2.0) / 4
+    expected = sum(1 for t in range(1, 3001) if radius * t ** -0.2 < floor)
+    assert expected > 2900
+    assert trace.extras["delta_floor_rounds"] == expected
+    run_command(cfg_path, out=str(tmp_path / "f"))
+    err = capsys.readouterr().err
+    assert f"warning: kernel radius floor (2x cell diameter) active on {expected} round(s)" in err
 
 
 def test_report_passthrough_and_bound(tmp_path, capsys):

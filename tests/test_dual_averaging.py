@@ -12,11 +12,11 @@ from dualavg import (
     ExactChannel,
     Grid,
     GridFunction,
-    GridMismatchError,
     Schedule,
     UnbiasedChannel,
     BanditChannel,
     default_trig_stream,
+    mirror,
     negentropy,
     quadratic,
     run_da,
@@ -25,7 +25,6 @@ from dualavg import (
     tsallis,
 )
 from dualavg.config import ExperimentConfig, run_seed
-from dualavg.dual_averaging import DAState, da_step, da_strategy, energy_records
 from tests.test_regret import ConstantStream
 
 
@@ -35,55 +34,67 @@ def grid():
 
 
 def test_initial_strategy_is_uniform(grid):
+    # y_1 = 0, so round 1 plays the uniform density under every regularizer.
+    stream = default_trig_stream(grid, seed=1)
+    f = stream.values(1)
     for reg in (negentropy(), quadratic(), tsallis(0.5)):
-        state = DAState(grid, reg, Schedule(1.0, 0.5))
-        x = da_strategy(state)
-        assert np.allclose(x.values, 1.0, atol=1e-10)
+        trace = run_da(grid, reg, stream, ExactChannel(), Schedule(1.0, 0.5), 1,
+                       np.random.default_rng(0))
+        assert trace.expected[0] == pytest.approx(f.mean(), abs=1e-10)
 
 
 def test_logit_constant_shift_invariance(grid):
     rng = np.random.default_rng(0)
     y = rng.normal(size=grid.n_cells)
-    s1 = DAState(grid, negentropy(), Schedule(1.0, 0.5), scores=y)
-    s2 = DAState(grid, negentropy(), Schedule(1.0, 0.5), scores=y + 42.0)
-    assert np.abs(da_strategy(s1).values - da_strategy(s2).values).max() < 1e-12
+    x1 = mirror(negentropy(), GridFunction(grid, y))
+    x2 = mirror(negentropy(), GridFunction(grid, y + 42.0))
+    assert np.abs(x1.values - x2.values).max() < 1e-12
 
 
 def test_strategy_analytic_oracle():
     g = Grid(BoxDomain(0.0, 1.0), 1024)
-    state = DAState(g, negentropy(), Schedule(1.0, 0.0), scores=g.centers[:, 0])
-    x = da_strategy(state)
+    x = mirror(negentropy(), GridFunction(g, g.centers[:, 0]))
     expected = np.exp(g.centers[:, 0]) / (math.e - 1.0)
     assert np.abs(x.values - expected).max() < 1e-4
 
 
+def _logit_replay(grid, stream, eta, T, sign):
+    """Expected values of playing exp(eta_t * y_t) with y_1 = 0, y_{t+1} = y_t + sign * f_t."""
+    w = grid.cell_volume
+    y = np.zeros(grid.n_cells)
+    expected = []
+    for t in range(1, T + 1):
+        z = np.exp(eta(t) * y - (eta(t) * y).max())
+        f = stream.values(t)
+        expected.append(f @ z / z.sum())
+        y += sign * f
+    return np.array(expected)
+
+
 def test_da_step_semantics(grid):
-    state = DAState(grid, negentropy(), Schedule(1.0, 0.5))
-    zero_model = GridFunction.constant(grid, 0.0)
-    stepped = da_step(state, zero_model)
-    assert stepped.t == 2
-    assert np.array_equal(stepped.scores, state.scores)
-    rng = np.random.default_rng(1)
-    v = GridFunction(grid, rng.normal(size=grid.n_cells))
-    w = GridFunction(grid, rng.normal(size=grid.n_cells))
-    ab = da_step(da_step(state, v), w)
-    ba = da_step(da_step(state, w), v)
-    assert np.abs(ab.scores - ba.scores).max() < 1e-15
-    assert np.allclose(ab.scores, -(v.values + w.values))
+    # Loss streams: y_{t+1} = y_t - model_t, checked against an independent
+    # replay of the scores through run_da's expected values.
+    stream = default_trig_stream(grid, seed=12, drift_rate=0.3)
+    eta = Schedule(2.0, 0.5)
+    trace = run_da(grid, negentropy(), stream, ExactChannel(), eta, 30,
+                   np.random.default_rng(1))
+    np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, -1.0),
+                               rtol=0, atol=1e-12)
     # Constant models leave the logit strategy uniform.
-    c_state = state
-    for _ in range(5):
-        c_state = da_step(c_state, GridFunction.constant(grid, 3.0))
-    assert np.allclose(da_strategy(c_state).values, 1.0, atol=1e-10)
-    with pytest.raises(GridMismatchError):
-        da_step(state, GridFunction.constant(Grid(BoxDomain(0.0, 2.0), 256), 1.0))
+    trace = run_da(grid, negentropy(), ConstantStream(grid, 3.0), ExactChannel(), eta, 5,
+                   np.random.default_rng(1))
+    assert np.allclose(trace.expected, 3.0, atol=1e-12)
 
 
 def test_payoff_convention_adds(grid):
-    state = DAState(grid, negentropy(), Schedule(1.0, 0.5), payoff_convention=True)
-    v = GridFunction.constant(grid, 2.0)
-    stepped = da_step(state, v)
-    assert np.allclose(stepped.scores, 2.0)
+    stream = to_payoff(default_trig_stream(grid, seed=12, drift_rate=0.3))
+    eta = Schedule(2.0, 0.5)
+    trace = run_da(grid, negentropy(), stream, ExactChannel(), eta, 30,
+                   np.random.default_rng(1))
+    np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, 1.0),
+                               rtol=0, atol=1e-12)
+    # The same scores with the loss sign would play a different sequence.
+    assert np.abs(trace.expected - _logit_replay(grid, stream, eta, 30, -1.0)).max() > 1e-3
 
 
 def test_constant_stream_zero_regret_every_horizon(grid):
@@ -152,8 +163,7 @@ def test_energy_recursion_and_telescoped_bound(grid, reg):
     bound = ex["h_gap"] / etas[1:] + err + ex["kappa"] ** 2 / (2 * ex["modulus"]) * sq
     assert np.all(reg_mu <= bound + 1e-4)
     assert np.abs(ex["error_term"]).max() == 0.0
-    records = energy_records(trace)
-    assert records[0].t == 1 and len(records) == 301
+    assert len(energy) == 301
 
 
 def test_energy_diagnostics_with_noise(grid):

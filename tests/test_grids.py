@@ -10,13 +10,11 @@ from dualavg import (
     GridMismatchError,
     ResolutionError,
     ball_patch,
-    eval_at,
     integrate,
     l1_distance,
     pair,
     sample,
     sup_norm,
-    tv_distance,
 )
 from dualavg.grids import dot
 
@@ -115,13 +113,13 @@ def test_grid_mismatch_raises(unit_grid):
 
 def test_norms(unit_grid):
     p = Density.uniform(unit_grid)
-    assert tv_distance(p, p) == 0.0
+    assert l1_distance(p, p) == 0.0
     n = unit_grid.n_cells
     left = np.zeros(n)
     left[: n // 2] = 2.0
     right = np.zeros(n)
     right[n // 2 :] = 2.0
-    assert tv_distance(Density(unit_grid, left), Density(unit_grid, right)) == pytest.approx(
+    assert l1_distance(Density(unit_grid, left), Density(unit_grid, right)) == pytest.approx(
         2.0, abs=1e-9
     )
     f = GridFunction.from_callable(unit_grid, lambda c: np.sin(2 * np.pi * c[:, 0]))
@@ -181,21 +179,21 @@ def test_sample_cell_frequencies():
 
 
 def test_eval_at(unit_grid):
-    assert eval_at(GridFunction.constant(unit_grid, 3.3), 0.77) == 3.3
-    cell = 5
-    f = GridFunction(unit_grid, np.eye(unit_grid.n_cells)[cell])
-    assert eval_at(f, unit_grid.centers[cell]) == 1.0
+    # Evaluating a grid function at a point reads the cell ``cell_index`` finds.
+    f = GridFunction(unit_grid, np.arange(unit_grid.n_cells, dtype=float))
+    assert f.values[unit_grid.cell_index(0.77)] == 788.0  # 0.77 * 1024 = 788.48
+    assert unit_grid.cell_index(unit_grid.centers[5]) == 5
     with pytest.raises(DomainError):
-        eval_at(f, 1.5)
+        unit_grid.cell_index(1.5)
 
 
 def test_eval_at_boundary_tie_rule():
     g = Grid(BoxDomain(0.0, 1.0), 10)
-    f = GridFunction(g, np.arange(10, dtype=float))
-    # x = 0.3 sits exactly on the boundary between cells 2 and 3.
-    assert eval_at(f, 0.3) == 2.0
-    assert eval_at(f, 1.0) == 9.0
-    assert eval_at(f, 0.0) == 0.0
+    # x = 0.3 sits on the boundary between cells 2 and 3 (not a dyadic point,
+    # unlike the property tests' boundaries).
+    assert g.cell_index(0.3) == 2
+    assert g.cell_index(1.0) == 9
+    assert g.cell_index(0.0) == 0
 
 
 def test_ball_patch_volumes():

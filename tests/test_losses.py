@@ -15,13 +15,11 @@ from dualavg import (
     ConfigError,
     Density,
     ExactChannel,
-    FiniteSumStream,
     Grid,
     GridFunction,
     TrigStream,
     UnbiasedChannel,
     default_trig_stream,
-    loss_function,
     sup_norm,
     to_payoff,
     variation,
@@ -37,15 +35,15 @@ def grid():
 
 def test_single_term_sup_bound(grid):
     stream = TrigStream(grid, amplitudes=[0.8], freqs=[[3]], phases=[0.4])
-    f = loss_function(stream, 1)
+    f = stream.loss_function(1)
     assert sup_norm(f) <= 0.8
     assert stream.V == pytest.approx(0.8)
 
 
 def test_zero_drift_is_static(grid):
     stream = default_trig_stream(grid, seed=1, drift_rate=0.0)
-    f1 = loss_function(stream, 1)
-    f99 = loss_function(stream, 99)
+    f1 = stream.loss_function(1)
+    f99 = stream.loss_function(99)
     assert np.array_equal(f1.values, f99.values)
     assert stream.kind == "trig_mixture"
 
@@ -74,41 +72,6 @@ def test_declared_bounds_hold_over_time(grid):
             num = np.abs(vals[i[keep]] - vals[j[keep]])
             den = np.abs(grid.centers[i[keep], 0] - grid.centers[j[keep], 0])
             assert np.all(num <= stream.L * den * (1 + 1e-6))
-
-
-def test_finite_sum_mean_and_determinism(grid):
-    comps = [
-        GridFunction.from_callable(grid, lambda c, k=k: np.sin(2 * np.pi * (k + 1) * c[:, 0]))
-        for k in range(4)
-    ]
-    stream = FiniteSumStream(comps, lipschitz=8 * math.pi, seed=5)
-    mean = stream.mean_loss()
-    stacked = np.mean([c.values for c in comps], axis=0)
-    assert np.abs(mean.values - stacked).max() < 1e-12
-    assert stream.component_index(17) == stream.component_index(17)
-    # Uniform component sampling is an unbiased model of the mean risk.
-    N = 20000
-    acc = np.zeros(grid.n_cells)
-    for t in range(1, N + 1):
-        acc += stream.values(t)
-    acc /= N
-    sigma = np.std([c.values for c in comps], axis=0).max()
-    assert np.abs(acc - stacked).max() < 4 * sigma / math.sqrt(N)
-
-
-def test_finite_sum_values_are_read_only_copies(grid):
-    comps = [GridFunction.constant(grid, 1.0), GridFunction.constant(grid, 2.0)]
-    stream = FiniteSumStream(comps, lipschitz=0.0, seed=3)
-    vals = stream.values(1)
-    with pytest.raises(ValueError):
-        vals[0] = 5.0
-    # The caller's arrays stay theirs: mutating them leaves the stream intact.
-    for c in comps:
-        c.values[:] = -7.0
-    assert set(np.unique(stream.values(1))) <= {1.0, 2.0}
-    model = ExactChannel().observe(stream, 1, None, None, None).model
-    with pytest.raises(ValueError):
-        model.values[0] = 0.0
 
 
 def test_drifting_stream_evaluates_each_round_once(grid):
@@ -141,6 +104,8 @@ def test_exact_channel_returns_truth(grid):
     obs = ExactChannel().observe(stream, 3, Density.uniform(grid), np.array([0.5]),
                                  np.random.default_rng(0))
     assert np.array_equal(obs.model.values, stream.values(3))
+    with pytest.raises(ValueError):
+        obs.model.values[0] = 0.0  # the model aliases the stream's read-only values
     assert obs.bias_bound == 0.0 and obs.noise_bound == 0.0
 
 

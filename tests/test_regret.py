@@ -12,7 +12,6 @@ from dualavg import (
     ExactChannel,
     Grid,
     GridFunction,
-    FiniteSumStream,
     Schedule,
     default_checkpoints,
     default_trig_stream,
@@ -42,12 +41,13 @@ def grid():
 
 
 class ConstantStream(LossStream):
+    """The same values every round: ``c`` in every cell, or one value per cell."""
+
     def __init__(self, grid, c):
         self.grid = grid
-        self.c = c
-        self.V = abs(c)
+        self._vals = np.full(grid.n_cells, c, dtype=float)
+        self.V = float(np.abs(self._vals).max())
         self.L = 0.0
-        self._vals = np.full(grid.n_cells, float(c))
 
     def values(self, t):
         return self._vals
@@ -91,7 +91,7 @@ def test_static_regret_hand_value(grid):
     cell = 40
     vals = np.zeros(grid.n_cells)
     vals[cell] = -1.0
-    stream = FiniteSumStream([GridFunction(grid, vals)], lipschitz=1.0)
+    stream = ConstantStream(grid, vals)
     T = 12
     trace = replay(stream, [Density.uniform(grid)] * T, grid)
     uniform_mean = -grid.cell_volume / grid.domain.volume

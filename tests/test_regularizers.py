@@ -20,15 +20,15 @@ from dualavg import (
     hval,
     hvol,
     integrate,
+    l1_distance,
     mirror,
     negentropy,
     pair,
     quadratic,
     regularizers,
     tsallis,
-    tv_distance,
 )
-from dualavg.regularizers import _bisect_multiplier, ambient_distance, min_hval
+from dualavg.regularizers import _bisect_multiplier, ambient_distance
 
 ALL_FAMILIES = [negentropy(), quadratic(), burg(), tsallis(0.5)]
 
@@ -316,7 +316,7 @@ def test_conjugate_examples(grid):
     # h*(0) = -min h for every family.
     for reg in ALL_FAMILIES:
         assert conjugate(reg, zero) == pytest.approx(
-            -min_hval(reg, grid.domain.volume), abs=1e-8
+            -hvol(reg, grid.domain.volume), abs=1e-8
         )
 
 
@@ -364,7 +364,7 @@ def test_fenchel_young_inequality(grid):
             assert F >= -1e-8
             # Equality only at the mirror point: a perturbed mirror has F > 0.
             q = mirror(reg, y)
-            if tv_distance(p, q) > 0.05:
+            if l1_distance(p, q) > 0.05:
                 assert F > 1e-8
 
 
