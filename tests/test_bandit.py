@@ -188,7 +188,7 @@ def test_run_bda_covering_kernel_keeps_uniform(grid):
     stream = ConstPayoff(grid, 0.8)
     config = BDAConfig(
         eta=Schedule(1.0, 0.75),
-        delta=Schedule(5.0, 0.0, floor=2 * grid.cell_diameter),  # ball covers X
+        delta=Schedule(5.0, 0.0),  # ball covers X
         eps=Schedule(0.5, 0.25),
     )
     trace = run_bda(grid, stream, config, 30, np.random.default_rng(8))
@@ -276,7 +276,7 @@ def test_bda_no_exploration_mode(grid):
     stream = payoff_stream(grid, seed=14)
     cfg = BDAConfig(
         eta=Schedule(1.0, 0.75),
-        delta=Schedule(0.25, 0.25, floor=2 * grid.cell_diameter),
+        delta=Schedule(0.25, 0.25),
         eps=None,
     )
     trace = run_bda(grid, stream, cfg, 50, np.random.default_rng(15))
