@@ -140,7 +140,9 @@ class ExperimentConfig:
             raise ConfigError("algorithm 'da' needs a function-valued channel")
         if self.stream_kind == "drifting" and self.drift_rate == 0.0:
             raise ConfigError("drifting stream needs stream.drift_rate > 0")
-        if self.checkpoint_ratio <= 1.0:
+        if not self.checkpoint_start >= 1:
+            raise ConfigError("checkpoint.start must be >= 1")
+        if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint.ratio must exceed 1")
 
     # domain / grid -----------------------------------------------------

@@ -40,6 +40,9 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
     """Geometric checkpoint rounds from ``start`` with the given ratio, plus T."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
+    if not (start >= 1 and ratio > 1):
+        # Otherwise the sequence never passes T.
+        raise ValueError("checkpoints need start >= 1 and ratio > 1")
     points = []
     c = float(start)
     while c <= T:

@@ -334,6 +334,12 @@ def test_default_checkpoints_match_unique(T, start, ratio):
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("start, ratio", [(0, 1.3), (-5, 1.3), (1, 1.0), (1, float("nan"))])
+def test_default_checkpoints_reject_a_sequence_that_never_passes_T(start, ratio):
+    with pytest.raises(ValueError):
+        default_checkpoints(100, start=start, ratio=ratio)
+
+
 _NUMPY_MA_PROBE = """\
 import sys
 from dualavg.config import parse_config, run_seed
