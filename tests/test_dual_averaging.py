@@ -80,10 +80,6 @@ def test_da_step_semantics(grid):
                    np.random.default_rng(1))
     np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, -1.0),
                                rtol=0, atol=1e-12)
-    # Constant models leave the logit strategy uniform.
-    trace = run_da(grid, negentropy(), ConstantStream(grid, 3.0), ExactChannel(), eta, 5,
-                   np.random.default_rng(1))
-    assert np.allclose(trace.expected, 3.0, atol=1e-12)
 
 
 def test_payoff_convention_adds(grid):
