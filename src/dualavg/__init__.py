@@ -7,9 +7,9 @@ baselines.  A regret harness grades traces against fixed and per-round
 comparators and fits empirical growth rates.
 """
 
-from .bandit import BDAConfig, kernel_estimate, mixed_strategy, run_bda
+from .bandit import BDAConfig, run_bda
 from .baselines import exp3_probabilities, run_exp3, run_uniform
-from .dual_averaging import run_da
+from .dual_averaging import mixed_strategy, run_da
 from .errors import (
     ConfigError,
     DomainError,
@@ -37,6 +37,7 @@ from .losses import (
     TrigStream,
     UnbiasedChannel,
     default_trig_stream,
+    kernel_estimate,
     to_payoff,
     variation,
 )

@@ -96,7 +96,7 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
     ``rng`` is one Generator (one trace) or a sequence of them (one trace per
     seed, in order).  The expected value is shared by every seed, and one
     sampling CDF, built once per run as ``grids.sample`` builds it, serves
-    every draw.
+    every draw; the realized value is read at the drawn cell.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -106,13 +106,13 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
-        actions = [draw_from_cdf(grid, cdf, g)[1] for g in rngs]
+        drawn = [draw_from_cdf(grid, cdf, g) for g in rngs]
         recorder.record(
             t,
             f_vals,
             float(f_vals.sum() * w / grid.domain.volume),
-            [float(f_vals[grid.cell_index(a)]) for a in actions],
-            actions,
+            [float(f_vals[cell]) for cell, _ in drawn],
+            [action for _, action in drawn],
         )
     traces = recorder.finish_block({"algorithm": "uniform"})
     return traces[0] if single else traces

@@ -118,12 +118,17 @@ class ExperimentConfig:
             raise ConfigError("horizon must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        for key, value in (("grid.n", self.grid_n), ("stream.terms", self.stream_terms),
+                           ("exp3.arms", self.exp3_arms)):
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be >= 1")
         for key, value in (("schedule.eta_exponent", self.eta_exponent),
                            ("schedule.delta_exponent", self.delta_exponent),
                            ("schedule.eps_exponent", self.eps_exponent),
                            ("stream.drift_exponent", self.drift_exponent),
                            ("channel.noise_scale", self.noise_scale),
-                           ("channel.bias_scale", self.bias_scale)):
+                           ("channel.bias_scale", self.bias_scale),
+                           ("channel.bias_decay", self.bias_decay)):
             if value is not None and not value >= 0:
                 raise ConfigError(f"{key} must be >= 0")
         for key, value in (("schedule.eta_coef", self.eta_coef),
@@ -169,14 +174,16 @@ class ExperimentConfig:
         )
         return to_payoff(base) if self.stream_payoff else base
 
-    def build_channel(self):
+    def build_channel(self, grid: Grid):
         if self.channel_kind == "exact":
             return ExactChannel()
         if self.channel_kind == "unbiased":
             return UnbiasedChannel(self.noise_scale)
         if self.channel_kind == "biased":
             return BiasedChannel(self.noise_scale, self.bias_scale, self.bias_decay)
-        return BanditChannel()
+        delta_coef = self.delta_coef if self.delta_coef is not None else grid.domain.diameter / 4
+        delta_expo = self.delta_exponent if self.delta_exponent is not None else 1 / (self.dim + 3)
+        return BanditChannel(Schedule(delta_coef, delta_expo))
 
     def build_regularizer(self) -> Regularizer:
         return Regularizer(self.reg_family, self.reg_gamma)
@@ -191,13 +198,11 @@ class ExperimentConfig:
         return Schedule(coef, expo)
 
     def bda_config(self, grid: Grid, stream: LossStream) -> BDAConfig:
-        d = self.dim
-        delta_coef = self.delta_coef if self.delta_coef is not None else grid.domain.diameter / 4
-        delta_expo = self.delta_exponent if self.delta_exponent is not None else 1 / (d + 3)
-        eps_expo = self.eps_exponent if self.eps_exponent is not None else 1 / (d + 3)
+        """The bda schedules; the radius schedule is that of the bandit channel."""
+        eps_expo = self.eps_exponent if self.eps_exponent is not None else 1 / (self.dim + 3)
         return BDAConfig(
             eta=self.eta_schedule(stream),
-            delta=Schedule(delta_coef, delta_expo),
+            delta=self.build_channel(grid).delta,
             eps=Schedule(self.eps_coef, eps_expo) if self.eps_coef > 0 else None,
         )
 
@@ -295,7 +300,7 @@ def run_seed(cfg: ExperimentConfig,
             grid,
             cfg.build_regularizer(),
             stream,
-            cfg.build_channel(),
+            cfg.build_channel(grid),
             cfg.eta_schedule(stream),
             cfg.horizon,
             rngs,

@@ -1,21 +1,18 @@
-"""Dual averaging with (possibly inexact) full-function feedback.
+"""Dual averaging fed an inexact model of each round's loss: the package's one learner loop.
 
 The learner accumulates negated loss models into a score function and plays
 the mirror image of the scaled scores: x_t = Q(eta_t * y_t), y_{t+1} = y_t -
-model_t (payoff-convention streams accumulate with a plus sign).  Optional
-per-step diagnostics track the energy of a fixed comparator and check the
-recursive and telescoped regret bounds along the run.
-
-``run_da`` is the module's one entry point; it moves a block of seeds
-forward together, with the scores as one array of rows.  The regret bounds
-are on the expected regret over draws from the mixed strategy, so under
-exact feedback the strategy sequence is the same for every seed and one
-row serves the block; only the draws differ.  With noisy feedback each seed
-has its own row, and the mirror map, its normalisability check and the
-sampling CDFs are row operations over the block; every draw goes through
-``grids.sample``.  Either way each trace equals that of a run of its seed
+model_t (payoff-convention streams accumulate with a plus sign), mixed with
+the uniform density under an optional exploration schedule
+(``mixed_strategy``).  The feedback channel makes the model: a function on
+the whole grid (exact, unbiased, biased), or the bandit channel's kernel
+model, added on its patch alone.  Kernel bandit dual averaging
+(``bandit.run_bda``) is this loop with the negentropy regularizer, the
+bandit channel and an exploration schedule.  ``run_da`` moves a block of
+seeds forward together, and each trace equals that of a run of its seed
 alone, bit for bit, so outputs do not depend on how seeds are blocked (the
-CLI's ``--threads``).
+CLI's ``--threads``).  Optional per-step diagnostics track the energy of a
+fixed comparator and check the recursive and telescoped regret bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grids import Density, Grid, GridFunction
 from .losses import FeedbackChannel, LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block
@@ -32,7 +29,21 @@ from .regularizers import Regularizer, conjugate, hval, hvol, mirror
 from .schedules import Schedule
 from . import grids
 
-__all__ = ["run_da"]
+__all__ = ["mixed_strategy", "run_da"]
+
+
+def mixed_strategy(x: Density, eps: float) -> Density:
+    """The exploration mix (1 - eps) * x + eps * (1 / volume), per row of a block.
+
+    Every cell of the result has density at least eps / volume, which bounds
+    the importance weight of the bandit channel's kernel model.
+    """
+    if not (0.0 <= eps <= 1.0):
+        raise DomainError("exploration weight must lie in [0, 1]")
+    grid = x.grid
+    mixed = x.values * (1.0 - eps)
+    mixed += eps * (1.0 / grid.domain.volume)
+    return Density.unchecked(grid, mixed)
 
 
 class _EnergyDiagnostics:
@@ -61,6 +72,7 @@ class _EnergyDiagnostics:
         self.err_term = np.zeros(T)
         self.sq_term = np.zeros(T)
         self.etas = np.array([eta(t) for t in range(1, T + 2)])
+        self.energy[0] = self._energy_at(1, np.zeros(grid.n_cells))  # y_1 = 0
 
     def _energy_at(self, t: int, scores: np.ndarray) -> float:
         eta_t = self.etas[t - 1]
@@ -71,10 +83,6 @@ class _EnergyDiagnostics:
             - grids.pair(scaled, self.mu)
         ) / eta_t
         return val
-
-    def start_round(self, t: int, scores: np.ndarray) -> None:
-        if t == 1:
-            self.energy[0] = self._energy_at(1, scores)
 
     def end_round(self, t: int, scores_next: np.ndarray, model_vals: np.ndarray,
                   x: np.ndarray, f_vals: np.ndarray, expected: float) -> None:
@@ -121,31 +129,36 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
            channel: FeedbackChannel, eta: Schedule, T: int,
            rng: np.random.Generator | Sequence[np.random.Generator],
            diagnostics: Density | None = None,
-           checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
+           checkpoints: np.ndarray | None = None,
+           eps: Schedule | None = None) -> RegretTrace | list[RegretTrace]:
     """Run T rounds of dual averaging and record a regret trace.
 
     ``rng`` is one Generator, for which one trace is returned, or a sequence
     of Generators, one per seed of a block, for which a list of traces is
-    returned in the same order.  The block moves forward together: each seed
-    draws from its own Generator in the order a run of that seed alone
-    would, and its trace equals that run's bit for bit.
+    returned in the same order.  Each seed draws from its own Generator in
+    the order a run of that seed alone would, and its trace equals that
+    run's bit for bit.
 
-    The scores are one (R, n) array.  Under a ``deterministic`` channel
-    (exact feedback) every seed plays the same strategy, so R = 1;
-    otherwise R is the number of seeds.  Each round, ``mirror`` maps the
-    scaled scores, as one block of R rows, to the R strategies (the logit
-    as row operations, or a Newton solve per row, with one normalisability
-    check for the block), and ``grids.sample`` builds their sampling CDFs
-    with one cumulative sum over the block and draws each seed's point.  Per
-    seed, and in the order a run of that seed alone makes them, are the
-    draw, the channel's observation, the expected value under the seed's
-    strategy and the realized value at its action; under exact feedback
-    the observation and the expected value are made once, for row 0.  The
-    stream value, its per-round best and the cumulative snapshots are
-    computed once per round and shared.
+    The scores are one (R, n) array.  The regret bounds are on the expected
+    regret over draws, so under a ``deterministic`` channel (exact feedback)
+    every seed plays the same strategy and R = 1; otherwise R is the number
+    of seeds.  Each round, ``mirror`` maps the scaled scores, as one block
+    of R rows, to the R strategies (the logit as row operations, or a Newton
+    solve per row, with one normalisability check for the block); with an
+    ``eps`` schedule, ``mixed_strategy`` mixes eps_t of the uniform density
+    into every row.  ``grids.sample`` builds the sampling CDFs with one
+    cumulative sum over the block and draws each seed's cell and point.
+    Per seed are the channel's observation at the drawn cell, the expected
+    value under the played strategy and the score update, in place on a
+    kernel model's patch; under exact feedback the observation and the
+    expected value are made once, for row 0.  The realized values are read
+    at the drawn cells.  The stream value, its per-round best and the
+    cumulative snapshots are computed once per round and shared, as is the
+    read-only ``eps`` series in the extras.
 
     Passing a comparator density as ``diagnostics`` turns on per-step energy
-    accounting (roughly doubles the per-round cost); it follows one seed.
+    accounting (roughly doubles the per-round cost); it follows one seed,
+    and the recursion is that of the mirror image before exploration.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -168,29 +181,32 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     for t in range(1, T + 1):
         # Sums of checked models; mirror rejects a row it cannot normalise.
         x = mirror(reg, GridFunction.unchecked(grid, eta(t) * y))
-        if diag is not None:
-            diag.start_round(t, y[0])
-        actions = grids.sample(x, rngs)
+        played = x if eps is None else mixed_strategy(x, eps(t))
+        cells, actions = grids.sample(played, rngs)
         f_vals = stream.values(t)
         # Row r is played by seed r, or by every seed when shared; a shared
-        # channel reads neither the action nor the generator it is given.
+        # channel reads neither the draw nor the generator it is given.
         expected = []
-        for row, x_r, action, g in zip(score_rows, x.values, actions, rngs):
-            model = channel.observe(stream, t, x_r, action, g).model
-            if model is None:
-                raise ConfigError("run_da needs function-valued feedback; use run_bda for bandits")
+        for row, x_r, cell, action, g in zip(score_rows, played.values, cells, actions, rngs):
+            obs = channel.observe(stream, t, x_r, cell, action, g)
             expected.append(grids.dot(f_vals, x_r) * w)
+            index, model = obs.patch or (Ellipsis, obs.model.values)
             if payoff:
-                row += model.values
+                row[index] += model
             else:
-                row -= model.values
-        realized = [f_vals[grid.cell_index(a)] for a in actions]
-        recorder.record(t, f_vals, expected, realized, actions)
+                row[index] -= model
+        recorder.record(t, f_vals, expected, f_vals[cells], actions)
         if diag is not None:
-            diag.end_round(t, y[0], model.values, x.values[0], f_vals, expected[0])
+            model_vals = np.zeros(grid.n_cells)
+            model_vals[index] = model
+            diag.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
     etas = np.array([eta(t) for t in range(1, T + 2)])
     etas.setflags(write=False)
     extras = {"algorithm": "da", "eta": etas}
+    if eps is not None:
+        eps_series = np.array([eps(t) for t in range(1, T + 1)])
+        eps_series.setflags(write=False)
+        extras["eps"] = eps_series
     if diag is not None:
         extras.update(diag.extras())
     traces = recorder.finish_block(extras)

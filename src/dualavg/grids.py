@@ -68,12 +68,6 @@ class BoxDomain:
         object.__setattr__(self, "volume", float(np.prod(lengths)))
         object.__setattr__(self, "diameter", float(np.linalg.norm(lengths)))
 
-    def contains(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != self.lower.shape:
-            return False
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -317,8 +311,10 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
 
     Returns shape (d,) for ``size=None`` and (size, d) otherwise.  ``rng`` may
-    also be a sequence of generators (with ``size=None``): row i of the
-    (len(rng), d) result is the point ``sample(p, rng[i])`` draws.  With a
+    also be a sequence of generators (with ``size=None``); the result is then
+    (cells, points): entry i of the cell list and row i of the (len(rng), d)
+    points are the cell and the point ``sample(p, rng[i])`` draws, so a
+    caller reads the drawn cell instead of looking the point up.  With a
     sequence, ``p`` may be a block of densities: a block of one row serves
     every generator, and a block of len(rng) rows gives row i to ``rng[i]``.
     The CDFs are built once per call, and every cell is picked by ``draw_cell``.
@@ -333,8 +329,8 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
             rows = [rows[0]] * len(rng)
         elif len(rows) != len(rng):
             raise ValueError(f"{len(rows)} density rows for {len(rng)} generators")
-        return np.array([draw_from_cdf(grid, c, gen)[1]
-                         for c, gen in zip(rows, rng)]).reshape(-1, grid.dim)
+        cells, points = zip(*[draw_from_cdf(grid, c, gen) for c, gen in zip(rows, rng)])
+        return list(cells), np.array(points).reshape(-1, grid.dim)
     if cdf.ndim != 1:
         raise ValueError("a block of densities needs a sequence of generators")
     if size is None:
@@ -384,7 +380,9 @@ def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:
     if delta <= 0:
         raise DomainError("ball radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    dist2 = np.sum((grid.centers - x) ** 2, axis=1)
+    dist2 = grid.centers - x
+    dist2 *= dist2
+    dist2 = dist2.sum(axis=1)
     indices = np.nonzero(dist2 <= delta * delta)[0]
     if indices.size == 0:
         raise ResolutionError(

@@ -2,8 +2,8 @@
 
 Streams are pure in the round index t and declare sup/Lipschitz bounds (V, L).
 Channels realize the observation models: exact, unbiased (zero-mean
-function-valued noise), biased (decaying systematic offset), and bandit
-(scalar realized payoff only).
+function-valued noise), biased (decaying systematic offset), and bandit (a
+kernel model built from the realized payoff alone, ``kernel_estimate``).
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .grids import Grid, GridFunction
+from .errors import ConfigError, DomainError
+from .grids import Grid, GridFunction, ball_patch
+from .schedules import Schedule
 
 __all__ = [
     "LossStream",
@@ -28,6 +29,7 @@ __all__ = [
     "UnbiasedChannel",
     "BiasedChannel",
     "BanditChannel",
+    "kernel_estimate",
     "Observation",
     "variation",
 ]
@@ -388,15 +390,19 @@ def variation(stream: LossStream, T: int) -> float:
     return stream.variation(T)
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
-    """One round's feedback: a full function model, or a scalar realized payoff.
+    """One round's feedback: a model of the round function, and the realized payoff under bandit feedback.
 
-    ``bias_bound``, ``noise_bound`` and ``magnitude_bound`` are the declared
-    per-round descriptors (B_t, sigma_t, M_t) reported by the channel.
+    The model is ``model`` on the whole grid, or a kernel ``patch`` =
+    (support, value): ``value`` on the flat cells ``support`` and 0
+    elsewhere.  ``bias_bound``, ``noise_bound`` and ``magnitude_bound`` are
+    the declared per-round descriptors (B_t, sigma_t, M_t) reported by the
+    channel.
     """
 
     model: GridFunction | None = None
+    patch: tuple[np.ndarray, float] | None = None
     payoff: float | None = None
     bias_bound: float = 0.0
     noise_bound: float = 0.0
@@ -407,8 +413,8 @@ class FeedbackChannel:
     """Observation process turning the true round function into feedback.
 
     ``observe`` is given the played ``strategy`` as its cell values (an
-    array) and the drawn ``action``; the channels here read at most the
-    action.
+    array), the drawn ``cell`` and the drawn ``action``, a point in that
+    cell; only the bandit channel reads them.
 
     ``deterministic`` marks a channel whose model is a function of the stream
     and the round alone: ``observe`` draws nothing from ``rng`` and reads
@@ -416,19 +422,17 @@ class FeedbackChannel:
     per round for a whole block of seeds.
     """
 
-    kind: str
     deterministic = False
 
-    def observe(self, stream: LossStream, t: int, strategy: np.ndarray, action,
+    def observe(self, stream: LossStream, t: int, strategy: np.ndarray, cell: int, action,
                 rng: np.random.Generator) -> Observation:
         raise NotImplementedError
 
 
 class ExactChannel(FeedbackChannel):
-    kind = "exact"
     deterministic = True
 
-    def observe(self, stream, t, strategy, action, rng):
+    def observe(self, stream, t, strategy, cell, action, rng):
         return Observation(
             model=stream.loss_function(t),
             magnitude_bound=stream.V,
@@ -442,8 +446,6 @@ class UnbiasedChannel(FeedbackChannel):
     with symmetric coefficients c ~ N(0,1); its conditional mean vanishes by
     the sign symmetry of c, and the normalization caps the sup-norm.
     """
-
-    kind = "unbiased"
 
     def __init__(self, noise_scale: float, n_terms: int = 5):
         if noise_scale < 0:
@@ -466,7 +468,7 @@ class UnbiasedChannel(FeedbackChannel):
         noise *= self.noise_scale
         return noise
 
-    def observe(self, stream, t, strategy, action, rng):
+    def observe(self, stream, t, strategy, cell, action, rng):
         vals = self._noise(stream.grid, rng)
         vals += stream.values(t)
         return Observation(
@@ -478,8 +480,6 @@ class UnbiasedChannel(FeedbackChannel):
 
 class BiasedChannel(UnbiasedChannel):
     """Unbiased channel plus a systematic offset of sup-norm B0 * t^(-decay)."""
-
-    kind = "biased"
 
     def __init__(self, noise_scale: float, bias_scale: float, bias_decay: float,
                  n_terms: int = 5, bias_seed: int = 0):
@@ -503,7 +503,7 @@ class BiasedChannel(UnbiasedChannel):
             self._bias_profile = (grid, prof / peak if peak > 0 else prof)
         return self._bias_profile[1]
 
-    def observe(self, stream, t, strategy, action, rng):
+    def observe(self, stream, t, strategy, cell, action, rng):
         vals = self._noise(stream.grid, rng)
         vals += stream.values(t)
         b_t = self.bias_bound(t)
@@ -517,18 +517,63 @@ class BiasedChannel(UnbiasedChannel):
         )
 
 
+def kernel_estimate(grid: Grid, action, payoff: float, density_at_action: float,
+                    delta: float) -> tuple[np.ndarray, float]:
+    """Importance-weighted ball-kernel model from one realized payoff: (support, value).
+
+    The model is ``value`` on the cells of the ball patch of radius ``delta``
+    around ``action`` and 0 elsewhere, with value = payoff / (measured patch
+    volume * density_at_action), the played strategy's density at the
+    action.  The measured volume (cell count times cell volume) makes the
+    kernel integrate to exactly one on the grid, boundary clipping included.
+    """
+    if not (0.0 <= payoff <= 1.0):
+        raise DomainError(f"bandit payoffs must lie in [0, 1], got {payoff}")
+    if density_at_action <= 0.0:
+        raise DomainError(
+            "strategy density vanishes at the action; the importance weight "
+            "is undefined (cannot happen with positive exploration)"
+        )
+    support, volume = ball_patch(grid, action, delta)
+    return support, payoff / (volume * density_at_action)
+
+
 class BanditChannel(FeedbackChannel):
-    """Scalar realized payoff at the chosen action; requires payoffs in [0, 1]."""
+    """Kernel feedback: the realized payoff at the drawn cell, made into a ball-kernel model.
 
-    kind = "bandit"
+    The model is ``kernel_estimate`` of the payoff at the drawn cell, with
+    the played density there, on the ball around the action of radius
+    ``radius(grid, t)`` = max(delta(t), 2 * cell diameter); the floor keeps
+    the patch from being empty.  It declares B_t = L * radius, the distance
+    of an L-Lipschitz payoff from its ball averages, and M_t = 1 / (patch
+    volume * density at the drawn cell), the model's value with the payoff
+    at its bound 1.  The radius is computed once per round and grid, not
+    once per seed.  Requires payoffs in [0, 1].
+    """
 
-    def observe(self, stream, t, strategy, action, rng):
+    def __init__(self, delta: Schedule):
+        self.delta = delta
+        self._radius = (None, 0, 0.0)  # (grid, t, radius) of the last round observed
+
+    def radius(self, grid: Grid, t: int) -> float:
+        return max(self.delta(t), 2.0 * grid.cell_diameter)
+
+    def observe(self, stream, t, strategy, cell, action, rng):
         if not stream.payoff_convention:
             raise ConfigError(
                 "bandit feedback requires a payoff-convention stream with values "
                 "in [0, 1]; wrap loss streams with to_payoff()"
             )
-        value = float(stream.values(t)[stream.grid.cell_index(action)])
-        if not (0.0 <= value <= 1.0):
-            raise ConfigError(f"bandit payoff {value} outside [0, 1] at round {t}")
-        return Observation(payoff=value, magnitude_bound=1.0)
+        grid = stream.grid
+        if self._radius[0] is not grid or self._radius[1] != t:
+            self._radius = (grid, t, self.radius(grid, t))
+        delta_t = self._radius[2]
+        payoff = float(stream.values(t)[cell])
+        density = float(strategy[cell])
+        support, value = kernel_estimate(grid, action, payoff, density, delta_t)
+        return Observation(
+            patch=(support, value),
+            payoff=payoff,
+            bias_bound=stream.L * delta_t,
+            magnitude_bound=1.0 / (support.size * grid.cell_volume * density),
+        )

@@ -56,10 +56,12 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
 def generator_block(rng) -> tuple[list[np.random.Generator], bool]:
     """The generators of a ``run_*`` call's ``rng``, and whether it was a single one.
 
-    ``run_da``, ``run_bda``, ``run_exp3`` and ``run_uniform`` take one
+    The learner loops, ``run_da``, ``run_exp3`` and ``run_uniform``, take one
     Generator, for which they return one trace, or a sequence of Generators,
     one per seed of a block, for which they return a list of traces in the
-    same order.
+    same order.  ``run_bda``, a configuration of ``run_da``, keeps that
+    contract: it passes ``run_da`` the block as a list and unwraps a single
+    trace itself.
     """
     if isinstance(rng, np.random.Generator):
         return [rng], True

@@ -200,12 +200,12 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
 
     ``y`` may be a block of R score rows; Q then maps each row, and the
     result is the block of the R densities.  The entropic family is the
-    logit, as row operations: shift each row by its max, exponentiate,
-    divide by the row's sum times the cell volume.  The other families solve
-    each row's multiplier by Newton.  A last pass renormalises every row; a
-    row whose integral is not finite and positive raises NumericalError.
-    Every row gets the arithmetic that it gets alone, bit for bit, whatever
-    the other rows are.
+    logit, as row operations: shift each row by its max and exponentiate;
+    this is the package's one logit over grid cells.  The other families
+    solve each row's multiplier by Newton.  A last pass divides every row by
+    its sum times the cell volume; a row whose integral is not finite and
+    positive raises NumericalError.  Every row gets the arithmetic that it
+    gets alone, bit for bit, whatever the other rows are.
     """
     grid = y.grid
     w = grid.cell_volume
@@ -213,7 +213,6 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
     if reg.family == "negentropy":
         p = yv - yv.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True) * w
     else:
         vol = grid.domain.volume
         try:

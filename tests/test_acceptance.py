@@ -338,8 +338,7 @@ def test_criterion_3_kernel_bias():
     u = stream.values(1)
     rng = np.random.default_rng(1)
     y = GridFunction(grid, rng.normal(0.0, 1.0, grid.n_cells))
-    _, mixed = mixed_strategy(y, eta=1.0, eps=0.3)
-    strategy = Density(grid, mixed)
+    strategy = Density(grid, mixed_strategy(mirror(negentropy(), y), 0.3).values)
     delta = 0.08
     probes = np.array([0.06, 0.19, 0.33, 0.47, 0.55, 0.68, 0.81, 0.94])
     probe_cells = np.array([grid.cell_index(x) for x in probes])

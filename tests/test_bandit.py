@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualavg import (
+    BanditChannel,
     BDAConfig,
     BoxDomain,
     ConfigError,
@@ -14,9 +15,12 @@ from dualavg import (
     default_trig_stream,
     integrate,
     kernel_estimate,
+    mirror,
     mixed_strategy,
+    negentropy,
     pair,
     run_bda,
+    run_da,
     static_regret,
     to_payoff,
 )
@@ -34,30 +38,34 @@ def payoff_stream(grid, seed=0):
 
 def test_mixed_strategy_extremes(grid):
     rng = np.random.default_rng(0)
-    y = GridFunction(grid, rng.normal(0, 3, grid.n_cells))
-    _, full_explore = mixed_strategy(y, eta=1.0, eps=1.0)
-    assert np.allclose(full_explore, 1.0, atol=1e-12)
-    logit, no_explore = mixed_strategy(GridFunction.constant(grid, 0.0), eta=1.0, eps=0.0)
-    assert np.allclose(no_explore, 1.0, atol=1e-10)
-    assert np.array_equal(logit, no_explore)
+    x = mirror(negentropy(), GridFunction(grid, rng.normal(0, 3, grid.n_cells)))
+    assert np.allclose(mixed_strategy(x, 1.0).values, 1.0, atol=1e-12)
+    assert np.array_equal(mixed_strategy(x, 0.0).values, x.values)
     with pytest.raises(DomainError):
-        mixed_strategy(y, eta=1.0, eps=1.5)
+        mixed_strategy(x, 1.5)
+
+
+def test_mirror_is_the_one_logit(grid):
+    # The negentropy mirror map is exp(y - max y) divided once by its
+    # integral, bit for bit, row by row.
+    rng = np.random.default_rng(3)
+    block = rng.normal(0, 5, (50, grid.n_cells))
+    x = mirror(negentropy(), GridFunction(grid, block)).values
+    for row, x_r in zip(block, x):
+        z = np.exp(row - row.max())
+        assert np.array_equal(x_r, z / (z.sum() * grid.cell_volume))
 
 
 def test_mixed_strategy_floor_and_sup_gap(grid):
-    from dualavg import mirror, negentropy
-
     rng = np.random.default_rng(1)
     vol = grid.domain.volume
     block = rng.normal(0, 5, (20, grid.n_cells))
     for row in block:
         y = GridFunction(grid, row)
         eps = float(rng.uniform(0.01, 0.9))
-        logit, mixed = mixed_strategy(y, eta=1.0, eps=eps)
-        x = Density(grid, mixed)
-        assert x.values.min() >= eps / vol - 1e-12
         base = mirror(negentropy(), y)
-        assert np.abs(logit - base.values).max() <= 1e-12 * base.values.max()
+        x = Density(grid, mixed_strategy(base, eps).values)
+        assert x.values.min() >= eps / vol - 1e-12
         # Exact mixing identity: |x - x_tilde| = eps * |x_tilde - 1/vol|.
         gap = np.abs(x.values - base.values).max()
         ident = eps * np.abs(base.values - 1.0 / vol).max()
@@ -67,11 +75,11 @@ def test_mixed_strategy_floor_and_sup_gap(grid):
         # which is what the policy-swap argument consumes.
         u = GridFunction(grid, rng.uniform(0.0, 1.0, grid.n_cells))
         assert abs(pair(u, x) - pair(u, base)) <= eps * (1.0 + 1.0 / vol) + 1e-12
-    # A block of scores is mixed row by row, bit for bit.
-    logits, mixed = mixed_strategy(GridFunction(grid, block), eta=0.7, eps=0.2)
-    for row, logit_r, mixed_r in zip(block, logits, mixed):
-        one_logit, one_mixed = mixed_strategy(GridFunction(grid, row), eta=0.7, eps=0.2)
-        assert np.array_equal(one_logit, logit_r) and np.array_equal(one_mixed, mixed_r)
+    # A block of strategies is mixed row by row, bit for bit.
+    logits = mirror(negentropy(), GridFunction(grid, 0.7 * block))
+    mixed = mixed_strategy(logits, 0.2).values
+    for logit_r, mixed_r in zip(logits.values, mixed):
+        assert np.array_equal(mixed_strategy(Density(grid, logit_r), 0.2).values, mixed_r)
 
 
 def test_kernel_zero_payoff_and_guard(grid):
@@ -150,8 +158,8 @@ def test_second_moment_scaling_in_delta():
     rng = np.random.default_rng(6)
     y = GridFunction(g, rng.normal(0, 1, g.n_cells))
     eps = 0.3
-    x_tilde, mixed = mixed_strategy(y, eta=1.0, eps=eps)
-    x = Density(g, mixed)
+    x_tilde = mirror(negentropy(), y).values
+    x = Density(g, mixed_strategy(Density(g, x_tilde), eps).values)
     from dualavg import sample
 
     N = 10**4
@@ -182,58 +190,52 @@ def test_run_bda_constant_payoff_zero_regret(grid):
 
 
 def test_run_bda_covering_kernel_keeps_uniform(grid):
-    class ConstPayoff(ConstantStream):
-        payoff_convention = True
-
-    stream = ConstPayoff(grid, 0.8)
+    # A ball that covers X adds the same value to every cell's score, so the
+    # strategy stays uniform and the expected payoff is the mean payoff.
+    stream = payoff_stream(grid, seed=8)
     config = BDAConfig(
         eta=Schedule(1.0, 0.75),
         delta=Schedule(5.0, 0.0),  # ball covers X
         eps=Schedule(0.5, 0.25),
     )
     trace = run_bda(grid, stream, config, 30, np.random.default_rng(8))
-    vol = grid.domain.volume
-    assert np.allclose(trace.extras["strategy_min"], 1.0 / vol, atol=1e-9)
-    assert np.allclose(trace.expected, 0.8, atol=1e-12)
-
-
-def test_run_bda_strategy_floor_and_swap_bound(grid):
-    stream = payoff_stream(grid, seed=9)
-    trace = run_bda(grid, stream, BDAConfig.defaults(grid), 500, np.random.default_rng(10))
-    vol = grid.domain.volume
-    eps = trace.extras["eps"]
-    assert np.all(trace.extras["strategy_min"] >= eps / vol - 1e-12)
-    # Policy-swap regret bound against the recorded models: the best-point
-    # terms cancel, leaving the expected-payoff gap between policies.
-    gap = abs(float((trace.extras["expected_unmixed"] - trace.expected).sum()))
-    assert gap <= float(trace.extras["swap_gap"].sum()) + 1e-6
+    means = [stream.values(t).mean() for t in range(1, 31)]
+    np.testing.assert_allclose(trace.expected, means, rtol=0, atol=1e-12)
 
 
 def test_run_bda_replay_matches_trace_and_diagnostics():
     # Independent one-seed replay: the strategy of each round from the plain
     # logit + exploration formula over the scores rebuilt from the trace, and
-    # every per-round record and diagnostic of run_bda equal to it bit for bit.
+    # every per-round record of run_bda equal to it bit for bit.  The replay
+    # also checks the exploration floor and the policy-swap bound.
     grid = Grid(BoxDomain(0.0, 2.0), 64)
     stream = payoff_stream(grid, seed=21)
     config = BDAConfig.defaults(grid, eta_coef=3.0)
-    trace = run_bda(grid, stream, config, 60, np.random.default_rng(22))
+    T = 60
+    trace = run_bda(grid, stream, config, T, np.random.default_rng(22))
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
     y = np.zeros(grid.n_cells)
-    for t in range(1, 61):
-        eta, eps, delta = config.eta(t), config.eps_at(t), trace.extras["delta"][t - 1]
+    unmixed_gap = swap_gap = 0.0
+    for t in range(1, T + 1):
+        eta, eps, delta = config.eta(t), config.eps(t), trace.extras["delta"][t - 1]
+        assert trace.extras["eps"][t - 1] == eps
         z = np.exp(eta * y - (eta * y).max())
         base = z / (z.sum() * w)
         vals = (1.0 - eps) * base + eps * u
+        assert vals.min() >= eps * u * (1 - 1e-12)
         f = stream.values(t)
         cell = grid.cell_index(trace.actions[t - 1])
         assert trace.realized[t - 1] == f[cell]
         assert trace.expected[t - 1] == f @ vals * w
-        assert trace.extras["expected_unmixed"][t - 1] == f @ base * w
-        assert trace.extras["swap_gap"][t - 1] == eps * np.abs(base - u).max()
-        assert trace.extras["strategy_min"][t - 1] == vals.min()
+        unmixed_gap += f @ base * w - trace.expected[t - 1]
+        swap_gap += eps * np.abs(base - u).max()
         assert delta == max(config.delta(t), 2.0 * grid.cell_diameter)
         support, volume = ball_patch(grid, trace.actions[t - 1], delta)
         y[support] += f[cell] / (volume * vals[cell])
+    # Policy-swap bound: playing the mix instead of the logit costs at most
+    # eps_t * sup |logit - uniform| per round against a [0, 1] payoff.
+    assert abs(unmixed_gap) <= swap_gap + 1e-9
+    assert trace.extras["delta_floor_rounds"] == 0
 
 
 def test_run_bda_requires_payoff_convention(grid):
@@ -262,8 +264,8 @@ def test_bda_config_validation(grid):
     assert cfg.eta.exponent == pytest.approx(0.75)
     assert cfg.delta.exponent == pytest.approx(0.25)
     assert cfg.eps.exponent == pytest.approx(0.25)
-    assert all(0 < cfg.eps_at(t) <= 1 for t in (1, 10, 10**6))
-    # run_bda floors the radius at twice the cell diameter and counts the
+    assert all(0 < cfg.eps(t) <= 1 for t in (1, 10, 10**6))
+    # The bandit channel floors the radius at twice the cell diameter and counts the
     # rounds where the schedule fell below it.
     floor = 2 * grid.cell_diameter
     coarse = BDAConfig(eta=cfg.eta, delta=Schedule(4 * floor, 1.0), eps=cfg.eps)
@@ -273,6 +275,8 @@ def test_bda_config_validation(grid):
 
 
 def test_bda_no_exploration_mode(grid):
+    # Without exploration the learner plays the logit itself: run_da with the
+    # bandit channel and no eps schedule, and no eps series is recorded.
     stream = payoff_stream(grid, seed=14)
     cfg = BDAConfig(
         eta=Schedule(1.0, 0.75),
@@ -280,5 +284,8 @@ def test_bda_no_exploration_mode(grid):
         eps=None,
     )
     trace = run_bda(grid, stream, cfg, 50, np.random.default_rng(15))
-    assert np.all(trace.extras["eps"] == 0.0)
-    assert np.all(trace.extras["strategy_min"] > 0.0)
+    plain = run_da(grid, negentropy(), stream, BanditChannel(cfg.delta), cfg.eta, 50,
+                   np.random.default_rng(15))
+    assert "eps" not in trace.extras
+    for name in ("expected", "realized", "actions"):
+        assert np.array_equal(getattr(trace, name), getattr(plain, name)), name

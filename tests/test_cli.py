@@ -104,6 +104,10 @@ def test_semantic_validation():
     "channel.bias_scale = -0.1",
     "checkpoint.start = 0",
     "checkpoint.ratio = nan",
+    "channel.bias_decay = -1",
+    "stream.terms = 0",
+    "grid.n = 0",
+    "exp3.arms = 0",
 ])
 def test_out_of_range_values_rejected_at_parse(line):
     key = line.split(" = ")[0]

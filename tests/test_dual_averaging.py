@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualavg import (
+    BDAConfig,
     BoxDomain,
     ConfigError,
     Density,
@@ -19,12 +20,14 @@ from dualavg import (
     mirror,
     negentropy,
     quadratic,
+    run_bda,
     run_da,
     static_regret,
     to_payoff,
     tsallis,
 )
 from dualavg.config import ExperimentConfig, run_seed
+from dualavg.grids import draw_cell
 from tests.test_regret import ConstantStream
 
 
@@ -114,11 +117,61 @@ def test_single_round_run(grid):
     assert trace.expected[0] == pytest.approx(uniform_mean, abs=1e-12)
 
 
-def test_run_da_rejects_bandit_channel(grid):
+def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
+    # Bandit dual averaging is run_da with the negentropy mirror map, the
+    # kernel channel and an exploration schedule: a block of three seeds
+    # equals run_bda of each seed alone, bit for bit.
     stream = to_payoff(default_trig_stream(grid, seed=5))
-    with pytest.raises(ConfigError):
-        run_da(grid, negentropy(), stream, BanditChannel(), Schedule(1.0, 0.5), 3,
-               np.random.default_rng(6))
+    config = BDAConfig.defaults(grid, eta_coef=2.0)
+    seeds = [6, 7, 8]
+    block = run_da(grid, negentropy(), stream, BanditChannel(config.delta), config.eta, 40,
+                   [np.random.default_rng(s) for s in seeds], eps=config.eps)
+    for seed, trace in zip(seeds, block):
+        alone = run_bda(grid, stream, config, 40, np.random.default_rng(seed))
+        for name in ("expected", "realized", "actions"):
+            assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert trace.extras["eps"].tobytes() == alone.extras["eps"].tobytes()
+
+
+class _EdgeGenerator:
+    """Gives the next cell variate of ``us``, then the in-cell variate 0.0.
+
+    The point is then the lower edge of the drawn cell, which the cell lookup
+    ``Grid.cell_index`` assigns to the cell below.
+    """
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def random(self, size=None):
+        return self.us.pop(0) if size is None else np.zeros(size)
+
+
+def test_run_da_reads_the_drawn_cell_not_a_lookup_of_the_point():
+    grid = Grid(BoxDomain(0.0, 1.0), 16)
+    stream = to_payoff(default_trig_stream(grid, seed=3))
+    seen = []
+
+    class Recording(BanditChannel):
+        def observe(self, stream, t, strategy, cell, action, rng):
+            obs = super().observe(stream, t, strategy, cell, action, rng)
+            seen.append((cell, action.copy(), strategy.copy(), obs))
+            return obs
+
+    us = [0.55, 0.66, 0.3]
+    trace = run_da(grid, negentropy(), stream, Recording(Schedule(0.1, 0.0)), Schedule(0.5, 0.0),
+                   3, [_EdgeGenerator(us)], eps=Schedule(0.1, 0.0))[0]
+    for t, (cell, action, strategy, obs) in enumerate(seen, 1):
+        f = stream.values(t)
+        assert cell == draw_cell(np.cumsum(strategy), us[t - 1]) and cell > 0
+        assert action[0] == grid.centers[cell, 0] - 0.5 * grid.steps[0]
+        assert grid.cell_index(action) == cell - 1  # the lookup would pick the cell below
+        assert obs.payoff == f[cell] and trace.realized[t - 1] == f[cell]
+        support, value = obs.patch
+        assert value == f[cell] / (support.size * grid.cell_volume * strategy[cell])
+    # In the last round the two cells' densities differ, so the check above
+    # tells them apart.
+    assert strategy[cell] != strategy[cell - 1]
 
 
 def test_determinism_bit_identical(grid):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualavg import BoxDomain, Density, Grid, sample
+from dualavg.grids import draw_from_cdf, sampling_cdf
 from dualavg.errors import DomainError
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -116,11 +117,14 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
     weights[rng.integers(grid.n_cells)] += 1.0
     p = Density(grid, weights / (weights.sum() * grid.cell_volume))
     gens = [np.random.default_rng(s) for s in seeds]
-    points = sample(p, gens)
-    assert points.shape == (len(seeds), grid.dim)
-    for point, s, gen in zip(points, seeds, gens):
+    cells, points = sample(p, gens)
+    assert points.shape == (len(seeds), grid.dim) and len(cells) == len(seeds)
+    for cell, point, s, gen in zip(cells, points, seeds, gens):
         alone = np.random.default_rng(s)
         assert point.tobytes() == sample(p, alone).tobytes()
+        # The cell is the one drawn, not a lookup of the point.
+        drawn_cell, _ = draw_from_cdf(grid, sampling_cdf(p), np.random.default_rng(s))
+        assert cell == drawn_cell
         assert gen.random() == alone.random()  # each generator advanced as one call would
     with pytest.raises(ValueError):
         sample(p, gens, size=2)
@@ -128,7 +132,7 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
     weights = rng.random((len(seeds), grid.n_cells)) + 1e-3
     block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
     for q in (block, Density(grid, block.values[:1])):
-        points = sample(q, [np.random.default_rng(s) for s in seeds])
+        _, points = sample(q, [np.random.default_rng(s) for s in seeds])
         assert points.shape == (len(seeds), grid.dim)
         for i, s in enumerate(seeds):
             row = Density(grid, q.values[i % len(q.values)])

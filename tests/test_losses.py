@@ -17,6 +17,7 @@ from dualavg import (
     ExactChannel,
     Grid,
     GridFunction,
+    Schedule,
     TrigStream,
     UnbiasedChannel,
     default_trig_stream,
@@ -101,7 +102,7 @@ def test_payoff_stream_evaluates_base_once_per_key(grid, drift_rate, evaluations
 
 def test_exact_channel_returns_truth(grid):
     stream = default_trig_stream(grid, seed=6)
-    obs = ExactChannel().observe(stream, 3, Density.uniform(grid), np.array([0.5]),
+    obs = ExactChannel().observe(stream, 3, Density.uniform(grid), 128, np.array([0.5]),
                                  np.random.default_rng(0))
     assert np.array_equal(obs.model.values, stream.values(3))
     with pytest.raises(ValueError):
@@ -118,7 +119,7 @@ def test_unbiased_channel_zero_mean():
     N = 10**5
     acc = np.zeros(probe.size)
     for t in range(N):
-        obs = channel.observe(stream, 1, None, None, rng)
+        obs = channel.observe(stream, 1, None, None, None, rng)
         acc += obs.model.values[probe]
         assert obs.noise_bound == 0.5
     acc /= N
@@ -132,7 +133,7 @@ def test_unbiased_noise_sup_bound(grid):
     rng = np.random.default_rng(10)
     truth = stream.values(1)
     for _ in range(200):
-        obs = channel.observe(stream, 1, None, None, rng)
+        obs = channel.observe(stream, 1, None, None, None, rng)
         assert np.abs(obs.model.values - truth).max() <= 0.25 + 1e-12
 
 
@@ -140,8 +141,8 @@ def test_biased_channel_zero_bias_matches_unbiased(grid):
     stream = default_trig_stream(grid, seed=11)
     unbiased = UnbiasedChannel(noise_scale=0.3)
     degenerate = BiasedChannel(noise_scale=0.3, bias_scale=0.0, bias_decay=1.0)
-    o1 = unbiased.observe(stream, 2, None, None, np.random.default_rng(12))
-    o2 = degenerate.observe(stream, 2, None, None, np.random.default_rng(12))
+    o1 = unbiased.observe(stream, 2, None, None, None, np.random.default_rng(12))
+    o2 = degenerate.observe(stream, 2, None, None, None, np.random.default_rng(12))
     assert np.array_equal(o1.model.values, o2.model.values)
 
 
@@ -155,7 +156,7 @@ def test_biased_channel_bias_decay(grid):
         N = 10**4
         acc = np.zeros(grid.n_cells)
         for _ in range(N):
-            acc += channel.observe(stream, t, None, None, rng).model.values
+            acc += channel.observe(stream, t, None, None, None, rng).model.values
         emp_bias = np.abs(acc / N - truth).max()
         assert emp_bias <= B0 * t ** (-decay) * 1.05
         assert channel.bias_bound(t) == pytest.approx(B0 * t ** (-decay))
@@ -168,21 +169,44 @@ def test_biased_channel_profile_follows_the_grid():
     for n in (8, 16, 8):
         grid = Grid(BoxDomain(0.0, 1.0), n)
         stream = default_trig_stream(grid, seed=3)
-        obs = channel.observe(stream, 2, None, None, np.random.default_rng(4))
+        obs = channel.observe(stream, 2, None, None, None, np.random.default_rng(4))
         fresh = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5).observe(
-            stream, 2, None, None, np.random.default_rng(4))
+            stream, 2, None, None, None, np.random.default_rng(4))
         assert np.array_equal(obs.model.values, fresh.model.values)
 
 
-def test_bandit_channel(grid):
+def test_bandit_channel_kernel_model_and_descriptors(grid):
+    # The model is the kernel estimate of the payoff at the drawn cell, with
+    # the played density there; its sup stays within the declared M_t, and
+    # B_t = L * radius, with the radius floored at twice the cell diameter.
     stream = to_payoff(default_trig_stream(grid, seed=15))
-    channel = BanditChannel()
+    delta = Schedule(0.2, 1.0)
+    channel = BanditChannel(delta)
+    floor = 2.0 * grid.cell_diameter
     rng = np.random.default_rng(16)
-    obs = channel.observe(stream, 1, Density.uniform(grid), np.array([0.3]), rng)
-    assert obs.model is None
-    assert obs.payoff == pytest.approx(stream.values(1)[grid.cell_index(0.3)])
+    floored = 0
+    for t in (1, 2, 5, 40, 41, 200):
+        raw = rng.uniform(0.05, 1.0, grid.n_cells)
+        strategy = raw / (raw.sum() * grid.cell_volume)
+        cell = int(rng.integers(grid.n_cells))
+        action = grid.centers[cell] + (rng.random(1) - 0.5) * grid.steps
+        obs = channel.observe(stream, t, strategy, cell, action, rng)
+        radius = max(delta(t), floor)
+        floored += radius > delta(t)
+        assert obs.bias_bound == stream.L * radius
+        payoff = stream.values(t)[cell]
+        assert obs.payoff == payoff and obs.model is None
+        support, value = obs.patch
+        dist = np.abs(grid.centers[:, 0] - action[0])
+        assert np.array_equal(support, np.flatnonzero(dist <= radius))
+        assert value == payoff / (support.size * grid.cell_volume * strategy[cell])
+        assert 0.0 <= value <= obs.magnitude_bound
+        # M_t is the model's value with the payoff at its bound 1.
+        assert obs.magnitude_bound == pytest.approx(value / payoff, rel=1e-12)
+    assert floored == 3  # 0.2 / t < 2 * cell diameter from t = 40 on
     with pytest.raises(ConfigError):
-        channel.observe(default_trig_stream(grid, seed=15), 1, None, np.array([0.3]), rng)
+        channel.observe(default_trig_stream(grid, seed=15), 1, strategy, 0, np.array([0.001]),
+                        rng)
 
 
 def test_payoff_conversion(grid):
@@ -312,7 +336,7 @@ def test_trig_tables_shared_per_grid_and_read_only():
     grid = Grid(BoxDomain([0.0, 0.0], [1.0, 2.0]), 32)
     stream = default_trig_stream(grid, seed=1)
     channel = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5)
-    channel.observe(stream, 1, None, None, np.random.default_rng(2))
+    channel.observe(stream, 1, None, None, None, np.random.default_rng(2))
     assert channel._basis is not stream._basis
     assert channel._basis.tables is stream._basis.tables
     other = default_trig_stream(Grid(BoxDomain([0.0, 0.0], [1.0, 2.0]), 32), seed=1)
