@@ -203,38 +203,58 @@ def test_run_bda_covering_kernel_keeps_uniform(grid):
     np.testing.assert_allclose(trace.expected, means, rtol=0, atol=1e-12)
 
 
-def test_run_bda_replay_matches_trace_and_diagnostics():
-    # Independent one-seed replay: the strategy of each round from the plain
-    # logit + exploration formula over the scores rebuilt from the trace, and
-    # every per-round record of run_bda equal to it bit for bit.  The replay
-    # also checks the exploration floor and the policy-swap bound.
-    grid = Grid(BoxDomain(0.0, 2.0), 64)
-    stream = payoff_stream(grid, seed=21)
-    config = BDAConfig.defaults(grid, eta_coef=3.0)
-    T = 60
-    trace = run_bda(grid, stream, config, T, np.random.default_rng(22))
+def replay_strategies(grid, stream, config, trace):
+    """Independent replay of a one-seed BDA trace.
+
+    Rebuilds each round's scores from the recorded actions and radii and
+    yields ``(t, eps, base, vals, f)``: the plain logit ``base``, its
+    exploration mix ``vals`` and the payoff ``f`` of round ``t``.
+    """
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
     y = np.zeros(grid.n_cells)
-    unmixed_gap = swap_gap = 0.0
-    for t in range(1, T + 1):
-        eta, eps, delta = config.eta(t), config.eps(t), trace.extras["delta"][t - 1]
-        assert trace.extras["eps"][t - 1] == eps
+    for t in range(1, len(trace.actions) + 1):
+        eta, eps = config.eta(t), config.eps(t)
         z = np.exp(eta * y - (eta * y).max())
         base = z / (z.sum() * w)
         vals = (1.0 - eps) * base + eps * u
-        assert vals.min() >= eps * u * (1 - 1e-12)
         f = stream.values(t)
+        yield t, eps, base, vals, f
+        cell = grid.cell_index(trace.actions[t - 1])
+        support, volume = ball_patch(grid, trace.actions[t - 1], trace.extras["delta"][t - 1])
+        y[support] += f[cell] / (volume * vals[cell])
+
+
+def test_run_bda_strategy_floor_and_swap_bound(grid):
+    stream = payoff_stream(grid, seed=9)
+    config = BDAConfig.defaults(grid)
+    trace = run_bda(grid, stream, config, 500, np.random.default_rng(10))
+    w, u = grid.cell_volume, 1.0 / grid.domain.volume
+    unmixed_gap = swap_gap = 0.0
+    for t, eps, base, vals, f in replay_strategies(grid, stream, config, trace):
+        assert trace.extras["eps"][t - 1] == eps
+        assert vals.min() >= eps * u - 1e-12
+        unmixed_gap += f @ base * w - trace.expected[t - 1]
+        swap_gap += eps * np.abs(base - u).max()
+    # Policy-swap bound: playing the mix instead of the logit costs at most
+    # eps_t * sup |logit - uniform| per round against a [0, 1] payoff; the
+    # best-point terms of the two regrets cancel.
+    assert abs(unmixed_gap) <= swap_gap + 1e-6
+
+
+def test_run_bda_replay_matches_trace_and_diagnostics():
+    # Every per-round record of run_bda equals the independent replay of its
+    # strategy bit for bit.
+    grid = Grid(BoxDomain(0.0, 2.0), 64)
+    stream = payoff_stream(grid, seed=21)
+    config = BDAConfig.defaults(grid, eta_coef=3.0)
+    trace = run_bda(grid, stream, config, 60, np.random.default_rng(22))
+    w = grid.cell_volume
+    for t, eps, base, vals, f in replay_strategies(grid, stream, config, trace):
+        assert trace.extras["eps"][t - 1] == eps
         cell = grid.cell_index(trace.actions[t - 1])
         assert trace.realized[t - 1] == f[cell]
         assert trace.expected[t - 1] == f @ vals * w
-        unmixed_gap += f @ base * w - trace.expected[t - 1]
-        swap_gap += eps * np.abs(base - u).max()
-        assert delta == max(config.delta(t), 2.0 * grid.cell_diameter)
-        support, volume = ball_patch(grid, trace.actions[t - 1], delta)
-        y[support] += f[cell] / (volume * vals[cell])
-    # Policy-swap bound: playing the mix instead of the logit costs at most
-    # eps_t * sup |logit - uniform| per round against a [0, 1] payoff.
-    assert abs(unmixed_gap) <= swap_gap + 1e-9
+        assert trace.extras["delta"][t - 1] == max(config.delta(t), 2.0 * grid.cell_diameter)
     assert trace.extras["delta_floor_rounds"] == 0
 
 
