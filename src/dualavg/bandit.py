@@ -7,7 +7,7 @@ action, importance-weighted by the played strategy's density there
 regularizer, that channel and an exploration schedule: scores accumulate
 the sparse models, and the played strategy mixes the logit of the scores
 with explicit uniform exploration (``mixed_strategy``).  ``run_bda`` is
-that configuration, and adds the radius series to the traces.
+that configuration, and adds the count of radius-floor rounds to the traces.
 """
 
 from __future__ import annotations
@@ -67,18 +67,16 @@ def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
     This is ``run_da`` with ``negentropy()``, a ``BanditChannel`` of radius
     schedule ``config.delta`` and the exploration schedule ``config.eps``;
     ``rng`` and the returned traces follow ``run_da``'s contract.  Each
-    trace's extras also hold ``algorithm`` = "bda", the read-only series
-    ``delta`` of the floored radius, shared by the block, and
-    ``delta_floor_rounds``, the number of rounds where the floor was used.
+    trace's extras also hold ``algorithm`` = "bda" and
+    ``delta_floor_rounds``, the number of rounds where the channel's radius
+    ``channel.radius(grid, t)`` is the floor rather than ``config.delta(t)``.
     A loss stream is rejected (``ConfigError``) by the channel.
     """
     rngs, single = generator_block(rng)
     channel = BanditChannel(config.delta)
     traces = run_da(grid, negentropy(), stream, channel, config.eta, T, rngs,
                     checkpoints=checkpoints, eps=config.eps)
-    delta = np.array([channel.radius(grid, t) for t in range(1, T + 1)])
-    delta.setflags(write=False)
-    floor_rounds = sum(config.delta(t) < r for t, r in enumerate(delta.tolist(), 1))
+    floor_rounds = sum(config.delta(t) < channel.radius(grid, t) for t in range(1, T + 1))
     for trace in traces:
-        trace.extras.update(algorithm="bda", delta=delta, delta_floor_rounds=floor_rounds)
+        trace.extras.update(algorithm="bda", delta_floor_rounds=floor_rounds)
     return traces[0] if single else traces

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grids import Density, Grid, GridFunction
 from .losses import FeedbackChannel, LossStream
-from .regret import RegretTrace, TraceRecorder, generator_block
+from .regret import RegretTrace, TraceRecorder, generator_block, loss_oriented
 from .regularizers import Regularizer, conjugate, hval, hvol, mirror
 from .schedules import Schedule
 from . import grids
@@ -50,7 +50,7 @@ class _EnergyDiagnostics:
     """Per-step energy recursion and telescoped-bound bookkeeping."""
 
     def __init__(self, reg: Regularizer, grid: Grid, comparator: Density,
-                 eta: Schedule, T: int, payoff: bool):
+                 eta: Schedule, T: int, stream: LossStream):
         if reg.modulus is None:
             raise ConfigError(
                 "energy diagnostics need a strong-convexity modulus "
@@ -60,7 +60,7 @@ class _EnergyDiagnostics:
         self.grid = grid
         self.mu = comparator
         self.eta = eta
-        self.payoff = payoff
+        self.stream = stream
         self.h_mu = hval(reg, comparator)
         # h is smallest at the uniform density, whose value is hvol(volume).
         self.h_gap = self.h_mu - hvol(reg, grid.domain.volume)
@@ -90,10 +90,8 @@ class _EnergyDiagnostics:
         i = t - 1
         eta_t, eta_next = self.etas[i], self.etas[i + 1]
         w = self.grid.cell_volume
-        mu_vals = self.mu.values
-        model_gap = grids.dot(model_vals, x - mu_vals) * w
-        if not self.payoff:
-            model_gap = -model_gap
+        gap = self.mu.values - x
+        model_gap = loss_oriented(self.stream, grids.dot(model_vals, gap) * w)
         sup_model = float(np.abs(model_vals).max())
         self.rhs[i] = (
             self.energy[i]
@@ -102,13 +100,9 @@ class _EnergyDiagnostics:
             + eta_t * self.kappa ** 2 * sup_model ** 2 / (2.0 * self.K)
         )
         self.energy[i + 1] = self._energy_at(t + 1, scores_next)
-        mu_expected = grids.dot(f_vals, mu_vals) * w
-        inc = expected - mu_expected
-        err = grids.dot(model_vals - f_vals, mu_vals - x) * w
-        if self.payoff:
-            inc, err = -inc, -err
-        self.reg_mu_inc[i] = inc
-        self.err_term[i] = err
+        mu_expected = grids.dot(f_vals, self.mu.values) * w
+        self.reg_mu_inc[i] = loss_oriented(self.stream, expected - mu_expected)
+        self.err_term[i] = loss_oriented(self.stream, grids.dot(model_vals - f_vals, gap) * w)
         self.sq_term[i] = eta_t * sup_model ** 2
 
     def extras(self) -> dict:
@@ -152,9 +146,9 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     value under the played strategy and the score update, in place on a
     kernel model's patch; under exact feedback the observation and the
     expected value are made once, for row 0.  The realized values are read
-    at the drawn cells.  The stream value, its per-round best and the
-    cumulative snapshots are computed once per round and shared, as is the
-    read-only ``eps`` series in the extras.
+    at the drawn cells.  The stream value and its per-round best are
+    computed once per round and shared.  The traces record no schedule:
+    ``eta`` and ``eps`` are the caller's.
 
     Passing a comparator density as ``diagnostics`` turns on per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed,
@@ -169,7 +163,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     payoff = stream.payoff_convention
     recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
     diag = (
-        _EnergyDiagnostics(reg, grid, diagnostics, eta, T, payoff)
+        _EnergyDiagnostics(reg, grid, diagnostics, eta, T, stream)
         if diagnostics is not None
         else None
     )
@@ -200,13 +194,7 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
             model_vals = np.zeros(grid.n_cells)
             model_vals[index] = model
             diag.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
-    etas = np.array([eta(t) for t in range(1, T + 2)])
-    etas.setflags(write=False)
-    extras = {"algorithm": "da", "eta": etas}
-    if eps is not None:
-        eps_series = np.array([eps(t) for t in range(1, T + 1)])
-        eps_series.setflags(write=False)
-        extras["eps"] = eps_series
+    extras = {"algorithm": "da"}
     if diag is not None:
         extras.update(diag.extras())
     traces = recorder.finish_block(extras)

@@ -1,11 +1,12 @@
 """Post-hoc regret accounting on recorded traces.
 
-A trace stores per-round scalars (expected and realized value, per-round best
-fixed value) plus cumulative-loss snapshots at geometric checkpoints; the
-stream handle lets other horizons resume from the latest snapshot before
-them.  All regrets are reported in the usual orientation (nonnegative when
+A trace stores what the run alone produced: per-seed expected and realized
+values and actions, and the per-round best fixed value, shared by the seeds
+of a block.  Cumulative stream values over any horizon come from the
+stream's window sums (closed forms on trig streams), so nothing else is
+stored.  All regrets are reported in the loss orientation (nonnegative when
 the learner is doing worse than the benchmark), for loss streams and payoff
-streams alike.
+streams alike; ``loss_oriented`` and ``best_value`` are that one sign rule.
 """
 
 from __future__ import annotations
@@ -71,9 +72,25 @@ def generator_block(rng) -> tuple[list[np.random.Generator], bool]:
     return rngs, False
 
 
+def loss_oriented(source, value):
+    """``value`` in the loss orientation: negated when ``source``, a stream or
+    a trace, follows the payoff convention."""
+    return -value if source.payoff_convention else value
+
+
+def best_value(source, values: np.ndarray) -> float:
+    """The best of ``values``: the largest payoff, or the smallest loss."""
+    return float(values.max() if source.payoff_convention else values.min())
+
+
 @dataclass
 class RegretTrace:
-    """Per-round records of one run, sufficient for all regret accounting."""
+    """Per-round records of one run, sufficient for all regret accounting.
+
+    ``expected``, ``realized`` and ``actions`` are read-only rows of the
+    recorder's seed-major block arrays; ``round_best`` and ``checkpoints``
+    are shared by the block, read-only.
+    """
 
     stream: LossStream
     grid: Grid
@@ -83,7 +100,6 @@ class RegretTrace:
     actions: np.ndarray
     round_best: np.ndarray
     checkpoints: np.ndarray
-    cum_grid_checkpoints: np.ndarray
     extras: dict = field(default_factory=dict)
     _variation: float | None = field(default=None, init=False, repr=False)
 
@@ -98,33 +114,18 @@ class RegretTrace:
         return self._variation
 
     def cumulative_grid(self, T: int) -> np.ndarray:
-        """Cumulative stream values over rounds 1..T on the grid.
-
-        Off-checkpoint horizons resume from the latest snapshot before T and
-        add the remaining rounds in order, as the recorder did, so the result
-        is bitwise the sum over all T rounds.
-        """
-        pos = int(np.searchsorted(self.checkpoints, T))
-        if pos < len(self.checkpoints) and self.checkpoints[pos] == T:
-            return self.cum_grid_checkpoints[pos]
-        if pos > 0:
-            cum = self.cum_grid_checkpoints[pos - 1].copy()
-            start = int(self.checkpoints[pos - 1]) + 1
-        else:
-            cum = np.zeros(self.grid.n_cells)
-            start = 1
-        for t in range(start, T + 1):
-            cum += self.stream.values(t)
-        return cum
+        """Cumulative stream values over rounds 1..T on the grid: the stream's window sum."""
+        return self.stream.window_sum(1, T)
 
 
 class TraceRecorder:
-    """Accumulates per-round records and checkpoint snapshots during a run.
+    """Accumulates the per-round records of a block of runs.
 
     One recorder serves a block of ``seeds`` runs against one stream: the
-    per-round best value and the cumulative snapshots depend on the stream
-    alone, so they are recorded once and the block's traces share them,
-    read-only.  Expected and realized values and actions are kept per seed.
+    per-round best value depends on the stream alone, so it is recorded once
+    and the block's traces share it, read-only.  Expected and realized
+    values and actions are kept seed-major, and each trace gets read-only
+    views of its seed's rows.
     """
 
     def __init__(self, stream: LossStream, grid: Grid, horizon: int,
@@ -135,21 +136,17 @@ class TraceRecorder:
         self.checkpoints = (
             default_checkpoints(horizon) if checkpoints is None else np.array(checkpoints)
         )
-        # Snapshots are taken by walking the checkpoints in order; any other
-        # layout would leave snapshots unset that cumulative_grid trusts.
+        # The CLI writes one row per checkpoint, so each must be a recorded
+        # round, in order, once.
         cps = self.checkpoints
         if cps.ndim != 1 or (cps.size and (cps[0] < 1 or cps[-1] > horizon
                                            or np.any(np.diff(cps) <= 0))):
             raise ValueError("checkpoints must be strictly increasing rounds in [1, horizon]")
-        # Round-major, so that recording a round writes one row.
         self.seeds = seeds
-        self.expected = np.zeros((horizon, seeds))
-        self.realized = np.zeros((horizon, seeds))
-        self.actions = np.zeros((horizon, seeds, grid.dim))
+        self.expected = np.zeros((seeds, horizon))
+        self.realized = np.zeros((seeds, horizon))
+        self.actions = np.zeros((seeds, horizon, grid.dim))
         self.round_best = np.zeros(horizon)
-        self._cum = np.zeros(grid.n_cells)
-        self._snapshots = np.zeros((len(self.checkpoints), grid.n_cells))
-        self._cp_pos = 0
 
     def record(self, t: int, f_values: np.ndarray, expected, realized, action) -> None:
         """Round t of every seed of the block.
@@ -158,16 +155,10 @@ class TraceRecorder:
         one entry that every seed shares.
         """
         i = t - 1
-        self.expected[i] = expected
-        self.realized[i] = realized
-        self.actions[i] = action
-        self.round_best[i] = (
-            f_values.max() if self.stream.payoff_convention else f_values.min()
-        )
-        self._cum += f_values
-        if self._cp_pos < len(self.checkpoints) and t == self.checkpoints[self._cp_pos]:
-            self._snapshots[self._cp_pos] = self._cum
-            self._cp_pos += 1
+        self.expected[:, i] = expected
+        self.realized[:, i] = realized
+        self.actions[:, i] = action
+        self.round_best[i] = best_value(self.stream, f_values)
 
     def finish_block(self, extras: dict | None = None,
                      per_seed: dict | None = None) -> list[RegretTrace]:
@@ -176,19 +167,19 @@ class TraceRecorder:
         ``per_seed`` maps further extras to arrays whose first axis is the
         seed; trace s gets a copy of row s under the same name.
         """
-        for shared in (self.checkpoints, self.round_best, self._snapshots):
+        for shared in (self.checkpoints, self.round_best, self.expected, self.realized,
+                       self.actions):
             shared.setflags(write=False)
         traces = [
             RegretTrace(
                 stream=self.stream,
                 grid=self.grid,
                 horizon=self.horizon,
-                expected=np.ascontiguousarray(self.expected[:, s]),
-                realized=np.ascontiguousarray(self.realized[:, s]),
-                actions=np.ascontiguousarray(self.actions[:, s]),
+                expected=self.expected[s],
+                realized=self.realized[s],
+                actions=self.actions[s],
                 round_best=self.round_best,
                 checkpoints=self.checkpoints,
-                cum_grid_checkpoints=self._snapshots,
                 extras=dict(extras or {}),
             )
             for s in range(self.seeds)
@@ -206,36 +197,31 @@ def _check_horizon(trace: RegretTrace, T: int | None) -> int:
     return T
 
 
+def _window_regret(trace: RegretTrace, cum: np.ndarray, mine: np.ndarray) -> float:
+    """Regret of the recorded values ``mine`` of a window against the best
+    fixed cell center, given the window's cumulative stream values ``cum``."""
+    return loss_oriented(trace, float(mine.sum()) - best_value(trace, cum))
+
+
 def static_regret(trace: RegretTrace, T: int | None = None, realized: bool = False) -> float:
     """Cumulative (expected) value against the best fixed cell center in hindsight."""
     T = _check_horizon(trace, T)
-    cum = trace.cumulative_grid(T)
-    mine = float((trace.realized if realized else trace.expected)[:T].sum())
-    if trace.payoff_convention:
-        return float(cum.max()) - mine
-    return mine - float(cum.min())
+    mine = (trace.realized if realized else trace.expected)[:T]
+    return _window_regret(trace, trace.cumulative_grid(T), mine)
 
 
 def regret_vs_comparator(trace: RegretTrace, mu: Density, T: int | None = None) -> float:
     """Reg_mu(T) = sum_t <f_t, x_t - mu> in the loss orientation."""
     T = _check_horizon(trace, T)
-    cum = trace.cumulative_grid(T)
-    mine = float(trace.expected[:T].sum())
-    theirs = dot(cum, mu.values) * trace.grid.cell_volume
-    if trace.payoff_convention:
-        return theirs - mine
-    return mine - theirs
+    theirs = dot(trace.cumulative_grid(T), mu.values) * trace.grid.cell_volume
+    return loss_oriented(trace, float(trace.expected[:T].sum()) - theirs)
 
 
 def regret_vs_point(trace: RegretTrace, x, T: int | None = None) -> float:
     """Regret against the pure strategy at ``x`` (graded at x's cell center)."""
     T = _check_horizon(trace, T)
-    cum = trace.cumulative_grid(T)
-    mine = float(trace.expected[:T].sum())
-    theirs = float(cum[trace.grid.cell_index(x)])
-    if trace.payoff_convention:
-        return theirs - mine
-    return mine - theirs
+    theirs = float(trace.cumulative_grid(T)[trace.grid.cell_index(x)])
+    return loss_oriented(trace, float(trace.expected[:T].sum()) - theirs)
 
 
 def neighborhood_comparator(grid: Grid, x, radius: float) -> tuple[Density, float]:
@@ -256,10 +242,7 @@ def neighborhood_comparator(grid: Grid, x, radius: float) -> tuple[Density, floa
 def dynamic_regret(trace: RegretTrace, T: int | None = None) -> float:
     """Cumulative value against the per-round best fixed cell center."""
     T = _check_horizon(trace, T)
-    gaps = trace.expected[:T] - trace.round_best[:T]
-    if trace.payoff_convention:
-        gaps = -gaps
-    return float(gaps.sum())
+    return float(loss_oriented(trace, trace.expected[:T] - trace.round_best[:T]).sum())
 
 
 @dataclass
@@ -287,15 +270,11 @@ def window_decomposition(trace: RegretTrace, delta: int,
     T = trace.horizon
     if not (1 <= delta <= T):
         raise ValueError("window length must lie in [1, T]")
-    sign = -1.0 if trace.payoff_convention else 1.0
-    regrets = []
-    for start in range(1, T + 1, delta):
-        stop = min(start + delta - 1, T)
-        cum = trace.stream.window_sum(start, stop)
-        mine = float(trace.expected[start - 1:stop].sum())
-        best = float(cum.min()) if sign > 0 else float(cum.max())
-        regrets.append(sign * mine - sign * best)
-    regrets = np.asarray(regrets)
+    regrets = np.asarray([
+        _window_regret(trace, trace.stream.window_sum(start, min(start + delta - 1, T)),
+                       trace.expected[start - 1:start + delta - 1])
+        for start in range(1, T + 1, delta)
+    ])
     dyn = dynamic_regret(trace)
     var = trace.variation()
     bound = float(regrets.sum()) + 2.0 * delta * var

@@ -206,11 +206,12 @@ def test_run_bda_covering_kernel_keeps_uniform(grid):
 def replay_strategies(grid, stream, config, trace):
     """Independent replay of a one-seed BDA trace.
 
-    Rebuilds each round's scores from the recorded actions and radii and
-    yields ``(t, eps, base, vals, f)``: the plain logit ``base``, its
-    exploration mix ``vals`` and the payoff ``f`` of round ``t``.
+    Rebuilds each round's scores from the recorded actions and the channel's
+    radii and yields ``(t, eps, base, vals, f)``: the plain logit ``base``,
+    its exploration mix ``vals`` and the payoff ``f`` of round ``t``.
     """
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
+    channel = BanditChannel(config.delta)
     y = np.zeros(grid.n_cells)
     for t in range(1, len(trace.actions) + 1):
         eta, eps = config.eta(t), config.eps(t)
@@ -220,7 +221,7 @@ def replay_strategies(grid, stream, config, trace):
         f = stream.values(t)
         yield t, eps, base, vals, f
         cell = grid.cell_index(trace.actions[t - 1])
-        support, volume = ball_patch(grid, trace.actions[t - 1], trace.extras["delta"][t - 1])
+        support, volume = ball_patch(grid, trace.actions[t - 1], channel.radius(grid, t))
         y[support] += f[cell] / (volume * vals[cell])
 
 
@@ -231,7 +232,8 @@ def test_run_bda_strategy_floor_and_swap_bound(grid):
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
     unmixed_gap = swap_gap = 0.0
     for t, eps, base, vals, f in replay_strategies(grid, stream, config, trace):
-        assert trace.extras["eps"][t - 1] == eps
+        # The recorded value is that of the eps_t mix of the replayed logit.
+        assert trace.expected[t - 1] == pytest.approx(f @ vals * w, abs=1e-12)
         assert vals.min() >= eps * u - 1e-12
         unmixed_gap += f @ base * w - trace.expected[t - 1]
         swap_gap += eps * np.abs(base - u).max()
@@ -249,13 +251,16 @@ def test_run_bda_replay_matches_trace_and_diagnostics():
     config = BDAConfig.defaults(grid, eta_coef=3.0)
     trace = run_bda(grid, stream, config, 60, np.random.default_rng(22))
     w = grid.cell_volume
-    for t, eps, base, vals, f in replay_strategies(grid, stream, config, trace):
-        assert trace.extras["eps"][t - 1] == eps
+    channel = BanditChannel(config.delta)
+    # The expected value checks the eps_t mix bit for bit.
+    for t, _, base, vals, f in replay_strategies(grid, stream, config, trace):
         cell = grid.cell_index(trace.actions[t - 1])
         assert trace.realized[t - 1] == f[cell]
         assert trace.expected[t - 1] == f @ vals * w
-        assert trace.extras["delta"][t - 1] == max(config.delta(t), 2.0 * grid.cell_diameter)
+        assert channel.radius(grid, t) == max(config.delta(t), 2.0 * grid.cell_diameter)
     assert trace.extras["delta_floor_rounds"] == 0
+    # The schedules are the caller's: the trace records no series of them.
+    assert trace.extras.keys() == {"algorithm", "delta_floor_rounds"}
 
 
 def test_run_bda_requires_payoff_convention(grid):
@@ -290,13 +295,15 @@ def test_bda_config_validation(grid):
     floor = 2 * grid.cell_diameter
     coarse = BDAConfig(eta=cfg.eta, delta=Schedule(4 * floor, 1.0), eps=cfg.eps)
     trace = run_bda(grid, payoff_stream(grid), coarse, 10, np.random.default_rng(0))
-    assert list(trace.extras["delta"]) == [max(coarse.delta(t), floor) for t in range(1, 11)]
+    channel = BanditChannel(coarse.delta)
+    assert [channel.radius(grid, t) for t in range(1, 11)] == [
+        max(coarse.delta(t), floor) for t in range(1, 11)]
     assert trace.extras["delta_floor_rounds"] == 6  # 4 * floor / t < floor for t > 4
 
 
 def test_bda_no_exploration_mode(grid):
     # Without exploration the learner plays the logit itself: run_da with the
-    # bandit channel and no eps schedule, and no eps series is recorded.
+    # bandit channel and no eps schedule.
     stream = payoff_stream(grid, seed=14)
     cfg = BDAConfig(
         eta=Schedule(1.0, 0.75),

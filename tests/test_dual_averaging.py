@@ -130,7 +130,9 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
         alone = run_bda(grid, stream, config, 40, np.random.default_rng(seed))
         for name in ("expected", "realized", "actions"):
             assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
-        assert trace.extras["eps"].tobytes() == alone.extras["eps"].tobytes()
+        # The eps schedule is the caller's; neither trace records a series of it.
+        assert trace.extras == {"algorithm": "da"}
+        assert alone.extras.keys() == {"algorithm", "delta_floor_rounds"}
 
 
 class _EdgeGenerator:
@@ -314,11 +316,7 @@ def bandit_seed_blocks(draw):
 
 def _shared_records(trace) -> dict:
     """The records of a trace that depend on the round alone, by name."""
-    records = {"round_best": trace.round_best, "checkpoints": trace.checkpoints,
-               "cum_grid_checkpoints": trace.cum_grid_checkpoints}
-    records.update({name: trace.extras[name] for name in ("eta", "eps", "delta")
-                    if name in trace.extras})
-    return records
+    return {"round_best": trace.round_best, "checkpoints": trace.checkpoints}
 
 
 def _same(a, b) -> bool:
@@ -334,8 +332,7 @@ def _check_block_matches_one_run_per_seed(cfg, seeds):
     first_shared = _shared_records(block[0])
     for seed, trace in zip(seeds, block):
         alone = run_seed(cfg, seed)
-        for name in ("expected", "realized", "actions", "round_best", "checkpoints",
-                     "cum_grid_checkpoints"):
+        for name in ("expected", "realized", "actions", "round_best", "checkpoints"):
             assert _same(getattr(trace, name), getattr(alone, name)), name
         assert trace.extras.keys() == alone.extras.keys()
         for name, value in alone.extras.items():
@@ -365,12 +362,14 @@ def test_block_traces_share_read_only_stream_records():
     first = traces[0]
     for trace in traces:
         assert trace.round_best is first.round_best
-        assert trace.cum_grid_checkpoints is first.cum_grid_checkpoints
         assert trace.checkpoints is first.checkpoints
-        for shared in (trace.round_best, trace.cum_grid_checkpoints, trace.checkpoints,
-                       trace.extras["eta"]):
+        # The seeds' records are read-only rows of the block's arrays.
+        for name in ("expected", "realized", "actions"):
+            assert getattr(trace, name).base is getattr(first, name).base, name
+        for record in (trace.round_best, trace.checkpoints, trace.expected, trace.realized,
+                       trace.actions):
             with pytest.raises(ValueError):
-                shared.flat[0] = 1.0
+                record.flat[0] = 1.0
     first.extras["note"] = 1
     assert "note" not in traces[1].extras
     # Noisy feedback: the seeds play their own strategies.

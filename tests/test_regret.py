@@ -67,13 +67,21 @@ class ShiftedStream(LossStream):
         return self.base.values(t) + self.shifts.get(t, 0.0)
 
 
-def replay(stream, strategies, grid):
-    """Trace of playing the given densities against the stream (no sampling)."""
+def replay(stream, strategies, grid, cells=None):
+    """Trace of playing the given densities against the stream.
+
+    Without ``cells`` nothing is drawn (realized value 0 at the first cell);
+    otherwise round t realizes the value at ``cells[t - 1]``.
+    """
     T = len(strategies)
     rec = TraceRecorder(stream, grid, T, checkpoints=default_checkpoints(T, start=1, ratio=2.0))
     for t, x in enumerate(strategies, start=1):
         f = GridFunction(grid, stream.values(t))
-        rec.record(t, stream.values(t), pair(f, x), 0.0, grid.centers[0])
+        if cells is None:
+            rec.record(t, stream.values(t), pair(f, x), 0.0, grid.centers[0])
+        else:
+            cell = cells[t - 1]
+            rec.record(t, stream.values(t), pair(f, x), f.values[cell], grid.centers[cell])
     return rec.finish_block()[0]
 
 
@@ -116,6 +124,40 @@ def test_regret_invariant_under_round_constants(grid):
     assert regret_vs_comparator(t1, mu) == pytest.approx(
         regret_vs_comparator(t2, mu), abs=1e-8
     )
+
+
+def test_payoff_regrets_are_loss_regrets_over_2V(grid):
+    # The one sign rule: replaying the same strategies and draws against a
+    # loss stream and its payoff view (V - f) / (2V) scales every regret by
+    # exactly 1 / (2V), sign included.
+    loss = default_trig_stream(grid, seed=31, drift_rate=0.1)
+    payoff = to_payoff(loss)
+    rng = np.random.default_rng(32)
+    T = 40
+    strategies = []
+    for _ in range(T):
+        raw = np.abs(rng.normal(1, 0.8, grid.n_cells)) + 1e-3
+        strategies.append(Density(grid, raw / (raw.sum() * grid.cell_volume)))
+    cells = rng.integers(0, grid.n_cells, T)
+    t_loss, t_pay = (replay(s, strategies, grid, cells) for s in (loss, payoff))
+    scale = 2.0 * loss.V
+    mu = Density.uniform_on_cells(grid, np.arange(30, 90))
+    regrets = {
+        "static": lambda tr, h: static_regret(tr, h),
+        "static realized": lambda tr, h: static_regret(tr, h, realized=True),
+        "dynamic": lambda tr, h: dynamic_regret(tr, h),
+        "comparator": lambda tr, h: regret_vs_comparator(tr, mu, h),
+        "point": lambda tr, h: regret_vs_point(tr, np.array([0.3]), h),
+    }
+    for h in (1, 17, T):
+        for name, regret in regrets.items():
+            assert abs(regret(t_loss, h)) > 1e-3, (name, h)
+            assert regret(t_pay, h) == pytest.approx(regret(t_loss, h) / scale,
+                                                     rel=1e-9, abs=1e-12), (name, h)
+    for delta in (1, 7, T):
+        np.testing.assert_allclose(window_decomposition(t_pay, delta).window_regrets,
+                                   window_decomposition(t_loss, delta).window_regrets / scale,
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_comparator_identity_with_time_average(grid):
@@ -286,22 +328,30 @@ def test_cumulative_grid_snapshot_matches_recompute(grid):
     )
 
 
-def test_cumulative_grid_resume_is_bitwise(grid):
-    stream = default_trig_stream(grid, seed=4, drift_rate=0.05)
+def test_cumulative_grid_is_the_stream_window_sum(grid):
+    # The trace stores no cumulative values: every horizon, on a checkpoint
+    # or between two, is the stream's window sum over [1, T], and that
+    # matches the sum of the rounds.
     T = 300
-    trace = run_da(grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
-                   np.random.default_rng(1),
-                   checkpoints=default_checkpoints(T, start=10, ratio=1.7))
-    brute = np.zeros(grid.n_cells)
-    sums = {}
-    for t in range(1, T + 1):
-        brute += stream.values(t)
-        sums[t] = brute.copy()
-    cps = set(trace.checkpoints.tolist())
-    off = [t for t in (1, 9, 11, 50, 111, 299) if t not in cps]
-    assert off == [1, 9, 11, 50, 111, 299]
-    for t in off + sorted(cps):
-        assert np.array_equal(trace.cumulative_grid(t), sums[t]), t
+    base = default_trig_stream(grid, seed=4, drift_rate=0.05)
+    streams = {"static": default_trig_stream(grid, seed=4), "drifting": base,
+               "payoff": to_payoff(base)}
+    for kind, stream in streams.items():
+        trace = run_da(grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
+                       np.random.default_rng(1),
+                       checkpoints=default_checkpoints(T, start=10, ratio=1.7))
+        brute = np.zeros(grid.n_cells)
+        sums = {}
+        for t in range(1, T + 1):
+            brute += stream.values(t)
+            sums[t] = brute.copy()
+        cps = set(trace.checkpoints.tolist())
+        off = [t for t in (1, 9, 11, 50, 111, 299) if t not in cps]
+        assert off == [1, 9, 11, 50, 111, 299]
+        for t in off + sorted(cps):
+            got = trace.cumulative_grid(t)
+            assert np.array_equal(got, stream.window_sum(1, t)), (kind, t)
+            assert np.abs(got - sums[t]).max() <= 1e-9, (kind, t)
 
 
 @pytest.mark.parametrize("cps", [[0, 5, 10], [5, 5, 10], [10, 5], [5, 30]])
