@@ -9,6 +9,7 @@ line number.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -114,14 +115,34 @@ class ExperimentConfig:
             raise ConfigError(f"channel.kind must be one of {_CHANNEL_KINDS}")
         if self.reg_family not in _REG_FAMILIES:
             raise ConfigError(f"regularizer.family must be one of {_REG_FAMILIES}")
+        for key, bounds in (("domain.lower", self.lower), ("domain.upper", self.upper)):
+            if not all(math.isfinite(v) for v in bounds):
+                raise ConfigError(f"{key} must be finite")
+        lo, hi = self.bounds()
+        if not np.all(lo < hi):
+            raise ConfigError("domain.lower must lie below domain.upper on every axis")
+        if self.reg_family == "tsallis" and self.reg_gamma is None:
+            raise ConfigError("regularizer.family must not be tsallis without regularizer.gamma")
+        if self.reg_family != "tsallis" and self.reg_gamma is not None:
+            raise ConfigError("regularizer.gamma must be unset unless regularizer.family = tsallis")
+        if self.reg_gamma is not None and not 0.0 < self.reg_gamma < 1.0:
+            raise ConfigError("regularizer.gamma must lie in (0, 1)")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct")
         for key, value in (("grid.n", self.grid_n), ("stream.terms", self.stream_terms),
                            ("exp3.arms", self.exp3_arms)):
             if value is not None and value < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if self.stream_seed < 0:
+            raise ConfigError("stream.seed must be >= 0")
+        if not math.isfinite(self.drift_rate):
+            raise ConfigError("stream.drift_rate must be finite")
         for key, value in (("schedule.eta_exponent", self.eta_exponent),
                            ("schedule.delta_exponent", self.delta_exponent),
                            ("schedule.eps_exponent", self.eps_exponent),
@@ -129,12 +150,12 @@ class ExperimentConfig:
                            ("channel.noise_scale", self.noise_scale),
                            ("channel.bias_scale", self.bias_scale),
                            ("channel.bias_decay", self.bias_decay)):
-            if value is not None and not value >= 0:
-                raise ConfigError(f"{key} must be >= 0")
+            if value is not None and not 0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0")
         for key, value in (("schedule.eta_coef", self.eta_coef),
                            ("schedule.delta_coef", self.delta_coef)):
-            if value is not None and not value > 0:
-                raise ConfigError(f"{key} must be > 0")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0")
         if not 0.0 <= self.eps_coef <= 1.0:
             raise ConfigError("schedule.eps_coef must lie in [0, 1]")
         if self.algorithm in ("bda", "exp3_grid", "uniform") and not self.stream_payoff:

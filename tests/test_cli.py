@@ -108,8 +108,21 @@ def test_semantic_validation():
     "stream.terms = 0",
     "grid.n = 0",
     "exp3.arms = 0",
+    "seeds = -1",
+    "seeds = 1,1,2",
+    "stream.seed = -1",
+    "domain.lower = 1\ndomain.upper = 0",
+    "domain.lower = nan",
+    "regularizer.family = tsallis",
+    "regularizer.gamma = 2\nregularizer.family = tsallis",
+    "regularizer.gamma = 0.5",
+    "stream.drift_rate = nan",
+    "channel.noise_scale = inf",
+    "schedule.eta_coef = inf",
+    "schedule.eta_exponent = inf",
 ])
 def test_out_of_range_values_rejected_at_parse(line):
+    # A case of several lines names the key of its first line in the error.
     key = line.split(" = ")[0]
     kept = [ln for ln in BDA_CONFIG.splitlines() if not ln.startswith(key + " ")]
     text = "\n".join(kept + [line]) + "\n"
