@@ -107,40 +107,33 @@ class ExperimentConfig:
             raise ConfigError("domain.dim must be >= 1")
         if len(self.lower) not in (1, self.dim) or len(self.upper) not in (1, self.dim):
             raise ConfigError("domain bounds must have 1 or dim entries")
-        if self.algorithm not in _ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {_ALGORITHMS}")
-        if self.stream_kind not in _STREAM_KINDS:
-            raise ConfigError(f"stream.kind must be one of {_STREAM_KINDS}")
-        if self.channel_kind not in _CHANNEL_KINDS:
-            raise ConfigError(f"channel.kind must be one of {_CHANNEL_KINDS}")
-        if self.reg_family not in _REG_FAMILIES:
-            raise ConfigError(f"regularizer.family must be one of {_REG_FAMILIES}")
-        for key, bounds in (("domain.lower", self.lower), ("domain.upper", self.upper)):
-            if not all(math.isfinite(v) for v in bounds):
-                raise ConfigError(f"{key} must be finite")
+        for key, value, choices in (("algorithm", self.algorithm, _ALGORITHMS),
+                                    ("stream.kind", self.stream_kind, _STREAM_KINDS),
+                                    ("channel.kind", self.channel_kind, _CHANNEL_KINDS),
+                                    ("regularizer.family", self.reg_family, _REG_FAMILIES)):
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of {choices}")
         lo, hi = self.bounds()
-        if not np.all(lo < hi):
-            raise ConfigError("domain.lower must lie below domain.upper on every axis")
-        if self.reg_family == "tsallis" and self.reg_gamma is None:
-            raise ConfigError("regularizer.family must not be tsallis without regularizer.gamma")
-        if self.reg_family != "tsallis" and self.reg_gamma is not None:
-            raise ConfigError("regularizer.gamma must be unset unless regularizer.family = tsallis")
+        if not np.all((0 < hi - lo) & (hi - lo < np.inf)):
+            raise ConfigError("domain.lower must lie below domain.upper, both finite")
+        if (self.reg_family == "tsallis") != (self.reg_gamma is not None):
+            raise ConfigError("regularizer.family must be tsallis exactly when "
+                              "regularizer.gamma is set")
         if self.reg_gamma is not None and not 0.0 < self.reg_gamma < 1.0:
             raise ConfigError("regularizer.gamma must lie in (0, 1)")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
-        if min(self.seeds) < 0:
-            raise ConfigError("seeds must be >= 0")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        for key, value in (("grid.n", self.grid_n), ("stream.terms", self.stream_terms),
-                           ("exp3.arms", self.exp3_arms)):
-            if value is not None and value < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if self.stream_seed < 0:
-            raise ConfigError("stream.seed must be >= 0")
+        for key, value, least in (("grid.n", self.grid_n, 1),
+                                  ("stream.terms", self.stream_terms, 1),
+                                  ("exp3.arms", self.exp3_arms, 1),
+                                  ("horizon", self.horizon, 1),
+                                  ("checkpoint.start", self.checkpoint_start, 1),
+                                  ("stream.seed", self.stream_seed, 0),
+                                  ("seeds", min(self.seeds), 0)):
+            if value is not None and value < least:
+                raise ConfigError(f"{key} must be >= {least}")
         if not math.isfinite(self.drift_rate):
             raise ConfigError("stream.drift_rate must be finite")
         for key, value in (("schedule.eta_exponent", self.eta_exponent),
@@ -166,8 +159,6 @@ class ExperimentConfig:
             raise ConfigError("algorithm 'da' needs a function-valued channel")
         if self.stream_kind == "drifting" and self.drift_rate == 0.0:
             raise ConfigError("drifting stream needs stream.drift_rate > 0")
-        if not self.checkpoint_start >= 1:
-            raise ConfigError("checkpoint.start must be >= 1")
         if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint.ratio must exceed 1")
 

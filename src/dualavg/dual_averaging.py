@@ -59,7 +59,6 @@ class _EnergyDiagnostics:
         self.reg = reg
         self.grid = grid
         self.mu = comparator
-        self.eta = eta
         self.stream = stream
         self.h_mu = hval(reg, comparator)
         # h is smallest at the uniform density, whose value is hvol(volume).

@@ -142,7 +142,6 @@ class TraceRecorder:
         if cps.ndim != 1 or (cps.size and (cps[0] < 1 or cps[-1] > horizon
                                            or np.any(np.diff(cps) <= 0))):
             raise ValueError("checkpoints must be strictly increasing rounds in [1, horizon]")
-        self.seeds = seeds
         self.expected = np.zeros((seeds, horizon))
         self.realized = np.zeros((seeds, horizon))
         self.actions = np.zeros((seeds, horizon, grid.dim))
@@ -175,14 +174,14 @@ class TraceRecorder:
                 stream=self.stream,
                 grid=self.grid,
                 horizon=self.horizon,
-                expected=self.expected[s],
-                realized=self.realized[s],
-                actions=self.actions[s],
+                expected=expected,
+                realized=realized,
+                actions=actions,
                 round_best=self.round_best,
                 checkpoints=self.checkpoints,
                 extras=dict(extras or {}),
             )
-            for s in range(self.seeds)
+            for expected, realized, actions in zip(self.expected, self.realized, self.actions)
         ]
         for name, rows in (per_seed or {}).items():
             for trace, row in zip(traces, rows):

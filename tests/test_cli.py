@@ -115,7 +115,7 @@ def test_semantic_validation():
     "domain.lower = nan",
     "regularizer.family = tsallis",
     "regularizer.gamma = 2\nregularizer.family = tsallis",
-    "regularizer.gamma = 0.5",
+    "regularizer.family = negentropy\nregularizer.gamma = 0.5",
     "stream.drift_rate = nan",
     "channel.noise_scale = inf",
     "schedule.eta_coef = inf",
