@@ -114,7 +114,7 @@ class ExperimentConfig:
             if value not in choices:
                 raise ConfigError(f"{key} must be one of {choices}")
         lo, hi = self.bounds()
-        if not np.all((0 < hi - lo) & (hi - lo < np.inf)):
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ConfigError("domain.lower must lie below domain.upper, both finite")
         if (self.reg_family == "tsallis") != (self.reg_gamma is not None):
             raise ConfigError("regularizer.family must be tsallis exactly when "

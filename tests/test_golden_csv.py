@@ -25,8 +25,6 @@ GOLDEN = {
     "c4_exact/summary.csv": "4c48354d3fd68dd2719b9a4af55a00ab6af038ba5f867aff61d8e16ed12203a6",
     "c4_noisy/da_seed0.csv": "c680c7f650a62c7bd856f1b6da6bb6c978bb8a2e4a908f1f9ee298f38b821168",
     "c4_noisy/da_seed1.csv": "031bdd267bccc38a0c2cf4435da9559870371f3d8f36f5a39ec0167d750ad42f",
-    # Re-recorded when cumulative values came to be the stream's closed-form
-    # window sums: the t = 233 mean gained a last digit (57.1156404011).
     "c4_noisy/summary.csv": "d931e70ed40714cd5d6b14374062696a22281b5b142b99b0b5565b0f1b97cf21",
     "c5_bda/bda_seed0.csv": "97e8d5610922cfb016fdad11d280cdfbf43a758da572872beb0fad946bfdf240",
     "c5_bda/bda_seed1.csv": "7ea6de6d3b9d18b76f1f697b8efec9c67adf4e5ef2df85b1f0f4b2caf7dfe8e0",
