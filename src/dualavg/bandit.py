@@ -59,24 +59,24 @@ class BDAConfig:
         )
 
 
-def run_bda(grid: Grid, stream: LossStream, config: BDAConfig, T: int,
-            rng: np.random.Generator | Sequence[np.random.Generator],
-            checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
+def run_bda(stream: LossStream, config: BDAConfig, T: int,
+            rng: np.random.Generator | Sequence[np.random.Generator]
+            ) -> RegretTrace | list[RegretTrace]:
     """Run T rounds of bandit dual averaging (Hedge mirror map) on a payoff stream.
 
     This is ``run_da`` with ``negentropy()``, a ``BanditChannel`` of radius
     schedule ``config.delta`` and the exploration schedule ``config.eps``;
     ``rng`` and the returned traces follow ``run_da``'s contract.  Each
-    trace's extras also hold ``algorithm`` = "bda" and
-    ``delta_floor_rounds``, the number of rounds where the channel's radius
-    ``channel.radius(grid, t)`` is the floor rather than ``config.delta(t)``.
+    trace's extras hold ``delta_floor_rounds``, the number of rounds where
+    the channel's radius ``channel.radius(stream.grid, t)`` is the floor
+    rather than ``config.delta(t)``.
     A loss stream is rejected (``ConfigError``) by the channel.
     """
     rngs, single = generator_block(rng)
     channel = BanditChannel(config.delta)
-    traces = run_da(grid, negentropy(), stream, channel, config.eta, T, rngs,
-                    checkpoints=checkpoints, eps=config.eps)
-    floor_rounds = sum(config.delta(t) < channel.radius(grid, t) for t in range(1, T + 1))
+    traces = run_da(negentropy(), stream, channel, config.eta, T, rngs, eps=config.eps)
+    floor_rounds = sum(config.delta(t) < channel.radius(stream.grid, t)
+                       for t in range(1, T + 1))
     for trace in traces:
-        trace.extras.update(algorithm="bda", delta_floor_rounds=floor_rounds)
+        trace.extras["delta_floor_rounds"] = floor_rounds
     return traces[0] if single else traces

@@ -42,10 +42,10 @@ def exp3_probabilities(scores: np.ndarray, t: int) -> np.ndarray:
     return (1.0 - gamma) * z + gamma / m
 
 
-def run_exp3(grid: Grid, stream: LossStream, arms_per_axis: int, T: int,
-             rng: np.random.Generator | Sequence[np.random.Generator],
-             checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
-    """Run EXP3 on the arm lattice; the trace is graded against the full grid.
+def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
+             rng: np.random.Generator | Sequence[np.random.Generator]
+             ) -> RegretTrace | list[RegretTrace]:
+    """Run EXP3 on the arm lattice; the trace is graded against the stream's grid.
 
     The arms are the cell centers of an ``arms_per_axis`` lattice over the
     grid's domain.  ``rng`` is one Generator (one trace) or a sequence of
@@ -62,10 +62,11 @@ def run_exp3(grid: Grid, stream: LossStream, arms_per_axis: int, T: int,
     if arms_per_axis < 1:
         raise ConfigError("need at least one arm per axis")
     rngs, single = generator_block(rng)
+    grid = stream.grid
     arms = Grid(grid.domain, arms_per_axis).centers
     arm_cells = np.array([grid.cell_index(a) for a in arms])
     scores = np.zeros((len(rngs), len(arms)))
-    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
+    recorder = TraceRecorder(stream, T, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
         arm_payoffs = f_vals[arm_cells]
@@ -83,15 +84,14 @@ def run_exp3(grid: Grid, stream: LossStream, arms_per_axis: int, T: int,
             payoffs.append(payoff)
             actions.append(arms[arm])
         recorder.record(t, f_vals, expected, payoffs, actions)
-    traces = recorder.finish_block({"algorithm": "exp3_grid", "arms_per_axis": arms_per_axis},
-                                   per_seed={"scores": scores})
+    traces = recorder.finish_block(per_seed={"scores": scores})
     return traces[0] if single else traces
 
 
-def run_uniform(grid: Grid, stream: LossStream, T: int,
-                rng: np.random.Generator | Sequence[np.random.Generator],
-                checkpoints: np.ndarray | None = None) -> RegretTrace | list[RegretTrace]:
-    """Play the uniform strategy every round (sanity baseline).
+def run_uniform(stream: LossStream, T: int,
+                rng: np.random.Generator | Sequence[np.random.Generator]
+                ) -> RegretTrace | list[RegretTrace]:
+    """Play the uniform strategy on the stream's grid every round (sanity baseline).
 
     ``rng`` is one Generator (one trace) or a sequence of them (one trace per
     seed, in order).  The expected value is shared by every seed, and one
@@ -101,9 +101,10 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
     if T < 1:
         raise ValueError("horizon must be >= 1")
     rngs, single = generator_block(rng)
+    grid = stream.grid
     cdf = sampling_cdf(Density.uniform(grid))
     w = grid.cell_volume
-    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
+    recorder = TraceRecorder(stream, T, seeds=len(rngs))
     for t in range(1, T + 1):
         f_vals = stream.values(t)
         drawn = [draw_from_cdf(grid, cdf, g) for g in rngs]
@@ -114,5 +115,5 @@ def run_uniform(grid: Grid, stream: LossStream, T: int,
             [float(f_vals[cell]) for cell, _ in drawn],
             [action for _, action in drawn],
         )
-    traces = recorder.finish_block({"algorithm": "uniform"})
+    traces = recorder.finish_block()
     return traces[0] if single else traces

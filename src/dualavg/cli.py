@@ -62,24 +62,24 @@ def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, 
     checkpoint, count of kernel-radius-floor rounds).
     """
     cfg, seeds = args
+    checkpoints = [int(cp) for cp in cfg.checkpoints()]
     results = []
     for seed, trace in zip(seeds, run_seed(cfg, seeds)):
         rows = [
-            [
-                int(cp),
-                static_regret(trace, int(cp)),
-                static_regret(trace, int(cp), realized=True),
-                dynamic_regret(trace, int(cp)),
-            ]
-            for cp in trace.checkpoints
+            [cp, static_regret(trace, cp), static_regret(trace, cp, realized=True),
+             dynamic_regret(trace, cp)]
+            for cp in checkpoints
         ]
         results.append((seed, rows, int(trace.extras.get("delta_floor_rounds", 0))))
     return results
 
 
 def _seed_blocks(seeds: list[int], workers: int) -> list[list[int]]:
-    """Split ``seeds`` into at most ``workers`` contiguous blocks whose sizes differ by <= 1."""
-    k = max(1, min(workers, len(seeds)))
+    """Split ``seeds`` into at most ``workers`` contiguous blocks whose sizes differ by <= 1.
+
+    ``run_command`` has checked that there is a seed and a worker.
+    """
+    k = min(workers, len(seeds))
     size, extra = divmod(len(seeds), k)
     blocks, start = [], 0
     for i in range(k):
@@ -101,9 +101,14 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def run_command(config_path: str, seeds: str | None = None, out: str | None = None,
                 threads: int = 1) -> list[str]:
     """Execute a config; returns the list of files written."""
+    if threads < 1:
+        raise ConfigError("--threads must be >= 1")
     cfg = load_config(config_path)
     if seeds is not None:
-        cfg.seeds = parse_seed_spec(seeds)
+        try:
+            cfg.seeds = parse_seed_spec(seeds)
+        except ValueError as exc:
+            raise ConfigError(f"--seeds: {exc}") from None
         cfg.validate()
     if out is not None:
         cfg.out = out
@@ -158,11 +163,13 @@ def _read_summary(path: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
         rows = list(reader)
     if not rows:
         raise ConfigError(f"{path}: empty summary")
-    algorithm = rows[0][0]
-    t = np.array([int(r[1]) for r in rows])
-    mean = np.array([float(r[2]) for r in rows])
-    std = np.array([float(r[3]) for r in rows])
-    return algorithm, t, mean, std
+    try:
+        t = np.array([int(r[1]) for r in rows])
+        mean = np.array([float(r[2]) for r in rows])
+        std = np.array([float(r[3]) for r in rows])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed summary row: {exc}") from None
+    return rows[0][0], t, mean, std
 
 
 def report_command(summary_paths: list[str], dim: int = 1,
@@ -172,6 +179,8 @@ def report_command(summary_paths: list[str], dim: int = 1,
     The bound is c * t^r anchored at the first checkpoint, where r is the rate
     of the first summary's algorithm: 1/2 for ``da``, (d+2)/(d+3) otherwise.
     """
+    if dim < 1:
+        raise ConfigError("--dim must be >= 1")
     summaries = [_read_summary(p) for p in summary_paths]
     base_t = summaries[0][1]
     for path, (_, t, _, _) in zip(summary_paths, summaries):

@@ -121,6 +121,9 @@ class ExperimentConfig:
                               "regularizer.gamma is set")
         if self.reg_gamma is not None and not 0.0 < self.reg_gamma < 1.0:
             raise ConfigError("regularizer.gamma must lie in (0, 1)")
+        if self.reg_family != "negentropy" and self.algorithm != "da":
+            # bda plays the logit, and the baselines use no mirror map.
+            raise ConfigError("regularizer.family must be negentropy unless algorithm = da")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -136,6 +139,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= {least}")
         if not math.isfinite(self.drift_rate):
             raise ConfigError("stream.drift_rate must be finite")
+        if self.drift_rate < 0 or (self.drift_rate > 0) != (self.stream_kind == "drifting"):
+            raise ConfigError("stream.drift_rate must be > 0 when stream.kind = drifting, "
+                              "and 0 otherwise")
         for key, value in (("schedule.eta_exponent", self.eta_exponent),
                            ("schedule.delta_exponent", self.delta_exponent),
                            ("schedule.eps_exponent", self.eps_exponent),
@@ -157,8 +163,6 @@ class ExperimentConfig:
             raise ConfigError("algorithm 'bda' uses channel.kind = bandit")
         if self.algorithm == "da" and self.channel_kind == "bandit":
             raise ConfigError("algorithm 'da' needs a function-valued channel")
-        if self.stream_kind == "drifting" and self.drift_rate == 0.0:
-            raise ConfigError("drifting stream needs stream.drift_rate > 0")
         if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint.ratio must exceed 1")
 
@@ -181,7 +185,7 @@ class ExperimentConfig:
             grid,
             seed=self.stream_seed,
             n_terms=self.stream_terms,
-            drift_rate=self.drift_rate if self.stream_kind == "drifting" else 0.0,
+            drift_rate=self.drift_rate,
             drift_exponent=self.drift_exponent,
         )
         return to_payoff(base) if self.stream_payoff else base
@@ -306,24 +310,13 @@ def run_seed(cfg: ExperimentConfig,
     grid = cfg.build_grid()
     stream = cfg.build_stream(grid)
     rngs = [np.random.default_rng(s) for s in seeds]
-    checkpoints = cfg.checkpoints()
     if cfg.algorithm == "da":
-        traces = run_da(
-            grid,
-            cfg.build_regularizer(),
-            stream,
-            cfg.build_channel(grid),
-            cfg.eta_schedule(stream),
-            cfg.horizon,
-            rngs,
-            checkpoints=checkpoints,
-        )
+        traces = run_da(cfg.build_regularizer(), stream, cfg.build_channel(grid),
+                        cfg.eta_schedule(stream), cfg.horizon, rngs)
     elif cfg.algorithm == "bda":
-        traces = run_bda(grid, stream, cfg.bda_config(grid, stream), cfg.horizon, rngs,
-                         checkpoints=checkpoints)
+        traces = run_bda(stream, cfg.bda_config(grid, stream), cfg.horizon, rngs)
     elif cfg.algorithm == "exp3_grid":
-        traces = run_exp3(grid, stream, cfg.exp3_arms, cfg.horizon, rngs,
-                          checkpoints=checkpoints)
+        traces = run_exp3(stream, cfg.exp3_arms, cfg.horizon, rngs)
     else:
-        traces = run_uniform(grid, stream, cfg.horizon, rngs, checkpoints=checkpoints)
+        traces = run_uniform(stream, cfg.horizon, rngs)
     return traces[0] if single else traces

@@ -22,10 +22,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grids import Density, Grid, GridFunction
+from .grids import Density, GridFunction
 from .losses import FeedbackChannel, LossStream
 from .regret import RegretTrace, TraceRecorder, generator_block, loss_oriented
-from .regularizers import Regularizer, conjugate, hval, hvol, mirror
+from .regularizers import Regularizer, energy, hval, hvol, mirror
 from .schedules import Schedule
 from . import grids
 
@@ -49,20 +49,20 @@ def mixed_strategy(x: Density, eps: float) -> Density:
 class _EnergyDiagnostics:
     """Per-step energy recursion and telescoped-bound bookkeeping."""
 
-    def __init__(self, reg: Regularizer, grid: Grid, comparator: Density,
-                 eta: Schedule, T: int, stream: LossStream):
+    def __init__(self, reg: Regularizer, comparator: Density, eta: Schedule, T: int,
+                 stream: LossStream):
         if reg.modulus is None:
             raise ConfigError(
                 "energy diagnostics need a strong-convexity modulus "
                 "(negentropy or quadratic regularizer)"
             )
+        grid = stream.grid
         self.reg = reg
         self.grid = grid
         self.mu = comparator
         self.stream = stream
-        self.h_mu = hval(reg, comparator)
         # h is smallest at the uniform density, whose value is hvol(volume).
-        self.h_gap = self.h_mu - hvol(reg, grid.domain.volume)
+        self.h_gap = hval(reg, comparator) - hvol(reg, grid.domain.volume)
         self.kappa = reg.kappa(grid.domain.volume)
         self.K = reg.modulus
         self.energy = np.zeros(T + 1)
@@ -74,14 +74,8 @@ class _EnergyDiagnostics:
         self.energy[0] = self._energy_at(1, np.zeros(grid.n_cells))  # y_1 = 0
 
     def _energy_at(self, t: int, scores: np.ndarray) -> float:
-        eta_t = self.etas[t - 1]
-        scaled = GridFunction(self.grid, eta_t * scores, copy=False)
-        val = (
-            self.h_mu
-            + conjugate(self.reg, scaled)
-            - grids.pair(scaled, self.mu)
-        ) / eta_t
-        return val
+        return energy(self.reg, self.mu, GridFunction.unchecked(self.grid, scores),
+                      self.etas[t - 1])
 
     def end_round(self, t: int, scores_next: np.ndarray, model_vals: np.ndarray,
                   x: np.ndarray, f_vals: np.ndarray, expected: float) -> None:
@@ -118,13 +112,11 @@ class _EnergyDiagnostics:
         }
 
 
-def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
-           channel: FeedbackChannel, eta: Schedule, T: int,
-           rng: np.random.Generator | Sequence[np.random.Generator],
+def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: Schedule,
+           T: int, rng: np.random.Generator | Sequence[np.random.Generator],
            diagnostics: Density | None = None,
-           checkpoints: np.ndarray | None = None,
            eps: Schedule | None = None) -> RegretTrace | list[RegretTrace]:
-    """Run T rounds of dual averaging and record a regret trace.
+    """Run T rounds of dual averaging on the stream's grid and record a regret trace.
 
     ``rng`` is one Generator, for which one trace is returned, or a sequence
     of Generators, one per seed of a block, for which a list of traces is
@@ -158,11 +150,12 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
     rngs, single = generator_block(rng)
     if diagnostics is not None and len(rngs) > 1:
         raise ConfigError("energy diagnostics follow one seed; pass a single generator")
+    grid = stream.grid
     shared = channel.deterministic  # one strategy row for the whole block
     payoff = stream.payoff_convention
-    recorder = TraceRecorder(stream, grid, T, checkpoints, seeds=len(rngs))
+    recorder = TraceRecorder(stream, T, seeds=len(rngs))
     diag = (
-        _EnergyDiagnostics(reg, grid, diagnostics, eta, T, stream)
+        _EnergyDiagnostics(reg, diagnostics, eta, T, stream)
         if diagnostics is not None
         else None
     )
@@ -193,8 +186,5 @@ def run_da(grid: Grid, reg: Regularizer, stream: LossStream,
             model_vals = np.zeros(grid.n_cells)
             model_vals[index] = model
             diag.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
-    extras = {"algorithm": "da"}
-    if diag is not None:
-        extras.update(diag.extras())
-    traces = recorder.finish_block(extras)
+    traces = recorder.finish_block(diag.extras() if diag is not None else None)
     return traces[0] if single else traces

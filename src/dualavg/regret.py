@@ -88,18 +88,16 @@ class RegretTrace:
     """Per-round records of one run, sufficient for all regret accounting.
 
     ``expected``, ``realized`` and ``actions`` are read-only rows of the
-    recorder's seed-major block arrays; ``round_best`` and ``checkpoints``
-    are shared by the block, read-only.
+    recorder's seed-major block arrays; ``round_best`` is shared by the
+    block, read-only.  The grid is the stream's.
     """
 
     stream: LossStream
-    grid: Grid
     horizon: int
     expected: np.ndarray
     realized: np.ndarray
     actions: np.ndarray
     round_best: np.ndarray
-    checkpoints: np.ndarray
     extras: dict = field(default_factory=dict)
     _variation: float | None = field(default=None, init=False, repr=False)
 
@@ -128,23 +126,12 @@ class TraceRecorder:
     views of its seed's rows.
     """
 
-    def __init__(self, stream: LossStream, grid: Grid, horizon: int,
-                 checkpoints: np.ndarray | None = None, seeds: int = 1):
+    def __init__(self, stream: LossStream, horizon: int, seeds: int = 1):
         self.stream = stream
-        self.grid = grid
         self.horizon = horizon
-        self.checkpoints = (
-            default_checkpoints(horizon) if checkpoints is None else np.array(checkpoints)
-        )
-        # The CLI writes one row per checkpoint, so each must be a recorded
-        # round, in order, once.
-        cps = self.checkpoints
-        if cps.ndim != 1 or (cps.size and (cps[0] < 1 or cps[-1] > horizon
-                                           or np.any(np.diff(cps) <= 0))):
-            raise ValueError("checkpoints must be strictly increasing rounds in [1, horizon]")
         self.expected = np.zeros((seeds, horizon))
         self.realized = np.zeros((seeds, horizon))
-        self.actions = np.zeros((seeds, horizon, grid.dim))
+        self.actions = np.zeros((seeds, horizon, stream.grid.dim))
         self.round_best = np.zeros(horizon)
 
     def record(self, t: int, f_values: np.ndarray, expected, realized, action) -> None:
@@ -166,19 +153,16 @@ class TraceRecorder:
         ``per_seed`` maps further extras to arrays whose first axis is the
         seed; trace s gets a copy of row s under the same name.
         """
-        for shared in (self.checkpoints, self.round_best, self.expected, self.realized,
-                       self.actions):
+        for shared in (self.round_best, self.expected, self.realized, self.actions):
             shared.setflags(write=False)
         traces = [
             RegretTrace(
                 stream=self.stream,
-                grid=self.grid,
                 horizon=self.horizon,
                 expected=expected,
                 realized=realized,
                 actions=actions,
                 round_best=self.round_best,
-                checkpoints=self.checkpoints,
                 extras=dict(extras or {}),
             )
             for expected, realized, actions in zip(self.expected, self.realized, self.actions)
@@ -212,14 +196,14 @@ def static_regret(trace: RegretTrace, T: int | None = None, realized: bool = Fal
 def regret_vs_comparator(trace: RegretTrace, mu: Density, T: int | None = None) -> float:
     """Reg_mu(T) = sum_t <f_t, x_t - mu> in the loss orientation."""
     T = _check_horizon(trace, T)
-    theirs = dot(trace.cumulative_grid(T), mu.values) * trace.grid.cell_volume
+    theirs = dot(trace.cumulative_grid(T), mu.values) * trace.stream.grid.cell_volume
     return loss_oriented(trace, float(trace.expected[:T].sum()) - theirs)
 
 
 def regret_vs_point(trace: RegretTrace, x, T: int | None = None) -> float:
     """Regret against the pure strategy at ``x`` (graded at x's cell center)."""
     T = _check_horizon(trace, T)
-    theirs = float(trace.cumulative_grid(T)[trace.grid.cell_index(x)])
+    theirs = float(trace.cumulative_grid(T)[trace.stream.grid.cell_index(x)])
     return loss_oriented(trace, float(trace.expected[:T].sum()) - theirs)
 
 

@@ -3,7 +3,7 @@
 Criteria 4-7 run through the CLI driver (configs below) so that criterion 8
 can re-execute the identical configs and compare output bytes.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines; the
-full suite takes on the order of 20 minutes on two cores.
+full suite, unit tests included, takes about 345 s on two cores.
 """
 
 import csv
@@ -298,7 +298,6 @@ def test_criterion_2_energy_recursion():
     third = grid.n_cells // 3
     mu = Density.uniform_on_cells(grid, np.arange(third, 2 * third))
     trace = run_da(
-        grid,
         negentropy(),
         stream,
         ExactChannel(),

@@ -120,6 +120,10 @@ def test_semantic_validation():
     "channel.noise_scale = inf",
     "schedule.eta_coef = inf",
     "schedule.eta_exponent = inf",
+    "stream.drift_rate = -0.1\nstream.kind = drifting",
+    "stream.drift_rate = 0.5",
+    "regularizer.family = quadratic",
+    "regularizer.family = tsallis\nregularizer.gamma = 0.5",
 ])
 def test_out_of_range_values_rejected_at_parse(line):
     # A case of several lines names the key of its first line in the error.
@@ -256,6 +260,36 @@ def test_cli_main_and_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "nonsense = 1\n")
     assert main(["run", bad]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+_SUMMARY_HEADER = "algorithm,t,mean_regret,std_regret,slope\n"
+
+
+@pytest.mark.parametrize("args, summary, message", [
+    pytest.param(["run", "--threads", "0"], None, "--threads must be >= 1", id="threads=0"),
+    pytest.param(["run", "--threads", "-2"], None, "--threads must be >= 1", id="threads=-2"),
+    pytest.param(["run", "--seeds", "a..b"], None, "--seeds: invalid literal", id="seeds=a..b"),
+    pytest.param(["report", "--dim", "-3"], "da,10,1.0,0.0,\n", "--dim must be >= 1",
+                 id="dim=-3"),
+    pytest.param(["report", "--dim", "0"], "da,10,1.0,0.0,\n", "--dim must be >= 1",
+                 id="dim=0"),
+    pytest.param(["report"], "da,10,1.0,0.0,\nda,20\n", "malformed summary row",
+                 id="short-row"),
+    pytest.param(["report"], "da,ten,1.0,0.0,\n", "malformed summary row",
+                 id="non-numeric-t"),
+])
+def test_cli_input_errors_exit_2(tmp_path, capsys, args, summary, message):
+    # A bad flag or summary file is an input error, not a traceback, and the
+    # run writes nothing.
+    if summary is None:
+        path = write(tmp_path, "base.cfg", BASE_CONFIG)
+        args = args[:1] + [path, "--out", str(tmp_path / "out")] + args[1:]
+    else:
+        args = args[:1] + [write(tmp_path, "summary.csv", _SUMMARY_HEADER + summary)] + args[1:]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_kernel_radius_floor_rounds_counted_and_warned(tmp_path, capsys):

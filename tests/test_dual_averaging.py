@@ -41,7 +41,7 @@ def test_initial_strategy_is_uniform(grid):
     stream = default_trig_stream(grid, seed=1)
     f = stream.values(1)
     for reg in (negentropy(), quadratic(), tsallis(0.5)):
-        trace = run_da(grid, reg, stream, ExactChannel(), Schedule(1.0, 0.5), 1,
+        trace = run_da(reg, stream, ExactChannel(), Schedule(1.0, 0.5), 1,
                        np.random.default_rng(0))
         assert trace.expected[0] == pytest.approx(f.mean(), abs=1e-10)
 
@@ -79,7 +79,7 @@ def test_da_step_semantics(grid):
     # replay of the scores through run_da's expected values.
     stream = default_trig_stream(grid, seed=12, drift_rate=0.3)
     eta = Schedule(2.0, 0.5)
-    trace = run_da(grid, negentropy(), stream, ExactChannel(), eta, 30,
+    trace = run_da(negentropy(), stream, ExactChannel(), eta, 30,
                    np.random.default_rng(1))
     np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, -1.0),
                                rtol=0, atol=1e-12)
@@ -88,7 +88,7 @@ def test_da_step_semantics(grid):
 def test_payoff_convention_adds(grid):
     stream = to_payoff(default_trig_stream(grid, seed=12, drift_rate=0.3))
     eta = Schedule(2.0, 0.5)
-    trace = run_da(grid, negentropy(), stream, ExactChannel(), eta, 30,
+    trace = run_da(negentropy(), stream, ExactChannel(), eta, 30,
                    np.random.default_rng(1))
     np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, 1.0),
                                rtol=0, atol=1e-12)
@@ -99,7 +99,7 @@ def test_payoff_convention_adds(grid):
 def test_constant_stream_zero_regret_every_horizon(grid):
     stream = ConstantStream(grid, 1.3)
     trace = run_da(
-        grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 50,
+        negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 50,
         np.random.default_rng(2),
     )
     for tau in (1, 7, 25, 50):
@@ -109,7 +109,7 @@ def test_constant_stream_zero_regret_every_horizon(grid):
 def test_single_round_run(grid):
     stream = default_trig_stream(grid, seed=3)
     trace = run_da(
-        grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 1,
+        negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 1,
         np.random.default_rng(4),
     )
     assert trace.horizon == 1
@@ -124,15 +124,23 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
     stream = to_payoff(default_trig_stream(grid, seed=5))
     config = BDAConfig.defaults(grid, eta_coef=2.0)
     seeds = [6, 7, 8]
-    block = run_da(grid, negentropy(), stream, BanditChannel(config.delta), config.eta, 40,
+    block = run_da(negentropy(), stream, BanditChannel(config.delta), config.eta, 40,
                    [np.random.default_rng(s) for s in seeds], eps=config.eps)
     for seed, trace in zip(seeds, block):
-        alone = run_bda(grid, stream, config, 40, np.random.default_rng(seed))
+        alone = run_bda(stream, config, 40, np.random.default_rng(seed))
         for name in ("expected", "realized", "actions"):
             assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
         # The eps schedule is the caller's; neither trace records a series of it.
-        assert trace.extras == {"algorithm": "da"}
-        assert alone.extras.keys() == {"algorithm", "delta_floor_rounds"}
+        assert trace.extras == {}
+        assert alone.extras.keys() == {"delta_floor_rounds"}
+
+
+def test_run_da_plays_on_the_stream_grid():
+    # The stream owns the grid: a stream on [0, 2] is played on [0, 2].
+    stream = default_trig_stream(Grid(BoxDomain(0.0, 2.0), 64), seed=7)
+    trace = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 200,
+                   np.random.default_rng(0))
+    assert trace.actions.min() >= 0.0 and 1.5 < trace.actions.max() < 2.0
 
 
 class _EdgeGenerator:
@@ -161,7 +169,7 @@ def test_run_da_reads_the_drawn_cell_not_a_lookup_of_the_point():
             return obs
 
     us = [0.55, 0.66, 0.3]
-    trace = run_da(grid, negentropy(), stream, Recording(Schedule(0.1, 0.0)), Schedule(0.5, 0.0),
+    trace = run_da(negentropy(), stream, Recording(Schedule(0.1, 0.0)), Schedule(0.5, 0.0),
                    3, [_EdgeGenerator(us)], eps=Schedule(0.1, 0.0))[0]
     for t, (cell, action, strategy, obs) in enumerate(seen, 1):
         f = stream.values(t)
@@ -180,9 +188,9 @@ def test_determinism_bit_identical(grid):
     stream = default_trig_stream(grid, seed=7)
     channel = UnbiasedChannel(0.4)
     kwargs = dict(eta=Schedule(0.5, 0.5), T=40)
-    t1 = run_da(grid, negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
+    t1 = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
                 np.random.default_rng(123))
-    t2 = run_da(grid, negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
+    t2 = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
                 np.random.default_rng(123))
     assert np.array_equal(t1.expected, t2.expected)
     assert np.array_equal(t1.actions, t2.actions)
@@ -199,7 +207,7 @@ def test_energy_recursion_and_telescoped_bound(grid, reg):
     stream = default_trig_stream(grid, seed=8)
     mu = _comparator(grid)
     trace = run_da(
-        grid, reg, stream, ExactChannel(), Schedule(1.0 / stream.V, 0.5), 300,
+        reg, stream, ExactChannel(), Schedule(1.0 / stream.V, 0.5), 300,
         np.random.default_rng(9), diagnostics=mu,
     )
     ex = trace.extras
@@ -221,7 +229,7 @@ def test_energy_diagnostics_with_noise(grid):
     stream = default_trig_stream(grid, seed=10)
     mu = _comparator(grid)
     trace = run_da(
-        grid, negentropy(), stream, UnbiasedChannel(0.5), Schedule(0.3, 0.5), 200,
+        negentropy(), stream, UnbiasedChannel(0.5), Schedule(0.3, 0.5), 200,
         np.random.default_rng(11), diagnostics=mu,
     )
     ex = trace.extras
@@ -240,7 +248,7 @@ def test_diagnostics_require_modulus(grid):
 
     stream = default_trig_stream(grid, seed=12)
     with pytest.raises(ConfigError):
-        run_da(grid, burg(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
+        run_da(burg(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
                np.random.default_rng(13), diagnostics=_comparator(grid))
 
 
@@ -250,9 +258,9 @@ def test_loss_payoff_consistency(grid):
     base = default_trig_stream(grid, seed=14)
     pay = to_payoff(base)
     eta = 0.4
-    t_loss = run_da(grid, negentropy(), base, ExactChannel(),
+    t_loss = run_da(negentropy(), base, ExactChannel(),
                     Schedule(eta, 0.5), 60, np.random.default_rng(15))
-    t_pay = run_da(grid, negentropy(), pay, ExactChannel(),
+    t_pay = run_da(negentropy(), pay, ExactChannel(),
                    Schedule(eta * 2 * base.V, 0.5), 60, np.random.default_rng(15))
     assert np.array_equal(t_loss.actions, t_pay.actions)
     assert static_regret(t_pay) == pytest.approx(
@@ -263,7 +271,7 @@ def test_loss_payoff_consistency(grid):
 def test_diagnostics_follow_one_seed(grid):
     stream = default_trig_stream(grid, seed=16)
     with pytest.raises(ConfigError, match="one seed"):
-        run_da(grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
+        run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
                [np.random.default_rng(17), np.random.default_rng(18)],
                diagnostics=_comparator(grid))
 
@@ -316,7 +324,7 @@ def bandit_seed_blocks(draw):
 
 def _shared_records(trace) -> dict:
     """The records of a trace that depend on the round alone, by name."""
-    return {"round_best": trace.round_best, "checkpoints": trace.checkpoints}
+    return {"round_best": trace.round_best}
 
 
 def _same(a, b) -> bool:
@@ -332,7 +340,7 @@ def _check_block_matches_one_run_per_seed(cfg, seeds):
     first_shared = _shared_records(block[0])
     for seed, trace in zip(seeds, block):
         alone = run_seed(cfg, seed)
-        for name in ("expected", "realized", "actions", "round_best", "checkpoints"):
+        for name in ("expected", "realized", "actions", "round_best"):
             assert _same(getattr(trace, name), getattr(alone, name)), name
         assert trace.extras.keys() == alone.extras.keys()
         for name, value in alone.extras.items():
@@ -362,12 +370,10 @@ def test_block_traces_share_read_only_stream_records():
     first = traces[0]
     for trace in traces:
         assert trace.round_best is first.round_best
-        assert trace.checkpoints is first.checkpoints
         # The seeds' records are read-only rows of the block's arrays.
         for name in ("expected", "realized", "actions"):
             assert getattr(trace, name).base is getattr(first, name).base, name
-        for record in (trace.round_best, trace.checkpoints, trace.expected, trace.realized,
-                       trace.actions):
+        for record in (trace.round_best, trace.expected, trace.realized, trace.actions):
             with pytest.raises(ValueError):
                 record.flat[0] = 1.0
     first.extras["note"] = 1

@@ -74,7 +74,7 @@ def replay(stream, strategies, grid, cells=None):
     otherwise round t realizes the value at ``cells[t - 1]``.
     """
     T = len(strategies)
-    rec = TraceRecorder(stream, grid, T, checkpoints=default_checkpoints(T, start=1, ratio=2.0))
+    rec = TraceRecorder(stream, T)
     for t, x in enumerate(strategies, start=1):
         f = GridFunction(grid, stream.values(t))
         if cells is None:
@@ -191,7 +191,7 @@ def test_neighborhood_comparator_chain(grid):
     stream = default_trig_stream(grid, seed=5)
     rng = np.random.default_rng(6)
     trace = run_da(
-        grid, negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60, rng
+        negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60, rng
     )
     for _ in range(10):
         x = rng.uniform(0.0, 1.0, size=1)
@@ -222,7 +222,7 @@ def test_window_decomposition_drifting(grid):
         )
         T = int(rng.integers(20, 80))
         trace = run_da(
-            grid, negentropy(), stream, ExactChannel(),
+            negentropy(), stream, ExactChannel(),
             Schedule(0.5, 0.5), T, np.random.default_rng(k),
         )
         delta = int(rng.integers(1, T + 1))
@@ -233,7 +233,7 @@ def test_window_decomposition_drifting(grid):
 def test_window_decomposition_computes_variation_once(grid, monkeypatch):
     def drifting_trace():
         stream = default_trig_stream(grid, seed=21, drift_rate=0.05)
-        return run_da(grid, negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60,
+        return run_da(negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60,
                       np.random.default_rng(22))
 
     deltas = (1, 7, 20, 60)
@@ -257,7 +257,7 @@ def test_window_decomposition_computes_variation_once(grid, monkeypatch):
 def test_window_decomposition_evaluates_no_round(grid, payoff):
     base = default_trig_stream(grid, seed=23, drift_rate=0.05)
     stream = to_payoff(base) if payoff else base
-    trace = run_da(grid, negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 50,
+    trace = run_da(negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 50,
                    np.random.default_rng(24))
     reference = {d: window_decomposition(replay_rounds(trace), d) for d in (1, 7, 50)}
     calls = []
@@ -315,12 +315,12 @@ def test_fit_slope_validation():
 def test_cumulative_grid_snapshot_matches_recompute(grid):
     stream = default_trig_stream(grid, seed=10, drift_rate=0.05)
     trace = replay(stream, [Density.uniform(grid)] * 16, grid)
-    cp = int(trace.checkpoints[-2])
+    cp = 8
     direct = np.zeros(grid.n_cells)
     for t in range(1, cp + 1):
         direct += stream.values(t)
     assert np.abs(trace.cumulative_grid(cp) - direct).max() < 1e-10
-    # Off-checkpoint horizons recompute lazily.
+    # The next horizon adds one round.
     off = cp + 1
     assert static_regret(trace, off) == pytest.approx(
         float(trace.expected[:off].sum()) - float((direct + stream.values(off)).min()),
@@ -329,36 +329,28 @@ def test_cumulative_grid_snapshot_matches_recompute(grid):
 
 
 def test_cumulative_grid_is_the_stream_window_sum(grid):
-    # The trace stores no cumulative values: every horizon, on a checkpoint
-    # or between two, is the stream's window sum over [1, T], and that
-    # matches the sum of the rounds.
+    # The trace stores no cumulative values: every horizon, on a CLI
+    # checkpoint or between two, is the stream's window sum over [1, T], and
+    # that matches the sum of the rounds.
     T = 300
+    cps = set(default_checkpoints(T, start=10, ratio=1.7).tolist())
     base = default_trig_stream(grid, seed=4, drift_rate=0.05)
     streams = {"static": default_trig_stream(grid, seed=4), "drifting": base,
                "payoff": to_payoff(base)}
     for kind, stream in streams.items():
-        trace = run_da(grid, negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
-                       np.random.default_rng(1),
-                       checkpoints=default_checkpoints(T, start=10, ratio=1.7))
+        trace = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
+                       np.random.default_rng(1))
         brute = np.zeros(grid.n_cells)
         sums = {}
         for t in range(1, T + 1):
             brute += stream.values(t)
             sums[t] = brute.copy()
-        cps = set(trace.checkpoints.tolist())
         off = [t for t in (1, 9, 11, 50, 111, 299) if t not in cps]
         assert off == [1, 9, 11, 50, 111, 299]
         for t in off + sorted(cps):
             got = trace.cumulative_grid(t)
             assert np.array_equal(got, stream.window_sum(1, t)), (kind, t)
             assert np.abs(got - sums[t]).max() <= 1e-9, (kind, t)
-
-
-@pytest.mark.parametrize("cps", [[0, 5, 10], [5, 5, 10], [10, 5], [5, 30]])
-def test_recorder_rejects_checkpoints_it_cannot_snapshot(grid, cps):
-    stream = default_trig_stream(grid, seed=1)
-    with pytest.raises(ValueError):
-        TraceRecorder(stream, grid, 20, checkpoints=np.array(cps))
 
 
 def _unique_checkpoints(T, start, ratio):
