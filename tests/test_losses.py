@@ -251,8 +251,8 @@ def windowed_streams(draw):
     dim = draw(st.integers(1, 2))
     n = draw(st.integers(1, 64) if dim == 1 else st.integers(1, 12))
     grid = Grid(BoxDomain([0.0] * dim, [draw(st.floats(0.5, 3.0))] * dim), n)
-    # Drift from 0.05 up: below that the per-round differences the reference
-    # subtracts lose more than 1e-12 of their value to rounding.
+    # Drift from 0.05 up: below that the per-round coefficient differences the
+    # closed form subtracts lose more than 1e-12 of their value to rounding.
     drifting = draw(st.booleans())
     stream = default_trig_stream(
         grid, seed=draw(st.integers(0, 1000)), n_terms=draw(st.integers(1, 8)),
@@ -266,6 +266,25 @@ def windowed_streams(draw):
     return stream, T, start, stop
 
 
+def _round_step(stream, t):
+    """sup over cells of |f_{t+1} - f_t| on the grid, without subtracting two rounds.
+
+    Each term's difference comes from sin(x + b) - sin(x + a) =
+    2 cos(x + (a + b)/2) sin((b - a)/2), with b - a = rho (t+1)^v - rho t^v
+    formed as rho t^v expm1(v log1p(1/t)).  Subtracting two rounds' values
+    instead loses about 1e-16 in absolute terms, which is more than 1e-12 of
+    a small step.
+    """
+    base = getattr(stream, "base", stream)
+    sin, cos = _dense_tables(base.grid, _axis_cycled_freqs(len(base.amplitudes), base.grid.dim))
+    rho, v = base.drift_rate, base.drift_exponent
+    half_step = 0.5 * rho * t ** v * math.expm1(v * math.log1p(1.0 / t))
+    mid = base.phases + rho * t ** v + half_step
+    coeff = 2.0 * math.sin(half_step) * base.amplitudes
+    step = float(np.abs((coeff * np.cos(mid)) @ cos - (coeff * np.sin(mid)) @ sin).max())
+    return step / (2.0 * base.V) if base is not stream else step
+
+
 @settings(max_examples=150, deadline=None)
 @given(windowed_streams())
 def test_closed_form_window_sum_and_variation_match_round_loop(case):
@@ -275,7 +294,7 @@ def test_closed_form_window_sum_and_variation_match_round_loop(case):
         loop_sum += stream.values(t)
     loop_variation = 0.0
     for t in range(1, T):
-        loop_variation += float(np.abs(stream.values(t + 1) - stream.values(t)).max())
+        loop_variation += _round_step(stream, t)
     got = stream.window_sum(start, stop)
     assert got.shape == loop_sum.shape
     assert np.abs(got - loop_sum).max() <= 1e-12 * np.abs(loop_sum).max()
