@@ -21,7 +21,7 @@ from .dual_averaging import run_da
 from .errors import ConfigError
 from .grids import Grid
 from .losses import BanditChannel, LossStream
-from .regret import RegretTrace, generator_block
+from .regret import RegretTrace
 from .regularizers import negentropy
 from .schedules import Schedule
 
@@ -60,23 +60,21 @@ class BDAConfig:
 
 
 def run_bda(stream: LossStream, config: BDAConfig, T: int,
-            rng: np.random.Generator | Sequence[np.random.Generator]
-            ) -> RegretTrace | list[RegretTrace]:
+            rngs: Sequence[np.random.Generator]) -> list[RegretTrace]:
     """Run T rounds of bandit dual averaging (Hedge mirror map) on a payoff stream.
 
     This is ``run_da`` with ``negentropy()``, a ``BanditChannel`` of radius
     schedule ``config.delta`` and the exploration schedule ``config.eps``;
-    ``rng`` and the returned traces follow ``run_da``'s contract.  Each
+    ``rngs`` and the returned traces follow ``run_da``'s contract.  Each
     trace's extras hold ``delta_floor_rounds``, the number of rounds where
     the channel's radius ``channel.radius(stream.grid, t)`` is the floor
     rather than ``config.delta(t)``.
     A loss stream is rejected (``ConfigError``) by the channel.
     """
-    rngs, single = generator_block(rng)
     channel = BanditChannel(config.delta)
     traces = run_da(negentropy(), stream, channel, config.eta, T, rngs, eps=config.eps)
     floor_rounds = sum(config.delta(t) < channel.radius(stream.grid, t)
                        for t in range(1, T + 1))
     for trace in traces:
         trace.extras["delta_floor_rounds"] = floor_rounds
-    return traces[0] if single else traces
+    return traces

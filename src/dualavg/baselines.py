@@ -3,11 +3,11 @@
 The "grid" baseline discretizes X into a coarse lattice of arm points and
 runs standard EXP3 with importance-weighted payoff estimates; its traces are
 measured against the continuous best point (on the simulation grid), not the
-best arm, so they are directly comparable with the kernel learner's.
-
-``run_exp3`` and ``run_uniform`` take one Generator or a block of them, like
-``run_da``, and move a block of seeds forward together; each trace equals
-that of a run of its seed alone, bit for bit.
+best arm, so they are directly comparable with the kernel learner's.  It
+keeps its own loop: each of its draws reads one variate, where ``run_da``
+draws a cell and then a point in it.  The uniform player is ``run_da`` at
+exploration weight 1.  Both take a block of Generators, like ``run_da``, and
+each trace equals that of a run of its seed alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .dual_averaging import run_da
 from .errors import ConfigError
-from .grids import Density, Grid, draw_cell, draw_from_cdf, sampling_cdf
-from .losses import LossStream
-from .regret import RegretTrace, TraceRecorder, generator_block
+from .grids import Grid, draw_cell
+from .losses import ExactChannel, LossStream
+from .regret import RegretTrace, TraceRecorder
+from .regularizers import negentropy
+from .schedules import Schedule
 
 __all__ = ["exp3_probabilities", "run_exp3", "run_uniform"]
 
@@ -43,13 +46,12 @@ def exp3_probabilities(scores: np.ndarray, t: int) -> np.ndarray:
 
 
 def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
-             rng: np.random.Generator | Sequence[np.random.Generator]
-             ) -> RegretTrace | list[RegretTrace]:
+             rngs: Sequence[np.random.Generator]) -> list[RegretTrace]:
     """Run EXP3 on the arm lattice; the trace is graded against the stream's grid.
 
     The arms are the cell centers of an ``arms_per_axis`` lattice over the
-    grid's domain.  ``rng`` is one Generator (one trace) or a sequence of
-    them (one trace per seed, in order).  The scores are an (S, m) array, so
+    grid's domain.  ``rngs`` holds one Generator per seed, and one trace per
+    seed is returned in the same order.  The scores are an (S, m) array, so
     the probabilities and their CDF are computed once per round for the
     block; the draw, the expected value and the score update, payoff over
     probability at the drawn arm, are per seed.  Each trace's extras hold
@@ -61,7 +63,6 @@ def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
         raise ConfigError("run_exp3 requires a payoff-convention stream")
     if arms_per_axis < 1:
         raise ConfigError("need at least one arm per axis")
-    rngs, single = generator_block(rng)
     grid = stream.grid
     arms = Grid(grid.domain, arms_per_axis).centers
     arm_cells = np.array([grid.cell_index(a) for a in arms])
@@ -84,36 +85,16 @@ def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
             payoffs.append(payoff)
             actions.append(arms[arm])
         recorder.record(t, f_vals, expected, payoffs, actions)
-    traces = recorder.finish_block(per_seed={"scores": scores})
-    return traces[0] if single else traces
+    return recorder.finish_block(per_seed={"scores": scores})
 
 
 def run_uniform(stream: LossStream, T: int,
-                rng: np.random.Generator | Sequence[np.random.Generator]
-                ) -> RegretTrace | list[RegretTrace]:
+                rngs: Sequence[np.random.Generator]) -> list[RegretTrace]:
     """Play the uniform strategy on the stream's grid every round (sanity baseline).
 
-    ``rng`` is one Generator (one trace) or a sequence of them (one trace per
-    seed, in order).  The expected value is shared by every seed, and one
-    sampling CDF, built once per run as ``grids.sample`` builds it, serves
-    every draw; the realized value is read at the drawn cell.
+    This is ``run_da`` with exact feedback and exploration weight 1, so the
+    scores never reach the played strategy, and ``rngs`` and the returned
+    traces follow ``run_da``'s contract.
     """
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-    rngs, single = generator_block(rng)
-    grid = stream.grid
-    cdf = sampling_cdf(Density.uniform(grid))
-    w = grid.cell_volume
-    recorder = TraceRecorder(stream, T, seeds=len(rngs))
-    for t in range(1, T + 1):
-        f_vals = stream.values(t)
-        drawn = [draw_from_cdf(grid, cdf, g) for g in rngs]
-        recorder.record(
-            t,
-            f_vals,
-            float(f_vals.sum() * w / grid.domain.volume),
-            [float(f_vals[cell]) for cell, _ in drawn],
-            [action for _, action in drawn],
-        )
-    traces = recorder.finish_block()
-    return traces[0] if single else traces
+    return run_da(negentropy(), stream, ExactChannel(), Schedule(1.0), T, rngs,
+                  eps=Schedule(1.0))

@@ -11,16 +11,16 @@ the kernel radius floor of twice the cell diameter.
 
 Each of the ``--threads`` workers runs one contiguous block of the seeds, and
 every algorithm moves a block forward as one array program.  DA under exact
-feedback computes one strategy per round for the whole block; otherwise it
-keeps one row of scores per seed and maps the rows together as one block
-through ``mirror`` (the logit as row operations, a Newton solve per row
-otherwise), the exploration mix and ``grids.sample``.  BDA is that loop
-with the bandit channel, whose kernel model is added on its patch alone.
-EXP3 keeps one row of scores per seed and computes the block's
-probabilities as row operations, and the uniform player draws every point
-from one CDF per run; every draw picks its cell with ``grids.draw_cell``,
-and every realized value is read at the drawn cell.  Outputs are byte-deterministic for
-a fixed config and independent of --threads: every seed draws from its own
+feedback, and so the uniform player (DA at exploration weight 1), computes
+one strategy per round for the whole block; otherwise DA keeps one row of
+scores per seed and maps the rows together as one block through ``mirror``
+(the logit as row operations, a Newton solve per row otherwise), the
+exploration mix and ``grids.sample``.  BDA is that loop with the bandit
+channel, whose kernel model is added on its patch alone.  EXP3 keeps one row
+of scores per seed and computes the block's probabilities as row operations.
+Every draw picks its cell with ``grids.draw_cell``, and every realized value
+is read at the drawn cell.  Outputs are byte-deterministic for a fixed
+config and independent of --threads: every seed draws from its own
 generator in the same order whatever its block, and results are merged in
 seed order; floats are written with 12 significant digits.
 """

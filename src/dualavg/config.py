@@ -260,10 +260,29 @@ _KEYS = {
 }
 
 
+# Keys that only some runs read, with the values other keys must hold for
+# the run to read them; setting one for any other run is an error, not a
+# silent no-op.  ``channel.kind`` is left out: the baselines build no
+# channel, yet their configs may name one.
+_READ_ONLY_WITH = {
+    "exp3.arms": {"algorithm": ("exp3_grid",)},
+    "channel.noise_scale": {"algorithm": ("da",), "channel.kind": ("unbiased", "biased")},
+    "channel.bias_scale": {"algorithm": ("da",), "channel.kind": ("biased",)},
+    "channel.bias_decay": {"algorithm": ("da",), "channel.kind": ("biased",)},
+    "schedule.eta_coef": {"algorithm": ("da", "bda")},
+    "schedule.eta_exponent": {"algorithm": ("da", "bda")},
+    "schedule.delta_coef": {"algorithm": ("bda",)},
+    "schedule.delta_exponent": {"algorithm": ("bda",)},
+    "schedule.eps_coef": {"algorithm": ("bda",)},
+    "schedule.eps_exponent": {"algorithm": ("bda",)},
+    "stream.drift_exponent": {"stream.kind": ("drifting",)},
+}
+
+
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse and validate a config file's text; errors carry line numbers."""
     cfg = ExperimentConfig()
-    seen = set()
+    seen = {}  # key -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -276,7 +295,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
+        seen[key] = lineno
         attr, conv = _KEYS[key]
         try:
             setattr(cfg, attr, conv(value))
@@ -286,6 +305,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         cfg.validate()
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    for key, lineno in seen.items():
+        for other, values in _READ_ONLY_WITH.get(key, {}).items():
+            if getattr(cfg, _KEYS[other][0]) not in values:
+                raise ConfigError(f"{source}:{lineno}: {key!r} is read only when "
+                                  f"{other} is one of {values}")
     return cfg
 
 
@@ -299,8 +323,8 @@ def run_seed(cfg: ExperimentConfig,
     """Run one algorithm instance per seed; trace i is deterministic in (cfg, seed i).
 
     ``seed`` is one seed, for which one trace is returned, or a block of
-    seeds, for which a list of traces is returned in the same order (the
-    one-or-many contract of every ``run_*`` function).  The grid, stream,
+    seeds, for which a list of traces is returned in the same order; the
+    ``run_*`` drivers take only blocks.  The grid, stream,
     channel and schedules are built once for the block, each seed draws from
     its own Generator, and the algorithm moves the whole block forward
     together.

@@ -8,11 +8,13 @@ the uniform density under an optional exploration schedule
 the whole grid (exact, unbiased, biased), or the bandit channel's kernel
 model, added on its patch alone.  Kernel bandit dual averaging
 (``bandit.run_bda``) is this loop with the negentropy regularizer, the
-bandit channel and an exploration schedule.  ``run_da`` moves a block of
-seeds forward together, and each trace equals that of a run of its seed
-alone, bit for bit, so outputs do not depend on how seeds are blocked (the
-CLI's ``--threads``).  Optional per-step diagnostics track the energy of a
-fixed comparator and check the recursive and telescoped regret bounds.
+bandit channel and an exploration schedule; the uniform player
+(``baselines.run_uniform``) is it at exploration weight 1.  ``run_da``
+moves a block of seeds forward together, and each trace equals that of a
+run of its seed alone, bit for bit, so outputs do not depend on how seeds
+are blocked (the CLI's ``--threads``).  Optional per-step diagnostics
+track the energy of a fixed comparator and check the recursive and
+telescoped regret bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grids import Density, GridFunction
 from .losses import FeedbackChannel, LossStream
-from .regret import RegretTrace, TraceRecorder, generator_block, loss_oriented
+from .regret import RegretTrace, TraceRecorder, loss_oriented
 from .regularizers import Regularizer, energy, hval, hvol, mirror
 from .schedules import Schedule
 from . import grids
@@ -113,15 +115,14 @@ class _EnergyDiagnostics:
 
 
 def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: Schedule,
-           T: int, rng: np.random.Generator | Sequence[np.random.Generator],
+           T: int, rngs: Sequence[np.random.Generator],
            diagnostics: Density | None = None,
-           eps: Schedule | None = None) -> RegretTrace | list[RegretTrace]:
-    """Run T rounds of dual averaging on the stream's grid and record a regret trace.
+           eps: Schedule | None = None) -> list[RegretTrace]:
+    """Run T rounds of dual averaging on the stream's grid and record regret traces.
 
-    ``rng`` is one Generator, for which one trace is returned, or a sequence
-    of Generators, one per seed of a block, for which a list of traces is
-    returned in the same order.  Each seed draws from its own Generator in
-    the order a run of that seed alone would, and its trace equals that
+    ``rngs`` holds one Generator per seed of a block, and one trace per seed
+    is returned in the same order.  Each seed draws from its own Generator
+    in the order a run of that seed alone would, and its trace equals that
     run's bit for bit.
 
     The scores are one (R, n) array.  The regret bounds are on the expected
@@ -147,9 +148,8 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    rngs, single = generator_block(rng)
     if diagnostics is not None and len(rngs) > 1:
-        raise ConfigError("energy diagnostics follow one seed; pass a single generator")
+        raise ConfigError("energy diagnostics follow one seed; pass a block of one generator")
     grid = stream.grid
     shared = channel.deterministic  # one strategy row for the whole block
     payoff = stream.payoff_convention
@@ -186,5 +186,4 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
             model_vals = np.zeros(grid.n_cells)
             model_vals[index] = model
             diag.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
-    traces = recorder.finish_block(diag.extras() if diag is not None else None)
-    return traces[0] if single else traces
+    return recorder.finish_block(diag.extras() if diag is not None else None)

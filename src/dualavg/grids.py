@@ -10,6 +10,7 @@ construction.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -85,8 +86,8 @@ class Grid:
     _centers: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __init__(self, domain: BoxDomain, n: int):
-        if int(n) < 1:
-            raise DomainError("cells per axis must be >= 1")
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"cells per axis must be an integer >= 1, got {n!r}")
         n = int(n)
         steps = domain.lengths / n
         steps.setflags(write=False)

@@ -251,10 +251,6 @@ class TrigStream(LossStream):
         self.V = abs(self.offset) + float(np.abs(self.amplitudes).sum())
         self.L = self._basis.lipschitz(self.amplitudes)
 
-    @property
-    def kind(self) -> str:
-        return "drifting" if self.drift_rate != 0.0 else "trig_mixture"
-
     def _phase_shift(self, t: int) -> float:
         if self.drift_rate == 0.0:
             return 0.0
@@ -352,10 +348,6 @@ class PayoffStream(LossStream):
         self.grid = base.grid
         self.V = 1.0
         self.L = base.L / (2.0 * base.V)
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
 
     def _cache_key(self, t: int) -> int:
         return self.base._cache_key(t)

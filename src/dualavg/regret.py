@@ -24,7 +24,6 @@ __all__ = [
     "RegretTrace",
     "TraceRecorder",
     "default_checkpoints",
-    "generator_block",
     "static_regret",
     "regret_vs_comparator",
     "regret_vs_point",
@@ -52,24 +51,6 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
     points.append(T)
     # Not np.unique: it imports numpy.ma, about 17 ms in every fresh worker.
     return np.asarray(sorted(set(points)), dtype=int)
-
-
-def generator_block(rng) -> tuple[list[np.random.Generator], bool]:
-    """The generators of a ``run_*`` call's ``rng``, and whether it was a single one.
-
-    The learner loops, ``run_da``, ``run_exp3`` and ``run_uniform``, take one
-    Generator, for which they return one trace, or a sequence of Generators,
-    one per seed of a block, for which they return a list of traces in the
-    same order.  ``run_bda``, a configuration of ``run_da``, keeps that
-    contract: it passes ``run_da`` the block as a list and unwraps a single
-    trace itself.
-    """
-    if isinstance(rng, np.random.Generator):
-        return [rng], True
-    rngs = list(rng)
-    if not rngs:
-        raise ValueError("at least one generator required")
-    return rngs, False
 
 
 def loss_oriented(source, value):
@@ -119,14 +100,17 @@ class RegretTrace:
 class TraceRecorder:
     """Accumulates the per-round records of a block of runs.
 
-    One recorder serves a block of ``seeds`` runs against one stream: the
-    per-round best value depends on the stream alone, so it is recorded once
-    and the block's traces share it, read-only.  Expected and realized
-    values and actions are kept seed-major, and each trace gets read-only
-    views of its seed's rows.
+    One recorder serves a block of ``seeds`` runs against one stream; every
+    ``run_*`` driver builds one, so this is where an empty block of
+    generators is rejected.  The per-round best value depends on the stream
+    alone, so it is recorded once and the block's traces share it,
+    read-only.  Expected and realized values and actions are kept
+    seed-major, and each trace gets read-only views of its seed's rows.
     """
 
     def __init__(self, stream: LossStream, horizon: int, seeds: int = 1):
+        if seeds < 1:
+            raise ValueError("at least one generator required")
         self.stream = stream
         self.horizon = horizon
         self.expected = np.zeros((seeds, horizon))

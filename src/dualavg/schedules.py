@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -13,10 +14,10 @@ class Schedule:
     exponent: float = 0.0
 
     def __post_init__(self):
-        if self.coefficient <= 0:
-            raise ValueError("schedule coefficient must be positive")
-        if self.exponent < 0:
-            raise ValueError("schedule exponent must be nonnegative")
+        if not 0 < self.coefficient < math.inf:
+            raise ValueError("schedule coefficient must be positive and finite")
+        if not 0 <= self.exponent < math.inf:
+            raise ValueError("schedule exponent must be nonnegative and finite")
 
     def __call__(self, t: int) -> float:
         if t < 1:

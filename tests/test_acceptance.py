@@ -297,13 +297,13 @@ def test_criterion_2_energy_recursion():
     stream = default_trig_stream(grid, seed=2024)
     third = grid.n_cells // 3
     mu = Density.uniform_on_cells(grid, np.arange(third, 2 * third))
-    trace = run_da(
+    [trace] = run_da(
         negentropy(),
         stream,
         ExactChannel(),
         Schedule(1.0 / stream.V, 0.5),
         2000,
-        np.random.default_rng(0),
+        [np.random.default_rng(0)],
         diagnostics=mu,
     )
     ex = trace.extras

@@ -184,7 +184,7 @@ def test_run_bda_constant_payoff_zero_regret(grid):
         payoff_convention = True
 
     stream = ConstPayoff(grid, 0.6)
-    trace = run_bda(stream, BDAConfig.defaults(grid), 40, np.random.default_rng(7))
+    [trace] = run_bda(stream, BDAConfig.defaults(grid), 40, [np.random.default_rng(7)])
     for tau in (1, 10, 40):
         assert static_regret(trace, tau) == pytest.approx(0.0, abs=1e-9)
 
@@ -198,7 +198,7 @@ def test_run_bda_covering_kernel_keeps_uniform(grid):
         delta=Schedule(5.0, 0.0),  # ball covers X
         eps=Schedule(0.5, 0.25),
     )
-    trace = run_bda(stream, config, 30, np.random.default_rng(8))
+    [trace] = run_bda(stream, config, 30, [np.random.default_rng(8)])
     means = [stream.values(t).mean() for t in range(1, 31)]
     np.testing.assert_allclose(trace.expected, means, rtol=0, atol=1e-12)
 
@@ -228,7 +228,7 @@ def replay_strategies(grid, stream, config, trace):
 def test_run_bda_strategy_floor_and_swap_bound(grid):
     stream = payoff_stream(grid, seed=9)
     config = BDAConfig.defaults(grid)
-    trace = run_bda(stream, config, 500, np.random.default_rng(10))
+    [trace] = run_bda(stream, config, 500, [np.random.default_rng(10)])
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
     unmixed_gap = swap_gap = 0.0
     for t, eps, base, vals, f in replay_strategies(grid, stream, config, trace):
@@ -249,7 +249,7 @@ def test_run_bda_replay_matches_trace_and_diagnostics():
     grid = Grid(BoxDomain(0.0, 2.0), 64)
     stream = payoff_stream(grid, seed=21)
     config = BDAConfig.defaults(grid, eta_coef=3.0)
-    trace = run_bda(stream, config, 60, np.random.default_rng(22))
+    [trace] = run_bda(stream, config, 60, [np.random.default_rng(22)])
     w = grid.cell_volume
     channel = BanditChannel(config.delta)
     # The expected value checks the eps_t mix bit for bit.
@@ -266,14 +266,14 @@ def test_run_bda_replay_matches_trace_and_diagnostics():
 def test_run_bda_requires_payoff_convention(grid):
     with pytest.raises(ConfigError):
         run_bda(default_trig_stream(grid, seed=11), BDAConfig.defaults(grid),
-                5, np.random.default_rng(12))
+                5, [np.random.default_rng(12)])
 
 
 def test_run_bda_determinism(grid):
     stream = payoff_stream(grid, seed=13)
     cfg = BDAConfig.defaults(grid)
-    t1 = run_bda(stream, cfg, 100, np.random.default_rng(99))
-    t2 = run_bda(stream, cfg, 100, np.random.default_rng(99))
+    [t1] = run_bda(stream, cfg, 100, [np.random.default_rng(99)])
+    [t2] = run_bda(stream, cfg, 100, [np.random.default_rng(99)])
     assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.expected, t2.expected)
 
@@ -294,7 +294,7 @@ def test_bda_config_validation(grid):
     # rounds where the schedule fell below it.
     floor = 2 * grid.cell_diameter
     coarse = BDAConfig(eta=cfg.eta, delta=Schedule(4 * floor, 1.0), eps=cfg.eps)
-    trace = run_bda(payoff_stream(grid), coarse, 10, np.random.default_rng(0))
+    [trace] = run_bda(payoff_stream(grid), coarse, 10, [np.random.default_rng(0)])
     channel = BanditChannel(coarse.delta)
     assert [channel.radius(grid, t) for t in range(1, 11)] == [
         max(coarse.delta(t), floor) for t in range(1, 11)]
@@ -310,9 +310,9 @@ def test_bda_no_exploration_mode(grid):
         delta=Schedule(0.25, 0.25),
         eps=None,
     )
-    trace = run_bda(stream, cfg, 50, np.random.default_rng(15))
-    plain = run_da(negentropy(), stream, BanditChannel(cfg.delta), cfg.eta, 50,
-                   np.random.default_rng(15))
+    [trace] = run_bda(stream, cfg, 50, [np.random.default_rng(15)])
+    [plain] = run_da(negentropy(), stream, BanditChannel(cfg.delta), cfg.eta, 50,
+                     [np.random.default_rng(15)])
     assert "eps" not in trace.extras
     for name in ("expected", "realized", "actions"):
         assert np.array_equal(getattr(trace, name), getattr(plain, name)), name

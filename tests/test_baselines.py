@@ -68,7 +68,7 @@ def replay_exp3(grid, stream, arms_per_axis, trace):
 
 def test_single_arm_probability_one(grid):
     stream = ConstPayoff(grid, 0.7)
-    trace = run_exp3(stream, 1, 30, np.random.default_rng(0))
+    [trace] = run_exp3(stream, 1, 30, [np.random.default_rng(0)])
     for probs in replay_exp3(grid, stream, 1, trace):
         assert probs[0] == pytest.approx(1.0)
     assert np.all(trace.actions == arm_points(grid, 1)[0])
@@ -81,7 +81,7 @@ def test_equal_payoffs_stay_uniform(grid):
     m = 8
     horizon_exact = int(m * np.log(m))  # gamma_t = 1 for t <= m log m
     stream = ConstPayoff(grid, 0.5)
-    trace = run_exp3(stream, m, horizon_exact, np.random.default_rng(1))
+    [trace] = run_exp3(stream, m, horizon_exact, [np.random.default_rng(1)])
     for probs in replay_exp3(grid, stream, m, trace)[:horizon_exact]:
         assert np.abs(probs - 1.0 / m).max() < 1e-9
     runs = 400
@@ -92,7 +92,7 @@ def test_equal_payoffs_stay_uniform(grid):
 
 def test_zero_payoffs_leave_state_unchanged(grid):
     stream = ConstPayoff(grid, 0.0)
-    trace = run_exp3(stream, 6, 50, np.random.default_rng(2))
+    [trace] = run_exp3(stream, 6, 50, [np.random.default_rng(2)])
     replay_exp3(grid, stream, 6, trace)
     assert np.all(trace.extras["scores"] == 0.0)
 
@@ -101,13 +101,13 @@ def test_probability_vector_valid_with_floor(grid):
     m = 16
     arm3 = arm_points(grid, m)[3]
     stream = CellPayoff(grid, lambda c: np.array_equal(c, arm3))
-    trace = run_exp3(stream, m, 300, np.random.default_rng(3))
+    [trace] = run_exp3(stream, m, 300, [np.random.default_rng(3)])
     for t, probs in enumerate(replay_exp3(grid, stream, m, trace), start=1):
         gamma = min(1.0, math.sqrt(m * math.log(m) / t))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= gamma / m - 1e-15)
     # Deterministic in the seed.
-    again = run_exp3(stream, m, 300, np.random.default_rng(3))
+    [again] = run_exp3(stream, m, 300, [np.random.default_rng(3)])
     for name in ("expected", "realized", "actions"):
         assert getattr(again, name).tobytes() == getattr(trace, name).tobytes()
     assert again.extras["scores"].tobytes() == trace.extras["scores"].tobytes()
@@ -117,7 +117,7 @@ def test_two_arms_separation(grid):
     # Payoffs always (1, 0) on the arms at 1/4 and 3/4: arm 0 dominates within
     # 10^4 rounds.
     stream = CellPayoff(grid, lambda c: float(c[0] < 0.5))
-    trace = run_exp3(stream, 2, 10**4, np.random.default_rng(4))
+    [trace] = run_exp3(stream, 2, 10**4, [np.random.default_rng(4)])
     assert np.array_equal(arm_points(grid, 2), [[0.25], [0.75]])
     assert replay_exp3(grid, stream, 2, trace)[-1][0] > 0.9
 
@@ -125,22 +125,22 @@ def test_two_arms_separation(grid):
 def test_payoff_validation(grid):
     stream = ConstPayoff(grid, 1.7)
     with pytest.raises(ConfigError, match="must lie in"):
-        run_exp3(stream, 4, 5, np.random.default_rng(5))
+        run_exp3(stream, 4, 5, [np.random.default_rng(5)])
     with pytest.raises(ConfigError, match="must lie in"):
         run_exp3(stream, 4, 5, [np.random.default_rng(5), np.random.default_rng(6)])
     with pytest.raises(ConfigError):
-        run_exp3(ConstPayoff(grid, 0.5), 0, 5, np.random.default_rng(5))
+        run_exp3(ConstPayoff(grid, 0.5), 0, 5, [np.random.default_rng(5)])
 
 
 def test_run_exp3_constant_stream_zero_regret(grid):
     stream = ConstPayoff(grid, 0.4)
-    trace = run_exp3(stream, 8, 50, np.random.default_rng(6))
+    [trace] = run_exp3(stream, 8, 50, [np.random.default_rng(6)])
     assert static_regret(trace) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_run_exp3_requires_payoff(grid):
     with pytest.raises(ConfigError):
-        run_exp3(default_trig_stream(grid, seed=7), 8, 5, np.random.default_rng(8))
+        run_exp3(default_trig_stream(grid, seed=7), 8, 5, [np.random.default_rng(8)])
 
 
 def test_fine_arms_dominate_coarse_best_value(grid):
@@ -158,7 +158,7 @@ def test_fine_arms_dominate_coarse_best_value(grid):
 
 def test_run_uniform_matches_mean(grid):
     stream = to_payoff(default_trig_stream(grid, seed=10))
-    trace = run_uniform(stream, 20, np.random.default_rng(11))
+    [trace] = run_uniform(stream, 20, [np.random.default_rng(11)])
     mean = stream.values(1).mean()
     assert np.allclose(trace.expected, mean, atol=1e-12)
     # The trace holds only what the run produced: no echo of its inputs.
@@ -179,6 +179,6 @@ def test_run_uniform_draws_as_grids_sample(grid):
 def test_horizon_must_be_positive(grid):
     stream = ConstPayoff(grid, 0.5)
     with pytest.raises(ValueError, match="horizon"):
-        run_exp3(stream, 4, 0, np.random.default_rng(0))
+        run_exp3(stream, 4, 0, [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="horizon"):
-        run_uniform(stream, 0, np.random.default_rng(0))
+        run_uniform(stream, 0, [np.random.default_rng(0)])

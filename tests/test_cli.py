@@ -134,6 +134,25 @@ def test_out_of_range_values_rejected_at_parse(line):
         parse_config(text, source="exp.cfg")
 
 
+@pytest.mark.parametrize("text", [
+    "algorithm = da\nexp3.arms = 8",
+    "channel.kind = exact\nchannel.noise_scale = 0.5",
+    "channel.kind = unbiased\nchannel.bias_scale = 0.5",
+    "algorithm = da\nschedule.eps_coef = 0.5",
+    "algorithm = da\nschedule.delta_coef = 0.5",
+    "algorithm = exp3_grid\nstream.payoff = true\nschedule.delta_exponent = 0.5",
+    "algorithm = uniform\nstream.payoff = true\nschedule.eta_coef = 1",
+    "stream.kind = trig_mixture\nstream.drift_exponent = 0.5",
+])
+def test_keys_the_run_never_reads_rejected_at_parse(text):
+    # The unread key is the last line of each case; the error names it and its line.
+    lines = text.splitlines()
+    key = lines[-1].split(" = ")[0]
+    with pytest.raises(ConfigError,
+                       match=rf"^exp\.cfg:{len(lines)}: '{re.escape(key)}' is read only when"):
+        parse_config(text + "\nhorizon = 10\n", source="exp.cfg")
+
+
 def test_finite_sum_stream_kind_rejected_at_parse():
     # Finite-sum streams carry arbitrary components and are built in code only.
     with pytest.raises(ConfigError, match=r"^exp\.cfg: stream\.kind must be one of"):
@@ -179,7 +198,8 @@ checkpoint.ratio = 2.0
 THREAD_INVARIANCE_CONFIGS = {
     "bda": BDA_CONFIG,
     "exp3_grid": EXP3_FOUR_SEEDS,
-    "uniform": EXP3_FOUR_SEEDS.replace("algorithm = exp3_grid", "algorithm = uniform"),
+    "uniform": EXP3_FOUR_SEEDS.replace("algorithm = exp3_grid", "algorithm = uniform")
+                              .replace("exp3.arms = 8\n", ""),
     "da_exact": DA_FOUR_SEEDS,
     "da_unbiased": DA_FOUR_SEEDS.replace(
         "channel.kind = exact", "channel.kind = unbiased\nchannel.noise_scale = 0.5"),

@@ -22,6 +22,8 @@ from dualavg import (
     quadratic,
     run_bda,
     run_da,
+    run_exp3,
+    run_uniform,
     static_regret,
     to_payoff,
     tsallis,
@@ -41,8 +43,8 @@ def test_initial_strategy_is_uniform(grid):
     stream = default_trig_stream(grid, seed=1)
     f = stream.values(1)
     for reg in (negentropy(), quadratic(), tsallis(0.5)):
-        trace = run_da(reg, stream, ExactChannel(), Schedule(1.0, 0.5), 1,
-                       np.random.default_rng(0))
+        [trace] = run_da(reg, stream, ExactChannel(), Schedule(1.0, 0.5), 1,
+                         [np.random.default_rng(0)])
         assert trace.expected[0] == pytest.approx(f.mean(), abs=1e-10)
 
 
@@ -79,8 +81,8 @@ def test_da_step_semantics(grid):
     # replay of the scores through run_da's expected values.
     stream = default_trig_stream(grid, seed=12, drift_rate=0.3)
     eta = Schedule(2.0, 0.5)
-    trace = run_da(negentropy(), stream, ExactChannel(), eta, 30,
-                   np.random.default_rng(1))
+    [trace] = run_da(negentropy(), stream, ExactChannel(), eta, 30,
+                     [np.random.default_rng(1)])
     np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, -1.0),
                                rtol=0, atol=1e-12)
 
@@ -88,8 +90,8 @@ def test_da_step_semantics(grid):
 def test_payoff_convention_adds(grid):
     stream = to_payoff(default_trig_stream(grid, seed=12, drift_rate=0.3))
     eta = Schedule(2.0, 0.5)
-    trace = run_da(negentropy(), stream, ExactChannel(), eta, 30,
-                   np.random.default_rng(1))
+    [trace] = run_da(negentropy(), stream, ExactChannel(), eta, 30,
+                     [np.random.default_rng(1)])
     np.testing.assert_allclose(trace.expected, _logit_replay(grid, stream, eta, 30, 1.0),
                                rtol=0, atol=1e-12)
     # The same scores with the loss sign would play a different sequence.
@@ -98,9 +100,9 @@ def test_payoff_convention_adds(grid):
 
 def test_constant_stream_zero_regret_every_horizon(grid):
     stream = ConstantStream(grid, 1.3)
-    trace = run_da(
+    [trace] = run_da(
         negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 50,
-        np.random.default_rng(2),
+        [np.random.default_rng(2)],
     )
     for tau in (1, 7, 25, 50):
         assert static_regret(trace, tau) == pytest.approx(0.0, abs=1e-9)
@@ -108,9 +110,9 @@ def test_constant_stream_zero_regret_every_horizon(grid):
 
 def test_single_round_run(grid):
     stream = default_trig_stream(grid, seed=3)
-    trace = run_da(
+    [trace] = run_da(
         negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 1,
-        np.random.default_rng(4),
+        [np.random.default_rng(4)],
     )
     assert trace.horizon == 1
     uniform_mean = stream.values(1).mean()
@@ -127,7 +129,7 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
     block = run_da(negentropy(), stream, BanditChannel(config.delta), config.eta, 40,
                    [np.random.default_rng(s) for s in seeds], eps=config.eps)
     for seed, trace in zip(seeds, block):
-        alone = run_bda(stream, config, 40, np.random.default_rng(seed))
+        [alone] = run_bda(stream, config, 40, [np.random.default_rng(seed)])
         for name in ("expected", "realized", "actions"):
             assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
         # The eps schedule is the caller's; neither trace records a series of it.
@@ -138,8 +140,8 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
 def test_run_da_plays_on_the_stream_grid():
     # The stream owns the grid: a stream on [0, 2] is played on [0, 2].
     stream = default_trig_stream(Grid(BoxDomain(0.0, 2.0), 64), seed=7)
-    trace = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 200,
-                   np.random.default_rng(0))
+    [trace] = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 200,
+                     [np.random.default_rng(0)])
     assert trace.actions.min() >= 0.0 and 1.5 < trace.actions.max() < 2.0
 
 
@@ -188,10 +190,10 @@ def test_determinism_bit_identical(grid):
     stream = default_trig_stream(grid, seed=7)
     channel = UnbiasedChannel(0.4)
     kwargs = dict(eta=Schedule(0.5, 0.5), T=40)
-    t1 = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
-                np.random.default_rng(123))
-    t2 = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
-                np.random.default_rng(123))
+    [t1] = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
+                  [np.random.default_rng(123)])
+    [t2] = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
+                  [np.random.default_rng(123)])
     assert np.array_equal(t1.expected, t2.expected)
     assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.realized, t2.realized)
@@ -206,9 +208,9 @@ def _comparator(grid):
 def test_energy_recursion_and_telescoped_bound(grid, reg):
     stream = default_trig_stream(grid, seed=8)
     mu = _comparator(grid)
-    trace = run_da(
+    [trace] = run_da(
         reg, stream, ExactChannel(), Schedule(1.0 / stream.V, 0.5), 300,
-        np.random.default_rng(9), diagnostics=mu,
+        [np.random.default_rng(9)], diagnostics=mu,
     )
     ex = trace.extras
     energy, rhs = ex["energy"], ex["energy_rhs"]
@@ -228,9 +230,9 @@ def test_energy_recursion_and_telescoped_bound(grid, reg):
 def test_energy_diagnostics_with_noise(grid):
     stream = default_trig_stream(grid, seed=10)
     mu = _comparator(grid)
-    trace = run_da(
+    [trace] = run_da(
         negentropy(), stream, UnbiasedChannel(0.5), Schedule(0.3, 0.5), 200,
-        np.random.default_rng(11), diagnostics=mu,
+        [np.random.default_rng(11)], diagnostics=mu,
     )
     ex = trace.extras
     assert np.all(ex["energy"][1:] <= ex["energy_rhs"] + 1e-6)
@@ -249,7 +251,7 @@ def test_diagnostics_require_modulus(grid):
     stream = default_trig_stream(grid, seed=12)
     with pytest.raises(ConfigError):
         run_da(burg(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
-               np.random.default_rng(13), diagnostics=_comparator(grid))
+               [np.random.default_rng(13)], diagnostics=_comparator(grid))
 
 
 def test_loss_payoff_consistency(grid):
@@ -258,14 +260,38 @@ def test_loss_payoff_consistency(grid):
     base = default_trig_stream(grid, seed=14)
     pay = to_payoff(base)
     eta = 0.4
-    t_loss = run_da(negentropy(), base, ExactChannel(),
-                    Schedule(eta, 0.5), 60, np.random.default_rng(15))
-    t_pay = run_da(negentropy(), pay, ExactChannel(),
-                   Schedule(eta * 2 * base.V, 0.5), 60, np.random.default_rng(15))
+    [t_loss] = run_da(negentropy(), base, ExactChannel(),
+                      Schedule(eta, 0.5), 60, [np.random.default_rng(15)])
+    [t_pay] = run_da(negentropy(), pay, ExactChannel(),
+                     Schedule(eta * 2 * base.V, 0.5), 60, [np.random.default_rng(15)])
     assert np.array_equal(t_loss.actions, t_pay.actions)
     assert static_regret(t_pay) == pytest.approx(
         static_regret(t_loss) / (2 * base.V), rel=1e-9
     )
+
+
+@pytest.mark.parametrize("driver", ["run_da", "run_bda", "run_exp3", "run_uniform"])
+def test_drivers_take_a_nonempty_block_of_generators(grid, driver):
+    stream = to_payoff(default_trig_stream(grid, seed=5))
+    run = {
+        "run_da": lambda rngs: run_da(negentropy(), stream, ExactChannel(),
+                                      Schedule(1.0, 0.5), 5, rngs),
+        "run_bda": lambda rngs: run_bda(stream, BDAConfig.defaults(grid), 5, rngs),
+        "run_exp3": lambda rngs: run_exp3(stream, 4, 5, rngs),
+        "run_uniform": lambda rngs: run_uniform(stream, 5, rngs),
+    }[driver]
+    with pytest.raises(ValueError, match="at least one generator"):
+        run([])
+    # A bare Generator is not a block.
+    with pytest.raises(TypeError):
+        run(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("coefficient, exponent", [
+    (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)])
+def test_schedule_rejects_non_finite_parameters(coefficient, exponent):
+    with pytest.raises(ValueError, match="finite"):
+        Schedule(coefficient, exponent)
 
 
 def test_diagnostics_follow_one_seed(grid):
@@ -339,7 +365,7 @@ def _check_block_matches_one_run_per_seed(cfg, seeds):
     assert len(block) == len(seeds)
     first_shared = _shared_records(block[0])
     for seed, trace in zip(seeds, block):
-        alone = run_seed(cfg, seed)
+        [alone] = run_seed(cfg, [seed])
         for name in ("expected", "realized", "actions", "round_best"):
             assert _same(getattr(trace, name), getattr(alone, name)), name
         assert trace.extras.keys() == alone.extras.keys()

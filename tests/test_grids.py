@@ -34,6 +34,11 @@ def test_domain_validation():
     assert dom.dim == 2
 
 
+def test_grid_rejects_non_integer_cells_per_axis():
+    with pytest.raises(DomainError, match="integer"):
+        Grid(BoxDomain(0.0, 1.0), 2.5)
+
+
 def test_grid_cell_volume_sums_to_domain_volume():
     for dom, n in [
         (BoxDomain(0.0, 1.0), 1024),

@@ -190,8 +190,8 @@ def test_neighborhood_comparator_chain(grid):
     # Lemma-style chain: Reg_x <= Reg_mu + L * diam(U) * T on recorded traces.
     stream = default_trig_stream(grid, seed=5)
     rng = np.random.default_rng(6)
-    trace = run_da(
-        negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60, rng
+    [trace] = run_da(
+        negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60, [rng]
     )
     for _ in range(10):
         x = rng.uniform(0.0, 1.0, size=1)
@@ -221,9 +221,9 @@ def test_window_decomposition_drifting(grid):
             grid, seed=100 + k, drift_rate=float(rng.uniform(0.001, 0.2))
         )
         T = int(rng.integers(20, 80))
-        trace = run_da(
+        [trace] = run_da(
             negentropy(), stream, ExactChannel(),
-            Schedule(0.5, 0.5), T, np.random.default_rng(k),
+            Schedule(0.5, 0.5), T, [np.random.default_rng(k)],
         )
         delta = int(rng.integers(1, T + 1))
         result = window_decomposition(trace, delta)
@@ -234,7 +234,7 @@ def test_window_decomposition_computes_variation_once(grid, monkeypatch):
     def drifting_trace():
         stream = default_trig_stream(grid, seed=21, drift_rate=0.05)
         return run_da(negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 60,
-                      np.random.default_rng(22))
+                      [np.random.default_rng(22)])[0]
 
     deltas = (1, 7, 20, 60)
     # Reference: a fresh trace per window length, so nothing is shared.
@@ -257,8 +257,8 @@ def test_window_decomposition_computes_variation_once(grid, monkeypatch):
 def test_window_decomposition_evaluates_no_round(grid, payoff):
     base = default_trig_stream(grid, seed=23, drift_rate=0.05)
     stream = to_payoff(base) if payoff else base
-    trace = run_da(negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 50,
-                   np.random.default_rng(24))
+    [trace] = run_da(negentropy(), stream, ExactChannel(), Schedule(0.5, 0.5), 50,
+                     [np.random.default_rng(24)])
     reference = {d: window_decomposition(replay_rounds(trace), d) for d in (1, 7, 50)}
     calls = []
     for s in {stream, base}:
@@ -338,8 +338,8 @@ def test_cumulative_grid_is_the_stream_window_sum(grid):
     streams = {"static": default_trig_stream(grid, seed=4), "drifting": base,
                "payoff": to_payoff(base)}
     for kind, stream in streams.items():
-        trace = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
-                       np.random.default_rng(1))
+        [trace] = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), T,
+                         [np.random.default_rng(1)])
         brute = np.zeros(grid.n_cells)
         sums = {}
         for t in range(1, T + 1):
