@@ -95,7 +95,7 @@ exp3.arms = 32
 """,
 }
 
-_FIELDS = ("expected", "realized", "actions", "round_best")
+_FIELDS = ("expected", "realized", "round_best")
 
 
 def _bytes(value):

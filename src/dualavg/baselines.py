@@ -54,8 +54,7 @@ def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
     seed is returned in the same order.  The scores are an (S, m) array, so
     the probabilities and their CDF are computed once per round for the
     block; the draw, the expected value and the score update, payoff over
-    probability at the drawn arm, are per seed.  Each trace's extras hold
-    its final ``scores``.
+    probability at the drawn arm, are per seed.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -73,7 +72,7 @@ def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
         arm_payoffs = f_vals[arm_cells]
         probs = exp3_probabilities(scores, t)
         cdf = np.cumsum(probs, axis=1)
-        expected, payoffs, actions = [], [], []
+        expected, payoffs = [], []
         for s, g in enumerate(rngs):
             p = probs[s]
             arm = draw_cell(cdf[s], g.random())
@@ -83,9 +82,8 @@ def run_exp3(stream: LossStream, arms_per_axis: int, T: int,
             expected.append(float(p @ arm_payoffs))
             scores[s, arm] += payoff / p[arm]
             payoffs.append(payoff)
-            actions.append(arms[arm])
-        recorder.record(t, f_vals, expected, payoffs, actions)
-    return recorder.finish_block(per_seed={"scores": scores})
+        recorder.record(t, f_vals, expected, payoffs)
+    return recorder.finish_block()
 
 
 def run_uniform(stream: LossStream, T: int,

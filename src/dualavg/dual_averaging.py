@@ -139,8 +139,9 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     kernel model's patch; under exact feedback the observation and the
     expected value are made once, for row 0.  The realized values are read
     at the drawn cells.  The stream value and its per-round best are
-    computed once per round and shared.  The traces record no schedule:
-    ``eta`` and ``eps`` are the caller's.
+    computed once per round and shared.  The traces record no schedule
+    (``eta`` and ``eps`` are the caller's) and no point: only the channel
+    reads the drawn points.
 
     Passing a comparator density as ``diagnostics`` turns on per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed,
@@ -181,7 +182,7 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
                 row[index] += model
             else:
                 row[index] -= model
-        recorder.record(t, f_vals, expected, f_vals[cells], actions)
+        recorder.record(t, f_vals, expected, f_vals[cells])
         if diag is not None:
             model_vals = np.zeros(grid.n_cells)
             model_vals[index] = model

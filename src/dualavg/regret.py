@@ -1,12 +1,12 @@
 """Post-hoc regret accounting on recorded traces.
 
-A trace stores what the run alone produced: per-seed expected and realized
-values and actions, and the per-round best fixed value, shared by the seeds
-of a block.  Cumulative stream values over any horizon come from the
-stream's window sums (closed forms on trig streams), so nothing else is
-stored.  All regrets are reported in the loss orientation (nonnegative when
-the learner is doing worse than the benchmark), for loss streams and payoff
-streams alike; ``loss_oriented`` and ``best_value`` are that one sign rule.
+A trace stores the values regret reads: per-seed expected and realized
+values, and the per-round best fixed value, shared by the seeds of a block.
+Cumulative stream values over any horizon come from the stream's window
+sums (closed forms on trig streams), so nothing else is stored.  All
+regrets are reported in the loss orientation (nonnegative when the learner
+is doing worse than the benchmark), for loss streams and payoff streams
+alike; ``loss_oriented`` and ``best_value`` are that one sign rule.
 """
 
 from __future__ import annotations
@@ -68,16 +68,15 @@ def best_value(source, values: np.ndarray) -> float:
 class RegretTrace:
     """Per-round records of one run, sufficient for all regret accounting.
 
-    ``expected``, ``realized`` and ``actions`` are read-only rows of the
-    recorder's seed-major block arrays; ``round_best`` is shared by the
-    block, read-only.  The grid is the stream's.
+    ``expected`` and ``realized`` are read-only rows of the recorder's
+    seed-major block arrays; ``round_best`` is shared by the block,
+    read-only.  The grid is the stream's.
     """
 
     stream: LossStream
     horizon: int
     expected: np.ndarray
     realized: np.ndarray
-    actions: np.ndarray
     round_best: np.ndarray
     extras: dict = field(default_factory=dict)
     _variation: float | None = field(default=None, init=False, repr=False)
@@ -104,8 +103,8 @@ class TraceRecorder:
     ``run_*`` driver builds one, so this is where an empty block of
     generators is rejected.  The per-round best value depends on the stream
     alone, so it is recorded once and the block's traces share it,
-    read-only.  Expected and realized values and actions are kept
-    seed-major, and each trace gets read-only views of its seed's rows.
+    read-only.  Expected and realized values are kept seed-major, and each
+    trace gets read-only views of its seed's rows.
     """
 
     def __init__(self, stream: LossStream, horizon: int, seeds: int = 1):
@@ -115,46 +114,34 @@ class TraceRecorder:
         self.horizon = horizon
         self.expected = np.zeros((seeds, horizon))
         self.realized = np.zeros((seeds, horizon))
-        self.actions = np.zeros((seeds, horizon, stream.grid.dim))
         self.round_best = np.zeros(horizon)
 
-    def record(self, t: int, f_values: np.ndarray, expected, realized, action) -> None:
+    def record(self, t: int, f_values: np.ndarray, expected, realized) -> None:
         """Round t of every seed of the block.
 
-        ``expected``, ``realized`` and ``action`` hold one entry per seed, or
-        one entry that every seed shares.
+        ``expected`` and ``realized`` hold one entry per seed, or one entry
+        that every seed shares.
         """
         i = t - 1
         self.expected[:, i] = expected
         self.realized[:, i] = realized
-        self.actions[:, i] = action
         self.round_best[i] = best_value(self.stream, f_values)
 
-    def finish_block(self, extras: dict | None = None,
-                     per_seed: dict | None = None) -> list[RegretTrace]:
-        """One trace per seed, in block order; each gets its own copy of ``extras``.
-
-        ``per_seed`` maps further extras to arrays whose first axis is the
-        seed; trace s gets a copy of row s under the same name.
-        """
-        for shared in (self.round_best, self.expected, self.realized, self.actions):
+    def finish_block(self, extras: dict | None = None) -> list[RegretTrace]:
+        """One trace per seed, in block order; each gets its own copy of ``extras``."""
+        for shared in (self.round_best, self.expected, self.realized):
             shared.setflags(write=False)
-        traces = [
+        return [
             RegretTrace(
                 stream=self.stream,
                 horizon=self.horizon,
                 expected=expected,
                 realized=realized,
-                actions=actions,
                 round_best=self.round_best,
                 extras=dict(extras or {}),
             )
-            for expected, realized, actions in zip(self.expected, self.realized, self.actions)
+            for expected, realized in zip(self.expected, self.realized)
         ]
-        for name, rows in (per_seed or {}).items():
-            for trace, row in zip(traces, rows):
-                trace.extras[name] = row.copy()
-        return traces
 
 
 def _check_horizon(trace: RegretTrace, T: int | None) -> int:

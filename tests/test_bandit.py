@@ -24,6 +24,7 @@ from dualavg import (
     static_regret,
     to_payoff,
 )
+from dualavg.grids import draw_cell
 from tests.test_regret import ConstantStream
 
 
@@ -203,25 +204,28 @@ def test_run_bda_covering_kernel_keeps_uniform(grid):
     np.testing.assert_allclose(trace.expected, means, rtol=0, atol=1e-12)
 
 
-def replay_strategies(grid, stream, config, trace):
-    """Independent replay of a one-seed BDA trace.
+def replay_strategies(grid, stream, config, T, rng):
+    """Independent replay of T rounds of one-seed BDA drawing from ``rng``.
 
-    Rebuilds each round's scores from the recorded actions and the channel's
-    radii and yields ``(t, eps, base, vals, f)``: the plain logit ``base``,
-    its exploration mix ``vals`` and the payoff ``f`` of round ``t``.
+    Draws each round's cell with ``draw_cell`` on the cumulative sums of the
+    played density and a uniform point in it, rebuilds the scores from the
+    kernel models around those points and yields ``(t, eps, base, vals, f,
+    cell)``: the plain logit ``base``, its exploration mix ``vals``, the
+    payoff ``f`` of round ``t`` and the drawn cell.
     """
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
     channel = BanditChannel(config.delta)
     y = np.zeros(grid.n_cells)
-    for t in range(1, len(trace.actions) + 1):
+    for t in range(1, T + 1):
         eta, eps = config.eta(t), config.eps(t)
         z = np.exp(eta * y - (eta * y).max())
         base = z / (z.sum() * w)
         vals = (1.0 - eps) * base + eps * u
         f = stream.values(t)
-        yield t, eps, base, vals, f
-        cell = grid.cell_index(trace.actions[t - 1])
-        support, volume = ball_patch(grid, trace.actions[t - 1], channel.radius(grid, t))
+        cell = draw_cell(np.cumsum(vals), rng.random())
+        point = grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
+        yield t, eps, base, vals, f, cell
+        support, volume = ball_patch(grid, point, channel.radius(grid, t))
         y[support] += f[cell] / (volume * vals[cell])
 
 
@@ -231,7 +235,8 @@ def test_run_bda_strategy_floor_and_swap_bound(grid):
     [trace] = run_bda(stream, config, 500, [np.random.default_rng(10)])
     w, u = grid.cell_volume, 1.0 / grid.domain.volume
     unmixed_gap = swap_gap = 0.0
-    for t, eps, base, vals, f in replay_strategies(grid, stream, config, trace):
+    for t, eps, base, vals, f, _ in replay_strategies(grid, stream, config, 500,
+                                                      np.random.default_rng(10)):
         # The recorded value is that of the eps_t mix of the replayed logit.
         assert trace.expected[t - 1] == pytest.approx(f @ vals * w, abs=1e-12)
         assert vals.min() >= eps * u - 1e-12
@@ -252,9 +257,10 @@ def test_run_bda_replay_matches_trace_and_diagnostics():
     [trace] = run_bda(stream, config, 60, [np.random.default_rng(22)])
     w = grid.cell_volume
     channel = BanditChannel(config.delta)
-    # The expected value checks the eps_t mix bit for bit.
-    for t, _, base, vals, f in replay_strategies(grid, stream, config, trace):
-        cell = grid.cell_index(trace.actions[t - 1])
+    # The expected value checks the eps_t mix bit for bit, and the realized
+    # value the replay's draw.
+    for t, _, base, vals, f, cell in replay_strategies(grid, stream, config, 60,
+                                                       np.random.default_rng(22)):
         assert trace.realized[t - 1] == f[cell]
         assert trace.expected[t - 1] == f @ vals * w
         assert channel.radius(grid, t) == max(config.delta(t), 2.0 * grid.cell_diameter)
@@ -274,7 +280,7 @@ def test_run_bda_determinism(grid):
     cfg = BDAConfig.defaults(grid)
     [t1] = run_bda(stream, cfg, 100, [np.random.default_rng(99)])
     [t2] = run_bda(stream, cfg, 100, [np.random.default_rng(99)])
-    assert np.array_equal(t1.actions, t2.actions)
+    assert np.array_equal(t1.realized, t2.realized)
     assert np.array_equal(t1.expected, t2.expected)
 
 
@@ -314,5 +320,5 @@ def test_bda_no_exploration_mode(grid):
     [plain] = run_da(negentropy(), stream, BanditChannel(cfg.delta), cfg.eta, 50,
                      [np.random.default_rng(15)])
     assert "eps" not in trace.extras
-    for name in ("expected", "realized", "actions"):
+    for name in ("expected", "realized"):
         assert np.array_equal(getattr(trace, name), getattr(plain, name)), name

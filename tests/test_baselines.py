@@ -16,6 +16,7 @@ from dualavg import (
     to_payoff,
 )
 from dualavg.baselines import exp3_probabilities
+from dualavg.grids import draw_cell
 from tests.test_regret import ConstantStream
 
 
@@ -41,12 +42,13 @@ def arm_points(grid, arms_per_axis):
     return Grid(grid.domain, arms_per_axis).centers
 
 
-def replay_exp3(grid, stream, arms_per_axis, trace):
-    """Rebuild EXP3's per-round probabilities from a one-seed trace of a static stream.
+def replay_exp3(grid, stream, arms_per_axis, trace, rng):
+    """Replay one-seed EXP3 on a static stream, drawing from ``rng``.
 
-    Checks that every action is an arm, that the realized and expected values
-    are those of the drawn arm and of the probabilities, and that the final
-    scores are the sum of payoff / probability at the drawn arms.  Returns the
+    Each round draws an arm with ``draw_cell`` on the cumulative sums of the
+    probabilities and checks, bit for bit, that the trace's realized and
+    expected values are those of the drawn arm and of the probabilities; the
+    scores add payoff / probability at the drawn arm.  Returns the
     probabilities of rounds 1..T+1.
     """
     arms = arm_points(grid, arms_per_axis)
@@ -57,11 +59,10 @@ def replay_exp3(grid, stream, arms_per_axis, trace):
     for t in range(1, trace.horizon + 1):
         probs = exp3_probabilities(scores, t)
         history.append(probs)
-        (arm,) = np.flatnonzero((arms == trace.actions[t - 1]).all(axis=1))
+        arm = draw_cell(np.cumsum(probs), rng.random())
         assert trace.realized[t - 1] == arm_payoffs[arm]
         assert trace.expected[t - 1] == float(probs @ arm_payoffs)
-        scores[arm] += trace.realized[t - 1] / probs[arm]
-    assert np.array_equal(trace.extras["scores"], scores)
+        scores[arm] += arm_payoffs[arm] / probs[arm]
     history.append(exp3_probabilities(scores, trace.horizon + 1))
     return history
 
@@ -69,9 +70,9 @@ def replay_exp3(grid, stream, arms_per_axis, trace):
 def test_single_arm_probability_one(grid):
     stream = ConstPayoff(grid, 0.7)
     [trace] = run_exp3(stream, 1, 30, [np.random.default_rng(0)])
-    for probs in replay_exp3(grid, stream, 1, trace):
+    for probs in replay_exp3(grid, stream, 1, trace, np.random.default_rng(0)):
         assert probs[0] == pytest.approx(1.0)
-    assert np.all(trace.actions == arm_points(grid, 1)[0])
+    assert np.all(trace.realized == 0.7)
 
 
 def test_equal_payoffs_stay_uniform(grid):
@@ -82,19 +83,21 @@ def test_equal_payoffs_stay_uniform(grid):
     horizon_exact = int(m * np.log(m))  # gamma_t = 1 for t <= m log m
     stream = ConstPayoff(grid, 0.5)
     [trace] = run_exp3(stream, m, horizon_exact, [np.random.default_rng(1)])
-    for probs in replay_exp3(grid, stream, m, trace)[:horizon_exact]:
+    for probs in replay_exp3(grid, stream, m, trace, np.random.default_rng(1))[:horizon_exact]:
         assert np.abs(probs - 1.0 / m).max() < 1e-9
     runs = 400
     block = run_exp3(stream, m, 80, [np.random.default_rng(1000 + r) for r in range(runs)])
-    acc = sum(exp3_probabilities(tr.extras["scores"], 81) for tr in block)
+    acc = sum(replay_exp3(grid, stream, m, tr, np.random.default_rng(1000 + r))[-1]
+              for r, tr in enumerate(block))
     assert np.abs(acc / runs - 1.0 / m).max() < 0.05
 
 
 def test_zero_payoffs_leave_state_unchanged(grid):
     stream = ConstPayoff(grid, 0.0)
     [trace] = run_exp3(stream, 6, 50, [np.random.default_rng(2)])
-    replay_exp3(grid, stream, 6, trace)
-    assert np.all(trace.extras["scores"] == 0.0)
+    history = replay_exp3(grid, stream, 6, trace, np.random.default_rng(2))
+    for t, probs in enumerate(history, start=1):
+        assert np.array_equal(probs, exp3_probabilities(np.zeros(6), t))
 
 
 def test_probability_vector_valid_with_floor(grid):
@@ -102,15 +105,15 @@ def test_probability_vector_valid_with_floor(grid):
     arm3 = arm_points(grid, m)[3]
     stream = CellPayoff(grid, lambda c: np.array_equal(c, arm3))
     [trace] = run_exp3(stream, m, 300, [np.random.default_rng(3)])
-    for t, probs in enumerate(replay_exp3(grid, stream, m, trace), start=1):
+    for t, probs in enumerate(replay_exp3(grid, stream, m, trace, np.random.default_rng(3)),
+                              start=1):
         gamma = min(1.0, math.sqrt(m * math.log(m) / t))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= gamma / m - 1e-15)
     # Deterministic in the seed.
     [again] = run_exp3(stream, m, 300, [np.random.default_rng(3)])
-    for name in ("expected", "realized", "actions"):
+    for name in ("expected", "realized"):
         assert getattr(again, name).tobytes() == getattr(trace, name).tobytes()
-    assert again.extras["scores"].tobytes() == trace.extras["scores"].tobytes()
 
 
 def test_two_arms_separation(grid):
@@ -119,7 +122,7 @@ def test_two_arms_separation(grid):
     stream = CellPayoff(grid, lambda c: float(c[0] < 0.5))
     [trace] = run_exp3(stream, 2, 10**4, [np.random.default_rng(4)])
     assert np.array_equal(arm_points(grid, 2), [[0.25], [0.75]])
-    assert replay_exp3(grid, stream, 2, trace)[-1][0] > 0.9
+    assert replay_exp3(grid, stream, 2, trace, np.random.default_rng(4))[-1][0] > 0.9
 
 
 def test_payoff_validation(grid):
@@ -171,9 +174,12 @@ def test_run_uniform_draws_as_grids_sample(grid):
     traces = run_uniform(stream, 25, [np.random.default_rng(s) for s in seeds])
     uniform = Density.uniform(grid)
     for seed, trace in zip(seeds, traces):
+        # Each round draws a cell and a point in it; the realized value is
+        # the stream's at the drawn cell.
         g = np.random.default_rng(seed)
-        draws = np.array([sample(uniform, g) for _ in range(trace.horizon)])
-        assert draws.tobytes() == trace.actions.tobytes()
+        cells = [sample(uniform, [g])[0][0] for _ in range(trace.horizon)]
+        realized = np.array([stream.values(t)[cell] for t, cell in enumerate(cells, start=1)])
+        assert realized.tobytes() == trace.realized.tobytes()
 
 
 def test_horizon_must_be_positive(grid):

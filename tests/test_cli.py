@@ -285,27 +285,38 @@ def test_cli_main_and_errors(tmp_path, capsys):
 _SUMMARY_HEADER = "algorithm,t,mean_regret,std_regret,slope\n"
 
 
-@pytest.mark.parametrize("args, summary, message", [
-    pytest.param(["run", "--threads", "0"], None, "--threads must be >= 1", id="threads=0"),
-    pytest.param(["run", "--threads", "-2"], None, "--threads must be >= 1", id="threads=-2"),
-    pytest.param(["run", "--seeds", "a..b"], None, "--seeds: invalid literal", id="seeds=a..b"),
-    pytest.param(["report", "--dim", "-3"], "da,10,1.0,0.0,\n", "--dim must be >= 1",
-                 id="dim=-3"),
-    pytest.param(["report", "--dim", "0"], "da,10,1.0,0.0,\n", "--dim must be >= 1",
-                 id="dim=0"),
-    pytest.param(["report"], "da,10,1.0,0.0,\nda,20\n", "malformed summary row",
-                 id="short-row"),
-    pytest.param(["report"], "da,ten,1.0,0.0,\n", "malformed summary row",
+@pytest.mark.parametrize("args, content, message", [
+    pytest.param(["run", "--threads", "0"], BASE_CONFIG, "--threads must be >= 1",
+                 id="threads=0"),
+    pytest.param(["run", "--threads", "-2"], BASE_CONFIG, "--threads must be >= 1",
+                 id="threads=-2"),
+    pytest.param(["run", "--seeds", "a..b"], BASE_CONFIG, "--seeds: invalid literal",
+                 id="seeds=a..b"),
+    pytest.param(["run"], None, "Is a directory", id="config-is-a-directory"),
+    pytest.param(["run"], b"# caf\xe9\n" + BASE_CONFIG.encode(), "can't decode byte 0xe9",
+                 id="config-not-utf8"),
+    pytest.param(["report", "--dim", "-3"], _SUMMARY_HEADER + "da,10,1.0,0.0,\n",
+                 "--dim must be >= 1", id="dim=-3"),
+    pytest.param(["report", "--dim", "0"], _SUMMARY_HEADER + "da,10,1.0,0.0,\n",
+                 "--dim must be >= 1", id="dim=0"),
+    pytest.param(["report"], _SUMMARY_HEADER + "da,10,1.0,0.0,\nda,20\n",
+                 "malformed summary row", id="short-row"),
+    pytest.param(["report"], _SUMMARY_HEADER + "da,ten,1.0,0.0,\n", "malformed summary row",
                  id="non-numeric-t"),
+    pytest.param(["report"], "", "not a summary CSV", id="empty-summary"),
 ])
-def test_cli_input_errors_exit_2(tmp_path, capsys, args, summary, message):
-    # A bad flag or summary file is an input error, not a traceback, and the
-    # run writes nothing.
-    if summary is None:
-        path = write(tmp_path, "base.cfg", BASE_CONFIG)
-        args = args[:1] + [path, "--out", str(tmp_path / "out")] + args[1:]
+def test_cli_input_errors_exit_2(tmp_path, capsys, args, content, message):
+    # A bad flag or input file is an input error, not a traceback, and the
+    # command writes nothing.  ``content`` is the input file's text or bytes,
+    # or None for a directory in its place.
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     else:
-        args = args[:1] + [write(tmp_path, "summary.csv", _SUMMARY_HEADER + summary)] + args[1:]
+        path.write_text(content)
+    args = args[:1] + [str(path), "--out", str(tmp_path / "out")] + args[1:]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

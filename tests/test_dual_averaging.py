@@ -130,19 +130,32 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
                    [np.random.default_rng(s) for s in seeds], eps=config.eps)
     for seed, trace in zip(seeds, block):
         [alone] = run_bda(stream, config, 40, [np.random.default_rng(seed)])
-        for name in ("expected", "realized", "actions"):
+        for name in ("expected", "realized"):
             assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
         # The eps schedule is the caller's; neither trace records a series of it.
         assert trace.extras == {}
         assert alone.extras.keys() == {"delta_floor_rounds"}
 
 
+class _RecordingExact(ExactChannel):
+    """Exact feedback that records the cell and point drawn in each round."""
+
+    def __init__(self):
+        self.cells, self.actions = [], []
+
+    def observe(self, stream, t, strategy, cell, action, rng):
+        self.cells.append(cell)
+        self.actions.append(action.copy())
+        return super().observe(stream, t, strategy, cell, action, rng)
+
+
 def test_run_da_plays_on_the_stream_grid():
     # The stream owns the grid: a stream on [0, 2] is played on [0, 2].
     stream = default_trig_stream(Grid(BoxDomain(0.0, 2.0), 64), seed=7)
-    [trace] = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 200,
-                     [np.random.default_rng(0)])
-    assert trace.actions.min() >= 0.0 and 1.5 < trace.actions.max() < 2.0
+    channel = _RecordingExact()
+    run_da(negentropy(), stream, channel, Schedule(1.0, 0.5), 200, [np.random.default_rng(0)])
+    actions = np.array(channel.actions)
+    assert actions.min() >= 0.0 and 1.5 < actions.max() < 2.0
 
 
 class _EdgeGenerator:
@@ -195,7 +208,6 @@ def test_determinism_bit_identical(grid):
     [t2] = run_da(negentropy(), stream, channel, kwargs["eta"], kwargs["T"],
                   [np.random.default_rng(123)])
     assert np.array_equal(t1.expected, t2.expected)
-    assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.realized, t2.realized)
 
 
@@ -260,11 +272,13 @@ def test_loss_payoff_consistency(grid):
     base = default_trig_stream(grid, seed=14)
     pay = to_payoff(base)
     eta = 0.4
-    [t_loss] = run_da(negentropy(), base, ExactChannel(),
+    loss_channel, pay_channel = _RecordingExact(), _RecordingExact()
+    [t_loss] = run_da(negentropy(), base, loss_channel,
                       Schedule(eta, 0.5), 60, [np.random.default_rng(15)])
-    [t_pay] = run_da(negentropy(), pay, ExactChannel(),
+    [t_pay] = run_da(negentropy(), pay, pay_channel,
                      Schedule(eta * 2 * base.V, 0.5), 60, [np.random.default_rng(15)])
-    assert np.array_equal(t_loss.actions, t_pay.actions)
+    assert loss_channel.cells == pay_channel.cells
+    assert np.array_equal(loss_channel.actions, pay_channel.actions)
     assert static_regret(t_pay) == pytest.approx(
         static_regret(t_loss) / (2 * base.V), rel=1e-9
     )
@@ -366,7 +380,7 @@ def _check_block_matches_one_run_per_seed(cfg, seeds):
     first_shared = _shared_records(block[0])
     for seed, trace in zip(seeds, block):
         [alone] = run_seed(cfg, [seed])
-        for name in ("expected", "realized", "actions", "round_best"):
+        for name in ("expected", "realized", "round_best"):
             assert _same(getattr(trace, name), getattr(alone, name)), name
         assert trace.extras.keys() == alone.extras.keys()
         for name, value in alone.extras.items():
@@ -397,12 +411,37 @@ def test_block_traces_share_read_only_stream_records():
     for trace in traces:
         assert trace.round_best is first.round_best
         # The seeds' records are read-only rows of the block's arrays.
-        for name in ("expected", "realized", "actions"):
+        for name in ("expected", "realized"):
             assert getattr(trace, name).base is getattr(first, name).base, name
-        for record in (trace.round_best, trace.expected, trace.realized, trace.actions):
+        for record in (trace.round_best, trace.expected, trace.realized):
             with pytest.raises(ValueError):
                 record.flat[0] = 1.0
     first.extras["note"] = 1
     assert "note" not in traces[1].extras
     # Noisy feedback: the seeds play their own strategies.
     assert not np.array_equal(first.expected, traces[1].expected)
+
+
+@pytest.mark.parametrize("lower, upper, cells_per_axis", [
+    pytest.param(0.0, 1.0, 64, id="d=1"),
+    pytest.param([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 8, id="d=3"),
+])
+def test_trace_holds_two_rows_per_seed_and_the_shared_best(lower, upper, cells_per_axis):
+    # A trace holds the values regret reads and nothing per action: two
+    # read-only (T,) rows of its own and the block's (T,) per-round best, so
+    # a block of S seeds stores 8 * (2 * S * T + T) bytes whatever d is.
+    S, T = 3, 12
+    stream = default_trig_stream(Grid(BoxDomain(lower, upper), cells_per_axis), seed=16)
+    traces = run_da(negentropy(), stream, UnbiasedChannel(0.3), Schedule(0.5, 0.5), T,
+                    [np.random.default_rng(17 + s) for s in range(S)])
+    buffers = {}
+    for trace in traces:
+        records = {name: value for name, value in vars(trace).items()
+                   if isinstance(value, np.ndarray)}
+        assert records.keys() == {"expected", "realized", "round_best"}
+        for name, array in records.items():
+            assert array.shape == (T,) and not array.flags.writeable, name
+            owner = array if array.base is None else array.base
+            buffers[id(owner)] = owner
+        assert trace.extras == {}
+    assert sum(owner.nbytes for owner in buffers.values()) == 8 * (2 * S * T + T)

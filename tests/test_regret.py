@@ -70,18 +70,15 @@ class ShiftedStream(LossStream):
 def replay(stream, strategies, grid, cells=None):
     """Trace of playing the given densities against the stream.
 
-    Without ``cells`` nothing is drawn (realized value 0 at the first cell);
+    Without ``cells`` nothing is drawn (realized value 0);
     otherwise round t realizes the value at ``cells[t - 1]``.
     """
     T = len(strategies)
     rec = TraceRecorder(stream, T)
     for t, x in enumerate(strategies, start=1):
         f = GridFunction(grid, stream.values(t))
-        if cells is None:
-            rec.record(t, stream.values(t), pair(f, x), 0.0, grid.centers[0])
-        else:
-            cell = cells[t - 1]
-            rec.record(t, stream.values(t), pair(f, x), f.values[cell], grid.centers[cell])
+        realized = 0.0 if cells is None else f.values[cells[t - 1]]
+        rec.record(t, stream.values(t), pair(f, x), realized)
     return rec.finish_block()[0]
 
 
