@@ -155,12 +155,15 @@ def run_command(config_path: str, seeds: str | None = None, out: str | None = No
 
 
 def _read_summary(path: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:4] != ["algorithm", "t", "mean_regret", "std_regret"]:
-            raise ConfigError(f"{path}: not a summary CSV")
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header[:4] != ["algorithm", "t", "mean_regret", "std_regret"]:
+                raise ConfigError(f"{path}: not a summary CSV")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ConfigError(f"{path}: empty summary")
     try:
@@ -255,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(path)
         else:
             report_command(args.summaries, dim=args.dim, out=args.out)
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -314,8 +314,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read(), source=path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def run_seed(cfg: ExperimentConfig,

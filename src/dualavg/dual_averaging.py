@@ -140,8 +140,7 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     expected value are made once, for row 0.  The realized values are read
     at the drawn cells.  The stream value and its per-round best are
     computed once per round and shared.  The traces record no schedule
-    (``eta`` and ``eps`` are the caller's) and no point: only the channel
-    reads the drawn points.
+    (the caller's) and no point (only the channel reads them).
 
     Passing a comparator density as ``diagnostics`` turns on per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed,

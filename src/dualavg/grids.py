@@ -199,11 +199,6 @@ class GridFunction:
         return f
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        """Evaluate ``fn`` on all cell centers; ``fn`` maps (n_cells, d) -> (n_cells,)."""
-        return cls(grid, np.asarray(fn(grid.centers), dtype=float), copy=False)
-
-    @classmethod
     def constant(cls, grid: Grid, c: float) -> "GridFunction":
         return cls(grid, np.full(grid.n_cells, float(c)), copy=False)
 

@@ -37,13 +37,34 @@ class CellPayoff(ConstPayoff):
         self._vals = np.array([float(fn(c)) for c in grid.centers])
 
 
+class SwitchPayoff(ConstPayoff):
+    """Payoff ``c`` on every cell in rounds 1..T, then a distinct payoff per cell.
+
+    A driver's scores after T rounds show in its expected value of round
+    T + 1, the probabilities of that round against the distinct payoffs.
+    """
+
+    def __init__(self, grid, c, T):
+        super().__init__(grid, c)
+        self.T = T
+        self._after = np.arange(1.0, grid.n_cells + 1) / grid.n_cells
+
+    def values(self, t):
+        return self._vals if t <= self.T else self._after
+
+
 def arm_points(grid, arms_per_axis):
     """EXP3's arms: the cell centers of an ``arms_per_axis`` lattice over the domain."""
     return Grid(grid.domain, arms_per_axis).centers
 
 
+def arm_cells(grid, arms_per_axis):
+    """The grid cells that hold EXP3's arms, in arm order."""
+    return [grid.cell_index(a) for a in arm_points(grid, arms_per_axis)]
+
+
 def replay_exp3(grid, stream, arms_per_axis, trace, rng):
-    """Replay one-seed EXP3 on a static stream, drawing from ``rng``.
+    """Replay one-seed EXP3, drawing from ``rng``.
 
     Each round draws an arm with ``draw_cell`` on the cumulative sums of the
     probabilities and checks, bit for bit, that the trace's realized and
@@ -51,18 +72,17 @@ def replay_exp3(grid, stream, arms_per_axis, trace, rng):
     scores add payoff / probability at the drawn arm.  Returns the
     probabilities of rounds 1..T+1.
     """
-    arms = arm_points(grid, arms_per_axis)
-    f_vals = stream.values(1)
-    arm_payoffs = f_vals[[grid.cell_index(a) for a in arms]]
-    scores = np.zeros(len(arms))
+    cells = arm_cells(grid, arms_per_axis)
+    scores = np.zeros(len(cells))
     history = []
     for t in range(1, trace.horizon + 1):
+        payoffs = stream.values(t)[cells]
         probs = exp3_probabilities(scores, t)
         history.append(probs)
         arm = draw_cell(np.cumsum(probs), rng.random())
-        assert trace.realized[t - 1] == arm_payoffs[arm]
-        assert trace.expected[t - 1] == float(probs @ arm_payoffs)
-        scores[arm] += arm_payoffs[arm] / probs[arm]
+        assert trace.realized[t - 1] == payoffs[arm]
+        assert trace.expected[t - 1] == float(probs @ payoffs)
+        scores[arm] += payoffs[arm] / probs[arm]
     history.append(exp3_probabilities(scores, trace.horizon + 1))
     return history
 
@@ -85,26 +105,35 @@ def test_equal_payoffs_stay_uniform(grid):
     [trace] = run_exp3(stream, m, horizon_exact, [np.random.default_rng(1)])
     for probs in replay_exp3(grid, stream, m, trace, np.random.default_rng(1))[:horizon_exact]:
         assert np.abs(probs - 1.0 / m).max() < 1e-9
-    runs = 400
-    block = run_exp3(stream, m, 80, [np.random.default_rng(1000 + r) for r in range(runs)])
-    acc = sum(replay_exp3(grid, stream, m, tr, np.random.default_rng(1000 + r))[-1]
+    # After 80 equal rounds, round 81 pays a distinct value per arm, so each
+    # run's expected value of round 81 is its round-81 probabilities against
+    # those payoffs; the replay checks it bit for bit.
+    runs, T = 400, 80
+    stream = SwitchPayoff(grid, 0.5, T)
+    block = run_exp3(stream, m, T + 1, [np.random.default_rng(1000 + r) for r in range(runs)])
+    acc = sum(replay_exp3(grid, stream, m, tr, np.random.default_rng(1000 + r))[T]
               for r, tr in enumerate(block))
     assert np.abs(acc / runs - 1.0 / m).max() < 0.05
+    observed = np.mean([tr.expected[T] for tr in block])
+    assert abs(observed - stream.values(T + 1)[arm_cells(grid, m)].mean()) < 0.05
 
 
 def test_zero_payoffs_leave_state_unchanged(grid):
-    stream = ConstPayoff(grid, 0.0)
-    [trace] = run_exp3(stream, 6, 50, [np.random.default_rng(2)])
-    history = replay_exp3(grid, stream, 6, trace, np.random.default_rng(2))
-    for t, probs in enumerate(history, start=1):
-        assert np.array_equal(probs, exp3_probabilities(np.zeros(6), t))
+    # Zero payoffs in rounds 1..50 leave the scores at 0: round 51 pays a
+    # distinct value per arm, and its expected value is that of zero scores.
+    m, T = 6, 50
+    stream = SwitchPayoff(grid, 0.0, T)
+    [trace] = run_exp3(stream, m, T + 1, [np.random.default_rng(2)])
+    probs = exp3_probabilities(np.zeros(m), T + 1)
+    assert trace.expected[T] == float(probs @ stream.values(T + 1)[arm_cells(grid, m)])
 
 
 def test_probability_vector_valid_with_floor(grid):
     m = 16
-    arm3 = arm_points(grid, m)[3]
-    stream = CellPayoff(grid, lambda c: np.array_equal(c, arm3))
+    arm3 = grid.cell_index(arm_points(grid, m)[3])
+    stream = CellPayoff(grid, lambda c: grid.cell_index(c) == arm3)
     [trace] = run_exp3(stream, m, 300, [np.random.default_rng(3)])
+    assert trace.realized.max() == 1.0  # arm 3 was drawn and paid
     for t, probs in enumerate(replay_exp3(grid, stream, m, trace, np.random.default_rng(3)),
                               start=1):
         gamma = min(1.0, math.sqrt(m * math.log(m) / t))

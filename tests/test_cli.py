@@ -293,7 +293,7 @@ _SUMMARY_HEADER = "algorithm,t,mean_regret,std_regret,slope\n"
     pytest.param(["run", "--seeds", "a..b"], BASE_CONFIG, "--seeds: invalid literal",
                  id="seeds=a..b"),
     pytest.param(["run"], None, "Is a directory", id="config-is-a-directory"),
-    pytest.param(["run"], b"# caf\xe9\n" + BASE_CONFIG.encode(), "can't decode byte 0xe9",
+    pytest.param(["run"], b"# caf\xe9\n" + BASE_CONFIG.encode(), "{path}: not UTF-8 text",
                  id="config-not-utf8"),
     pytest.param(["report", "--dim", "-3"], _SUMMARY_HEADER + "da,10,1.0,0.0,\n",
                  "--dim must be >= 1", id="dim=-3"),
@@ -304,11 +304,14 @@ _SUMMARY_HEADER = "algorithm,t,mean_regret,std_regret,slope\n"
     pytest.param(["report"], _SUMMARY_HEADER + "da,ten,1.0,0.0,\n", "malformed summary row",
                  id="non-numeric-t"),
     pytest.param(["report"], "", "not a summary CSV", id="empty-summary"),
+    pytest.param(["report"], (_SUMMARY_HEADER + "caf\xe9,10,1.0,0.0,\n").encode("latin-1"),
+                 "{path}: not UTF-8 text", id="summary-not-utf8"),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, args, content, message):
     # A bad flag or input file is an input error, not a traceback, and the
     # command writes nothing.  ``content`` is the input file's text or bytes,
-    # or None for a directory in its place.
+    # or None for a directory in its place; ``{path}`` in ``message`` stands
+    # for the input file's path.
     path = tmp_path / "input"
     if content is None:
         path.mkdir()
@@ -319,7 +322,7 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, args, content, message):
     args = args[:1] + [str(path), "--out", str(tmp_path / "out")] + args[1:]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message.format(path=path) in err
     assert not (tmp_path / "out").exists()
 
 

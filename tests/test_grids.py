@@ -63,14 +63,14 @@ def test_integrate_constants(unit_grid):
 
 
 def test_integrate_linear_midpoint(unit_grid):
-    f = GridFunction.from_callable(unit_grid, lambda c: c[:, 0])
+    f = GridFunction(unit_grid, unit_grid.centers[:, 0])
     assert integrate(f) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_pair_constant_and_uniform(unit_grid):
     p = Density.uniform(unit_grid)
     assert pair(GridFunction.constant(unit_grid, 4.2), p) == pytest.approx(4.2)
-    f = GridFunction.from_callable(unit_grid, lambda c: c[:, 0])
+    f = GridFunction(unit_grid, unit_grid.centers[:, 0])
     assert pair(f, p) == pytest.approx(0.5, abs=1e-6)
 
 
@@ -127,7 +127,7 @@ def test_norms(unit_grid):
     assert l1_distance(Density(unit_grid, left), Density(unit_grid, right)) == pytest.approx(
         2.0, abs=1e-9
     )
-    f = GridFunction.from_callable(unit_grid, lambda c: np.sin(2 * np.pi * c[:, 0]))
+    f = GridFunction(unit_grid, np.sin(2 * np.pi * unit_grid.centers[:, 0]))
     assert sup_norm(f) == pytest.approx(1.0, abs=1e-4)
 
 
