@@ -316,9 +316,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read(), source=path)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_config(text, source=path)
 
 
 def run_seed(cfg: ExperimentConfig,
