@@ -8,9 +8,9 @@ noise), c6_dynamic (drifting stream, unbiased noise), c5_bda and c7_bda
 (kernel bandit) and c7_exp3 (EXP3 on 32 arms), cut to ``--horizon`` rounds,
 this runs ``--seeds`` seeds as one block (``run_seed(cfg, seeds)``) and as a
 loop of blocks of one (``run_seed(cfg, s)`` per seed), alternating the two
-``--repeats`` times.  It checks that both give the same traces, extras
-included, bit for bit and prints, per config, the median, quartiles and all
-samples of microseconds per seed-round, as one JSON object (also written to
+``--repeats`` times.  It checks that both give the same traces bit for
+bit and prints, per config, the median, quartiles and all samples of
+microseconds per seed-round, as one JSON object (also written to
 ``--out``).  With ``--seeds 1`` both sides are a block of one; run it once
 per package on PYTHONPATH to compare two versions.
 """
@@ -98,10 +98,6 @@ exp3.arms = 32
 _FIELDS = ("expected", "realized", "round_best")
 
 
-def _bytes(value):
-    return value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
-
-
 def _timed(fn):
     start = perf_counter()
     result = fn()
@@ -127,9 +123,7 @@ def bench(name: str, seeds: list, horizon: int, repeats: int) -> dict:
                 s, loop = _timed(lambda: [run_seed(cfg, seed) for seed in seeds])
                 loop_us.append(1e6 * s / seed_rounds)
         for a, b in zip(block, loop):
-            if (any(getattr(a, f).tobytes() != getattr(b, f).tobytes() for f in _FIELDS)
-                    or a.extras.keys() != b.extras.keys()
-                    or any(_bytes(a.extras[k]) != _bytes(b.extras[k]) for k in a.extras)):
+            if any(getattr(a, f).tobytes() != getattr(b, f).tobytes() for f in _FIELDS):
                 raise SystemExit(f"{name}: block and per-seed traces differ")
     return {"per_seed_loop_us_per_seed_round": _summary(loop_us),
             "block_us_per_seed_round": _summary(block_us),

@@ -9,7 +9,7 @@ comparators and fits empirical growth rates.
 
 from .bandit import BDAConfig, run_bda
 from .baselines import exp3_probabilities, run_exp3, run_uniform
-from .dual_averaging import mixed_strategy, run_da
+from .dual_averaging import EnergyDiagnostics, mixed_strategy, run_da
 from .errors import (
     ConfigError,
     DomainError,

@@ -7,7 +7,7 @@ action, importance-weighted by the played strategy's density there
 regularizer, that channel and an exploration schedule: scores accumulate
 the sparse models, and the played strategy mixes the logit of the scores
 with explicit uniform exploration (``mixed_strategy``).  ``run_bda`` is
-that configuration, and adds the count of radius-floor rounds to the traces.
+that configuration; ``BanditChannel.floor_rounds`` counts its radius-floor rounds.
 """
 
 from __future__ import annotations
@@ -65,16 +65,8 @@ def run_bda(stream: LossStream, config: BDAConfig, T: int,
 
     This is ``run_da`` with ``negentropy()``, a ``BanditChannel`` of radius
     schedule ``config.delta`` and the exploration schedule ``config.eps``;
-    ``rngs`` and the returned traces follow ``run_da``'s contract.  Each
-    trace's extras hold ``delta_floor_rounds``, the number of rounds where
-    the channel's radius ``channel.radius(stream.grid, t)`` is the floor
-    rather than ``config.delta(t)``.
-    A loss stream is rejected (``ConfigError``) by the channel.
+    ``rngs`` and the returned traces follow ``run_da``'s contract.  A loss
+    stream is rejected (``ConfigError``) by the channel.
     """
-    channel = BanditChannel(config.delta)
-    traces = run_da(negentropy(), stream, channel, config.eta, T, rngs, eps=config.eps)
-    floor_rounds = sum(config.delta(t) < channel.radius(stream.grid, t)
-                       for t in range(1, T + 1))
-    for trace in traces:
-        trace.extras["delta_floor_rounds"] = floor_rounds
-    return traces
+    return run_da(negentropy(), stream, BanditChannel(config.delta), config.eta, T, rngs,
+                  eps=config.eps)

@@ -55,11 +55,11 @@ def _slope_cell(horizons, values) -> str:
         return ""
 
 
-def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, list, int]]:
+def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, list]]:
     """Worker: run one block of seeds.
 
     Returns, per seed, (seed, rows (t, expected, realized, dynamic) per
-    checkpoint, count of kernel-radius-floor rounds).
+    checkpoint).
     """
     cfg, seeds = args
     checkpoints = [int(cp) for cp in cfg.checkpoints()]
@@ -70,7 +70,7 @@ def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, 
              dynamic_regret(trace, cp)]
             for cp in checkpoints
         ]
-        results.append((seed, rows, int(trace.extras.get("delta_floor_rounds", 0))))
+        results.append((seed, rows))
     return results
 
 
@@ -123,20 +123,20 @@ def run_command(config_path: str, seeds: str | None = None, out: str | None = No
     results.sort(key=lambda r: r[0])
 
     written = []
-    floored_total = 0
-    per_seed_rows = {}
-    for seed, rows, floored in results:
-        per_seed_rows[seed] = rows
-        floored_total += floored
+    per_seed_rows = dict(results)
+    for seed, rows in results:
         path = os.path.join(cfg.out, f"{cfg.algorithm}_seed{seed}.csv")
         _write_csv(path, ["t", "expected_regret", "realized_regret", "dynamic_regret"], rows)
         written.append(path)
-    if floored_total:
-        print(
-            f"warning: kernel radius floor (2x cell diameter) active on "
-            f"{floored_total} round(s); bias decay is capped at the grid resolution",
-            file=sys.stderr,
-        )
+    if cfg.algorithm == "bda":
+        grid = cfg.build_grid()
+        floored = cfg.build_channel(grid).floor_rounds(grid, cfg.horizon) * len(cfg.seeds)
+        if floored:
+            print(
+                f"warning: kernel radius floor (2x cell diameter) active on "
+                f"{floored} round(s); bias decay is capped at the grid resolution",
+                file=sys.stderr,
+            )
 
     checkpoints = [row[0] for row in next(iter(per_seed_rows.values()))]
     table = np.array([[row[1] for row in per_seed_rows[s]] for s in cfg.seeds])

@@ -13,8 +13,8 @@ bandit channel and an exploration schedule; the uniform player
 moves a block of seeds forward together, and each trace equals that of a
 run of its seed alone, bit for bit, so outputs do not depend on how seeds
 are blocked (the CLI's ``--threads``).  Optional per-step diagnostics
-track the energy of a fixed comparator and check the recursive and
-telescoped regret bounds.
+(``EnergyDiagnostics``, the caller's object) track the energy of a fixed
+comparator for checks of the recursive and telescoped regret bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .regularizers import Regularizer, energy, hval, hvol, mirror
 from .schedules import Schedule
 from . import grids
 
-__all__ = ["mixed_strategy", "run_da"]
+__all__ = ["EnergyDiagnostics", "mixed_strategy", "run_da"]
 
 
 def mixed_strategy(x: Density, eps: float) -> Density:
@@ -48,11 +48,20 @@ def mixed_strategy(x: Density, eps: float) -> Density:
     return Density.unchecked(grid, mixed)
 
 
-class _EnergyDiagnostics:
-    """Per-step energy recursion and telescoped-bound bookkeeping."""
+class EnergyDiagnostics:
+    """Per-step energy recursion and telescoped-bound bookkeeping for a comparator.
 
-    def __init__(self, reg: Regularizer, comparator: Density, eta: Schedule, T: int,
-                 stream: LossStream):
+    ``run_da(..., diagnostics=...)`` starts it with the run's regularizer,
+    schedule, horizon and stream, and fills the series ``energy`` (T + 1
+    values), ``energy_rhs``, ``comparator_increment``, ``error_term`` and
+    ``sq_term``; ``eta`` (rounds 1..T + 1), ``h_gap``, ``kappa`` and
+    ``modulus`` are the bound's schedule and constants.
+    """
+
+    def __init__(self, comparator: Density):
+        self.comparator = comparator
+
+    def start(self, reg: Regularizer, eta: Schedule, T: int, stream: LossStream) -> None:
         if reg.modulus is None:
             raise ConfigError(
                 "energy diagnostics need a strong-convexity modulus "
@@ -61,62 +70,48 @@ class _EnergyDiagnostics:
         grid = stream.grid
         self.reg = reg
         self.grid = grid
-        self.mu = comparator
         self.stream = stream
         # h is smallest at the uniform density, whose value is hvol(volume).
-        self.h_gap = hval(reg, comparator) - hvol(reg, grid.domain.volume)
+        self.h_gap = hval(reg, self.comparator) - hvol(reg, grid.domain.volume)
         self.kappa = reg.kappa(grid.domain.volume)
-        self.K = reg.modulus
+        self.modulus = reg.modulus
         self.energy = np.zeros(T + 1)
-        self.rhs = np.zeros(T)
-        self.reg_mu_inc = np.zeros(T)
-        self.err_term = np.zeros(T)
+        self.energy_rhs = np.zeros(T)
+        self.comparator_increment = np.zeros(T)
+        self.error_term = np.zeros(T)
         self.sq_term = np.zeros(T)
-        self.etas = np.array([eta(t) for t in range(1, T + 2)])
+        self.eta = np.array([eta(t) for t in range(1, T + 2)])
         self.energy[0] = self._energy_at(1, np.zeros(grid.n_cells))  # y_1 = 0
 
     def _energy_at(self, t: int, scores: np.ndarray) -> float:
-        return energy(self.reg, self.mu, GridFunction.unchecked(self.grid, scores),
-                      self.etas[t - 1])
+        return energy(self.reg, self.comparator, GridFunction.unchecked(self.grid, scores),
+                      self.eta[t - 1])
 
     def end_round(self, t: int, scores_next: np.ndarray, model_vals: np.ndarray,
                   x: np.ndarray, f_vals: np.ndarray, expected: float) -> None:
         """Round t's bookkeeping; ``x`` holds the played strategy's cell values."""
         i = t - 1
-        eta_t, eta_next = self.etas[i], self.etas[i + 1]
+        eta_t, eta_next = self.eta[i], self.eta[i + 1]
         w = self.grid.cell_volume
-        gap = self.mu.values - x
+        gap = self.comparator.values - x
         model_gap = loss_oriented(self.stream, grids.dot(model_vals, gap) * w)
         sup_model = float(np.abs(model_vals).max())
-        self.rhs[i] = (
+        self.energy_rhs[i] = (
             self.energy[i]
             + model_gap
             + (1.0 / eta_next - 1.0 / eta_t) * self.h_gap
-            + eta_t * self.kappa ** 2 * sup_model ** 2 / (2.0 * self.K)
+            + eta_t * self.kappa ** 2 * sup_model ** 2 / (2.0 * self.modulus)
         )
         self.energy[i + 1] = self._energy_at(t + 1, scores_next)
-        mu_expected = grids.dot(f_vals, self.mu.values) * w
-        self.reg_mu_inc[i] = loss_oriented(self.stream, expected - mu_expected)
-        self.err_term[i] = loss_oriented(self.stream, grids.dot(model_vals - f_vals, gap) * w)
+        mu_expected = grids.dot(f_vals, self.comparator.values) * w
+        self.comparator_increment[i] = loss_oriented(self.stream, expected - mu_expected)
+        self.error_term[i] = loss_oriented(self.stream, grids.dot(model_vals - f_vals, gap) * w)
         self.sq_term[i] = eta_t * sup_model ** 2
-
-    def extras(self) -> dict:
-        return {
-            "energy": self.energy,
-            "energy_rhs": self.rhs,
-            "comparator_increment": self.reg_mu_inc,
-            "error_term": self.err_term,
-            "sq_term": self.sq_term,
-            "h_gap": self.h_gap,
-            "kappa": self.kappa,
-            "modulus": self.K,
-            "eta": self.etas,
-        }
 
 
 def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: Schedule,
            T: int, rngs: Sequence[np.random.Generator],
-           diagnostics: Density | None = None,
+           diagnostics: EnergyDiagnostics | None = None,
            eps: Schedule | None = None) -> list[RegretTrace]:
     """Run T rounds of dual averaging on the stream's grid and record regret traces.
 
@@ -142,9 +137,9 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     computed once per round and shared.  The traces record no schedule
     (the caller's) and no point (only the channel reads them).
 
-    Passing a comparator density as ``diagnostics`` turns on per-step energy
-    accounting (roughly doubles the per-round cost); it follows one seed,
-    and the recursion is that of the mirror image before exploration.
+    An ``EnergyDiagnostics`` passed as ``diagnostics`` records per-step energy
+    accounting (roughly doubles the per-round cost); it follows one seed, and
+    the recursion is that of the mirror image before exploration.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -154,11 +149,8 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     shared = channel.deterministic  # one strategy row for the whole block
     payoff = stream.payoff_convention
     recorder = TraceRecorder(stream, T, seeds=len(rngs))
-    diag = (
-        _EnergyDiagnostics(reg, diagnostics, eta, T, stream)
-        if diagnostics is not None
-        else None
-    )
+    if diagnostics is not None:
+        diagnostics.start(reg, eta, T, stream)
     w = grid.cell_volume
     y = np.zeros((1 if shared else len(rngs), grid.n_cells))
     # Row views made once: iterating a 2-D array makes a view per row, a
@@ -182,8 +174,8 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
             else:
                 row[index] -= model
         recorder.record(t, f_vals, expected, f_vals[cells])
-        if diag is not None:
+        if diagnostics is not None:
             model_vals = np.zeros(grid.n_cells)
             model_vals[index] = model
-            diag.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
-    return recorder.finish_block(diag.extras() if diag is not None else None)
+            diagnostics.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
+    return recorder.finish_block()

@@ -168,8 +168,8 @@ def ensure_same_grid(a: Grid, b: Grid) -> None:
 class GridFunction:
     """A real value per grid cell; stand-in for a bounded function on X.
 
-    ``values`` of shape (R, n_cells) make a block of R functions, one per
-    row, as ``regularizers.mirror`` and ``sample`` take them.
+    ``values`` has shape (n_cells,), or (R, n_cells) for a block of R
+    functions, one per row, as ``regularizers.mirror`` and ``sample`` take them.
     """
 
     __slots__ = ("grid", "values")
@@ -178,7 +178,8 @@ class GridFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_cells,) and not (
                 values.ndim == 2 and values.shape[1] == grid.n_cells):
-            values = values.reshape(grid.n_cells)
+            raise ValueError(f"grid function values must have shape ({grid.n_cells},) or "
+                             f"(R, {grid.n_cells}), got {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
         self.grid = grid
@@ -371,9 +372,10 @@ def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:
 
     Returns (flat cell indices, measured volume = count * cell volume).  The
     patch is automatically clipped at the boundary of X since the grid covers
-    only X.  Ties at exactly ``delta`` are included.
+    only X.  Ties at exactly ``delta`` are included, and an infinite radius
+    takes every cell.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError("ball radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dist2 = grid.centers - x
@@ -381,6 +383,8 @@ def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:
     dist2 = dist2.sum(axis=1)
     indices = np.nonzero(dist2 <= delta * delta)[0]
     if indices.size == 0:
+        if not np.isfinite(x).all():
+            raise DomainError(f"ball center {x} is not finite")
         raise ResolutionError(
             f"ball of radius {delta} around {x} contains no cell centers "
             f"(cell diameter {grid.cell_diameter:.3g})"

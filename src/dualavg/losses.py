@@ -45,6 +45,9 @@ _GEMV_LIMIT = 409_600
 # already freed, so the post-hoc work leaves the peak resident memory as is.
 _POST_HOC_ENTRIES = 2048
 
+_NOISE_TERMS = 5  # trig terms of the noise channels' noise
+_BIAS_SEED = 0  # seed of the biased channel's bias phase
+
 # Read-only per-axis (terms, sin, cos) tables per grid and frequency set; an
 # entry goes when its grid does.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -237,18 +240,16 @@ class TrigStream(LossStream):
     which makes the variation V_T grow like T**drift_exponent.
     """
 
-    def __init__(self, grid, amplitudes, freqs, phases, offset=0.0,
-                 drift_rate=0.0, drift_exponent=0.5):
+    def __init__(self, grid, amplitudes, freqs, phases, drift_rate=0.0, drift_exponent=0.5):
         self.grid = grid
         self.amplitudes = np.asarray(amplitudes, dtype=float)
         self.phases = np.asarray(phases, dtype=float)
-        self.offset = float(offset)
         self.drift_rate = float(drift_rate)
         self.drift_exponent = float(drift_exponent)
         self._basis = _TrigBasis(grid, np.atleast_2d(np.asarray(freqs, dtype=float)))
         if self.amplitudes.shape[0] != self._basis.freqs.shape[0]:
             raise ValueError("one amplitude per frequency vector required")
-        self.V = abs(self.offset) + float(np.abs(self.amplitudes).sum())
+        self.V = float(np.abs(self.amplitudes).sum())
         self.L = self._basis.lipschitz(self.amplitudes)
 
     def _phase_shift(self, t: int) -> float:
@@ -264,15 +265,13 @@ class TrigStream(LossStream):
 
     def _combine(self, t: int) -> np.ndarray:
         phases = self.phases if t == 0 else self.phases + self._phase_shift(t)
-        vals = self._basis.combine(self.amplitudes, phases)
-        vals += self.offset
-        return vals
+        return self._basis.combine(self.amplitudes, phases)
 
     def _coefficients(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """(a cos(phase_t), a sin(phase_t)) for rounds t = first..last (t >= 1).
 
         Both are (rounds, K) arrays; round t's values are ``_basis.linear`` of
-        its row, plus the offset.
+        its row.
         """
         t = np.arange(first, last + 1, dtype=float)
         phases = self.phases + (self.drift_rate * t ** self.drift_exponent)[:, None]
@@ -296,9 +295,7 @@ class TrigStream(LossStream):
                 s, c = self._coefficients(first, min(first + block - 1, stop))
                 a_sin += s.sum(axis=0)
                 a_cos += c.sum(axis=0)
-        vals = self._basis.linear(a_sin, a_cos)
-        vals += rounds * self.offset
-        return vals
+        return self._basis.linear(a_sin, a_cos)
 
     def variation(self, T: int) -> float:
         """V_T from coefficient differences, in blocks of rounds.
@@ -439,18 +436,17 @@ class UnbiasedChannel(FeedbackChannel):
     the sign symmetry of c, and the normalization caps the sup-norm.
     """
 
-    def __init__(self, noise_scale: float, n_terms: int = 5):
-        if noise_scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+    def __init__(self, noise_scale: float):
+        if not 0 <= noise_scale < math.inf:
+            raise ValueError("noise scale must be finite and nonnegative")
         self.noise_scale = float(noise_scale)
-        self.n_terms = int(n_terms)
         self._basis = None
 
     def _noise(self, grid: Grid, rng: np.random.Generator) -> np.ndarray:
         if self._basis is None or self._basis.grid is not grid:
-            self._basis = _TrigBasis(grid, _axis_cycled_freqs(self.n_terms, grid.dim))
-        c = rng.standard_normal(self.n_terms)
-        psi = rng.uniform(0.0, 2.0 * math.pi, self.n_terms)
+            self._basis = _TrigBasis(grid, _axis_cycled_freqs(_NOISE_TERMS, grid.dim))
+        c = rng.standard_normal(_NOISE_TERMS)
+        psi = rng.uniform(0.0, 2.0 * math.pi, _NOISE_TERMS)
         scale = np.abs(c).sum()
         if scale == 0.0:
             return np.zeros(grid.n_cells)
@@ -473,14 +469,14 @@ class UnbiasedChannel(FeedbackChannel):
 class BiasedChannel(UnbiasedChannel):
     """Unbiased channel plus a systematic offset of sup-norm B0 * t^(-decay)."""
 
-    def __init__(self, noise_scale: float, bias_scale: float, bias_decay: float,
-                 n_terms: int = 5, bias_seed: int = 0):
-        super().__init__(noise_scale, n_terms)
-        if bias_scale < 0:
-            raise ValueError("bias scale must be nonnegative")
+    def __init__(self, noise_scale: float, bias_scale: float, bias_decay: float):
+        super().__init__(noise_scale)
+        for name, value in (("bias scale", bias_scale), ("bias decay", bias_decay)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         self.bias_scale = float(bias_scale)
         self.bias_decay = float(bias_decay)
-        self._bias_phase = float(np.random.default_rng(bias_seed).uniform(0, 2 * math.pi))
+        self._bias_phase = float(np.random.default_rng(_BIAS_SEED).uniform(0, 2 * math.pi))
         self._bias_profile = None  # (grid, profile) of the last grid observed
 
     def bias_bound(self, t: int) -> float:
@@ -549,6 +545,11 @@ class BanditChannel(FeedbackChannel):
 
     def radius(self, grid: Grid, t: int) -> float:
         return max(self.delta(t), 2.0 * grid.cell_diameter)
+
+    def floor_rounds(self, grid: Grid, T: int) -> int:
+        """How many rounds t = 1..T have the floor, not ``delta(t)``, as ``radius``."""
+        floor = 2.0 * grid.cell_diameter  # the floor of ``radius``, computed once
+        return sum(self.delta(t) < floor for t in range(1, T + 1))
 
     def observe(self, stream, t, strategy, cell, action, rng):
         if not stream.payoff_convention:

@@ -70,7 +70,7 @@ class RegretTrace:
 
     ``expected`` and ``realized`` are read-only rows of the recorder's
     seed-major block arrays; ``round_best`` is shared by the block,
-    read-only.  The grid is the stream's.
+    read-only.  The grid is the stream's, and nothing else is stored.
     """
 
     stream: LossStream
@@ -78,7 +78,6 @@ class RegretTrace:
     expected: np.ndarray
     realized: np.ndarray
     round_best: np.ndarray
-    extras: dict = field(default_factory=dict)
     _variation: float | None = field(default=None, init=False, repr=False)
 
     @property
@@ -127,8 +126,8 @@ class TraceRecorder:
         self.realized[:, i] = realized
         self.round_best[i] = best_value(self.stream, f_values)
 
-    def finish_block(self, extras: dict | None = None) -> list[RegretTrace]:
-        """One trace per seed, in block order; each gets its own copy of ``extras``."""
+    def finish_block(self) -> list[RegretTrace]:
+        """One trace per seed, in block order, over the block's read-only arrays."""
         for shared in (self.round_best, self.expected, self.realized):
             shared.setflags(write=False)
         return [
@@ -138,7 +137,6 @@ class TraceRecorder:
                 expected=expected,
                 realized=realized,
                 round_best=self.round_best,
-                extras=dict(extras or {}),
             )
             for expected, realized in zip(self.expected, self.realized)
         ]
@@ -199,6 +197,9 @@ def dynamic_regret(trace: RegretTrace, T: int | None = None) -> float:
     return float(loss_oriented(trace, trace.expected[:T] - trace.round_best[:T]).sum())
 
 
+_WINDOW_SLACK = 1e-4  # rounding allowance of the window-decomposition check
+
+
 @dataclass
 class WindowDecomposition:
     """Per-window static regrets and the dynamic-regret bound they imply."""
@@ -211,14 +212,13 @@ class WindowDecomposition:
     holds: bool
 
 
-def window_decomposition(trace: RegretTrace, delta: int,
-                         slack: float = 1e-4) -> WindowDecomposition:
+def window_decomposition(trace: RegretTrace, delta: int) -> WindowDecomposition:
     """Split [1, T] into windows of length ``delta`` and check
-    DynReg(T) <= sum of per-window static regrets + 2 * delta * V_T + slack.
+    DynReg(T) <= sum of per-window static regrets + 2 * delta * V_T.
 
     The inequality holds deterministically on any trace; ``holds`` reports
-    whether it held within ``slack``.  Each window's cumulative values come
-    from one ``window_sum`` call on the stream (a closed form for trig
+    whether it held within ``_WINDOW_SLACK``.  Each window's cumulative values
+    come from one ``window_sum`` call on the stream (a closed form for trig
     streams), and V_T is computed once per trace.
     """
     T = trace.horizon
@@ -238,7 +238,7 @@ def window_decomposition(trace: RegretTrace, delta: int,
         dynamic=dyn,
         variation=var,
         bound=bound,
-        holds=dyn <= bound + slack,
+        holds=dyn <= bound + _WINDOW_SLACK,
     )
 
 

@@ -3,7 +3,7 @@
 Criteria 4-7 run through the CLI driver (configs below) so that criterion 8
 can re-execute the identical configs and compare output bytes.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines; the
-full suite, unit tests included, takes about 345 s on two cores.
+full suite, unit tests included, takes about 390 s on two cores.
 """
 
 import csv
@@ -17,6 +17,7 @@ import pytest
 from dualavg import (
     BoxDomain,
     Density,
+    EnergyDiagnostics,
     ExactChannel,
     Grid,
     GridFunction,
@@ -296,24 +297,23 @@ def test_criterion_2_energy_recursion():
     grid = Grid(BoxDomain(0.0, 1.0), 1024)
     stream = default_trig_stream(grid, seed=2024)
     third = grid.n_cells // 3
-    mu = Density.uniform_on_cells(grid, np.arange(third, 2 * third))
-    [trace] = run_da(
+    diag = EnergyDiagnostics(Density.uniform_on_cells(grid, np.arange(third, 2 * third)))
+    run_da(
         negentropy(),
         stream,
         ExactChannel(),
         Schedule(1.0 / stream.V, 0.5),
         2000,
         [np.random.default_rng(0)],
-        diagnostics=mu,
+        diagnostics=diag,
     )
-    ex = trace.extras
-    energy_ok = bool(np.all(ex["energy"][1:] <= ex["energy_rhs"] + 1e-6))
-    nonneg_ok = bool(np.all(ex["energy"] >= -1e-9))
-    reg_mu = np.cumsum(ex["comparator_increment"])
+    energy_ok = bool(np.all(diag.energy[1:] <= diag.energy_rhs + 1e-6))
+    nonneg_ok = bool(np.all(diag.energy >= -1e-9))
+    reg_mu = np.cumsum(diag.comparator_increment)
     bound = (
-        ex["h_gap"] / ex["eta"][1:]
-        + np.cumsum(ex["error_term"])
-        + ex["kappa"] ** 2 / (2 * ex["modulus"]) * np.cumsum(ex["sq_term"])
+        diag.h_gap / diag.eta[1:]
+        + np.cumsum(diag.error_term)
+        + diag.kappa ** 2 / (2 * diag.modulus) * np.cumsum(diag.sq_term)
     )
     telescoped_ok = bool(np.all(reg_mu <= bound + 1e-4))
     elapsed = time.time() - started

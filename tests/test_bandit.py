@@ -264,9 +264,7 @@ def test_run_bda_replay_matches_trace_and_diagnostics():
         assert trace.realized[t - 1] == f[cell]
         assert trace.expected[t - 1] == f @ vals * w
         assert channel.radius(grid, t) == max(config.delta(t), 2.0 * grid.cell_diameter)
-    assert trace.extras["delta_floor_rounds"] == 0
-    # The schedules are the caller's: the trace records no series of them.
-    assert trace.extras.keys() == {"delta_floor_rounds"}
+    assert channel.floor_rounds(grid, 60) == 0
 
 
 def test_run_bda_requires_payoff_convention(grid):
@@ -299,12 +297,11 @@ def test_bda_config_validation(grid):
     # The bandit channel floors the radius at twice the cell diameter and counts the
     # rounds where the schedule fell below it.
     floor = 2 * grid.cell_diameter
-    coarse = BDAConfig(eta=cfg.eta, delta=Schedule(4 * floor, 1.0), eps=cfg.eps)
-    [trace] = run_bda(payoff_stream(grid), coarse, 10, [np.random.default_rng(0)])
-    channel = BanditChannel(coarse.delta)
+    channel = BanditChannel(Schedule(4 * floor, 1.0))
     assert [channel.radius(grid, t) for t in range(1, 11)] == [
-        max(coarse.delta(t), floor) for t in range(1, 11)]
-    assert trace.extras["delta_floor_rounds"] == 6  # 4 * floor / t < floor for t > 4
+        max(channel.delta(t), floor) for t in range(1, 11)]
+    assert channel.floor_rounds(grid, 10) == 6  # 4 * floor / t < floor for t > 4
+    assert channel.floor_rounds(grid, 4) == 0
 
 
 def test_bda_no_exploration_mode(grid):
@@ -319,6 +316,5 @@ def test_bda_no_exploration_mode(grid):
     [trace] = run_bda(stream, cfg, 50, [np.random.default_rng(15)])
     [plain] = run_da(negentropy(), stream, BanditChannel(cfg.delta), cfg.eta, 50,
                      [np.random.default_rng(15)])
-    assert "eps" not in trace.extras
     for name in ("expected", "realized"):
         assert np.array_equal(getattr(trace, name), getattr(plain, name)), name

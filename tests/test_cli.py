@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualavg.cli import main, report_command, run_command
-from dualavg.config import parse_config, parse_seed_spec, run_seed
+from dualavg.config import parse_config, parse_seed_spec
 from dualavg.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -333,15 +333,23 @@ def test_kernel_radius_floor_rounds_counted_and_warned(tmp_path, capsys):
     text = text.replace("horizon = 120\nseeds = 1,4", "horizon = 3000\nseeds = 0")
     cfg_path = write(tmp_path, "floor.cfg", text)
     cfg = parse_config(text)
-    trace = run_seed(cfg, 0)
     floor = 2.0 * math.sqrt(2.0) / 16
     radius = math.sqrt(2.0) / 4
     expected = sum(1 for t in range(1, 3001) if radius * t ** -0.2 < floor)
     assert expected > 2900
-    assert trace.extras["delta_floor_rounds"] == expected
+    grid = cfg.build_grid()
+    assert cfg.build_channel(grid).floor_rounds(grid, 3000) == expected
     run_command(cfg_path, out=str(tmp_path / "f"))
     err = capsys.readouterr().err
     assert f"warning: kernel radius floor (2x cell diameter) active on {expected} round(s)" in err
+    # The count is over all seeds; every seed floors the same rounds.
+    run_command(cfg_path, seeds="0,1", out=str(tmp_path / "f2"), threads=2)
+    err = capsys.readouterr().err
+    assert f"active on {2 * expected} round(s); bias decay" in err
+    # EXP3 names the bandit channel but plays no kernel: no warning.
+    exp3 = write(tmp_path, "exp3.cfg", text.replace("algorithm = bda", "algorithm = exp3_grid"))
+    run_command(exp3, out=str(tmp_path / "e"))
+    assert "kernel radius floor" not in capsys.readouterr().err
 
 
 def test_report_passthrough_and_bound(tmp_path, capsys):

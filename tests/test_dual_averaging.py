@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dualavg import (
     BoxDomain,
     ConfigError,
     Density,
+    EnergyDiagnostics,
     ExactChannel,
     Grid,
     GridFunction,
@@ -132,9 +134,6 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
         [alone] = run_bda(stream, config, 40, [np.random.default_rng(seed)])
         for name in ("expected", "realized"):
             assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
-        # The eps schedule is the caller's; neither trace records a series of it.
-        assert trace.extras == {}
-        assert alone.extras.keys() == {"delta_floor_rounds"}
 
 
 class _RecordingExact(ExactChannel):
@@ -219,42 +218,45 @@ def _comparator(grid):
 @pytest.mark.parametrize("reg", [negentropy(), quadratic()])
 def test_energy_recursion_and_telescoped_bound(grid, reg):
     stream = default_trig_stream(grid, seed=8)
-    mu = _comparator(grid)
-    [trace] = run_da(
-        reg, stream, ExactChannel(), Schedule(1.0 / stream.V, 0.5), 300,
-        [np.random.default_rng(9)], diagnostics=mu,
-    )
-    ex = trace.extras
-    energy, rhs = ex["energy"], ex["energy_rhs"]
+    diag = EnergyDiagnostics(_comparator(grid))
+    eta = Schedule(1.0 / stream.V, 0.5)
+    run_da(reg, stream, ExactChannel(), eta, 300, [np.random.default_rng(9)], diagnostics=diag)
+    energy, rhs = diag.energy, diag.energy_rhs
     assert np.all(energy >= -1e-9)
     assert np.all(energy[1:] <= rhs + 1e-6)
     # Telescoped bound at every horizon (exact channel: error terms vanish).
-    reg_mu = np.cumsum(ex["comparator_increment"])
-    err = np.cumsum(ex["error_term"])
-    sq = np.cumsum(ex["sq_term"])
-    etas = ex["eta"]
-    bound = ex["h_gap"] / etas[1:] + err + ex["kappa"] ** 2 / (2 * ex["modulus"]) * sq
+    reg_mu = np.cumsum(diag.comparator_increment)
+    err = np.cumsum(diag.error_term)
+    sq = np.cumsum(diag.sq_term)
+    bound = diag.h_gap / diag.eta[1:] + err + diag.kappa ** 2 / (2 * diag.modulus) * sq
     assert np.all(reg_mu <= bound + 1e-4)
-    assert np.abs(ex["error_term"]).max() == 0.0
+    assert np.abs(diag.error_term).max() == 0.0
     assert len(energy) == 301
+    # The schedule and modulus are the run's own.
+    assert diag.eta.tolist() == [eta(t) for t in range(1, 302)]
+    assert diag.modulus == reg.modulus
 
 
 def test_energy_diagnostics_with_noise(grid):
     stream = default_trig_stream(grid, seed=10)
-    mu = _comparator(grid)
+    diag = EnergyDiagnostics(_comparator(grid))
     [trace] = run_da(
         negentropy(), stream, UnbiasedChannel(0.5), Schedule(0.3, 0.5), 200,
-        [np.random.default_rng(11)], diagnostics=mu,
+        [np.random.default_rng(11)], diagnostics=diag,
     )
-    ex = trace.extras
-    assert np.all(ex["energy"][1:] <= ex["energy_rhs"] + 1e-6)
-    reg_mu = np.cumsum(ex["comparator_increment"])
+    assert np.all(diag.energy[1:] <= diag.energy_rhs + 1e-6)
+    reg_mu = np.cumsum(diag.comparator_increment)
     bound = (
-        ex["h_gap"] / ex["eta"][1:]
-        + np.cumsum(ex["error_term"])
-        + ex["kappa"] ** 2 / (2 * ex["modulus"]) * np.cumsum(ex["sq_term"])
+        diag.h_gap / diag.eta[1:]
+        + np.cumsum(diag.error_term)
+        + diag.kappa ** 2 / (2 * diag.modulus) * np.cumsum(diag.sq_term)
     )
     assert np.all(reg_mu <= bound + 1e-4)
+    # The diagnostics follow the run: the same draws as a run without them.
+    [plain] = run_da(negentropy(), stream, UnbiasedChannel(0.5), Schedule(0.3, 0.5), 200,
+                     [np.random.default_rng(11)])
+    assert trace.expected.tobytes() == plain.expected.tobytes()
+    assert trace.realized.tobytes() == plain.realized.tobytes()
 
 
 def test_diagnostics_require_modulus(grid):
@@ -263,7 +265,7 @@ def test_diagnostics_require_modulus(grid):
     stream = default_trig_stream(grid, seed=12)
     with pytest.raises(ConfigError):
         run_da(burg(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
-               [np.random.default_rng(13)], diagnostics=_comparator(grid))
+               [np.random.default_rng(13)], diagnostics=EnergyDiagnostics(_comparator(grid)))
 
 
 def test_loss_payoff_consistency(grid):
@@ -313,7 +315,7 @@ def test_diagnostics_follow_one_seed(grid):
     with pytest.raises(ConfigError, match="one seed"):
         run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 5,
                [np.random.default_rng(17), np.random.default_rng(18)],
-               diagnostics=_comparator(grid))
+               diagnostics=EnergyDiagnostics(_comparator(grid)))
 
 
 def _small_config(draw, algorithm: str) -> ExperimentConfig:
@@ -382,9 +384,6 @@ def _check_block_matches_one_run_per_seed(cfg, seeds):
         [alone] = run_seed(cfg, [seed])
         for name in ("expected", "realized", "round_best"):
             assert _same(getattr(trace, name), getattr(alone, name)), name
-        assert trace.extras.keys() == alone.extras.keys()
-        for name, value in alone.extras.items():
-            assert _same(trace.extras[name], value), name
         # Records that depend on the round alone are shared, read-only.
         for name, array in _shared_records(trace).items():
             assert array is first_shared[name], name
@@ -416,8 +415,6 @@ def test_block_traces_share_read_only_stream_records():
         for record in (trace.round_best, trace.expected, trace.realized):
             with pytest.raises(ValueError):
                 record.flat[0] = 1.0
-    first.extras["note"] = 1
-    assert "note" not in traces[1].extras
     # Noisy feedback: the seeds play their own strategies.
     assert not np.array_equal(first.expected, traces[1].expected)
 
@@ -436,6 +433,8 @@ def test_trace_holds_two_rows_per_seed_and_the_shared_best(lower, upper, cells_p
                     [np.random.default_rng(17 + s) for s in range(S)])
     buffers = {}
     for trace in traces:
+        assert {f.name for f in dataclasses.fields(trace)} == {
+            "stream", "horizon", "expected", "realized", "round_best", "_variation"}
         records = {name: value for name, value in vars(trace).items()
                    if isinstance(value, np.ndarray)}
         assert records.keys() == {"expected", "realized", "round_best"}
@@ -443,5 +442,4 @@ def test_trace_holds_two_rows_per_seed_and_the_shared_best(lower, upper, cells_p
             assert array.shape == (T,) and not array.flags.writeable, name
             owner = array if array.base is None else array.base
             buffers[id(owner)] = owner
-        assert trace.extras == {}
     assert sum(owner.nbytes for owner in buffers.values()) == 8 * (2 * S * T + T)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,33 @@ def test_ball_patch_empty_raises():
         ball_patch(g, 0.2, 1e-6)
     with pytest.raises(DomainError):
         ball_patch(g, 0.2, -0.1)
+
+
+def test_ball_patch_infinite_radius_takes_every_cell():
+    g = Grid(BoxDomain([0.0, 0.0], [1.0, 2.0]), 8)
+    cells, vol = ball_patch(g, [0.3, 1.5], math.inf)
+    assert cells.tolist() == list(range(g.n_cells))
+    assert vol == g.n_cells * g.cell_volume
+
+
+def test_ball_patch_nan_radius_is_a_domain_error():
+    g = Grid(BoxDomain(0.0, 1.0), 10)
+    with pytest.raises(DomainError, match="radius must be positive"):
+        ball_patch(g, 0.2, math.nan)
+
+
+@pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
+def test_ball_patch_non_finite_center_is_a_domain_error(coordinate):
+    g = Grid(BoxDomain([0.0, 0.0], [1.0, 1.0]), 10)
+    with pytest.raises(DomainError, match="not finite"):
+        ball_patch(g, [0.5, coordinate], 0.3)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (63,)], ids=["same-size", "wrong-size"])
+def test_grid_function_names_the_shapes_it_takes(shape):
+    # No reshaping: an (8, 8) array on a 64-cell 1-D grid is an error, as is
+    # an array of the wrong size.
+    g = Grid(BoxDomain(0.0, 1.0), 64)
+    for cls in (GridFunction, Density):
+        with pytest.raises(ValueError, match=r"shape \(64,\) or \(R, 64\)"):
+            cls(g, np.full(shape, 1.0))

@@ -135,6 +135,23 @@ def test_unbiased_noise_sup_bound(grid):
         assert np.abs(obs.model.values - truth).max() <= 0.25 + 1e-12
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: UnbiasedChannel(math.nan), id="noise-nan"),
+    pytest.param(lambda: UnbiasedChannel(math.inf), id="noise-inf"),
+    pytest.param(lambda: UnbiasedChannel(-0.1), id="noise-negative"),
+    pytest.param(lambda: BiasedChannel(0.3, math.nan, 0.5), id="bias-scale-nan"),
+    pytest.param(lambda: BiasedChannel(0.3, math.inf, 0.5), id="bias-scale-inf"),
+    pytest.param(lambda: BiasedChannel(0.3, 0.5, math.nan), id="bias-decay-nan"),
+    pytest.param(lambda: BiasedChannel(0.3, 0.5, math.inf), id="bias-decay-inf"),
+    pytest.param(lambda: BiasedChannel(0.3, 0.5, -1.0), id="bias-decay-negative"),
+])
+def test_noise_channels_reject_bad_settings_at_construction(make):
+    # Caught here rather than as a non-finite grid function (or, for a
+    # negative decay, a bias that grows) mid-run.
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        make()
+
+
 def test_biased_channel_zero_bias_matches_unbiased(grid):
     stream = default_trig_stream(grid, seed=11)
     unbiased = UnbiasedChannel(noise_scale=0.3)
