@@ -5,14 +5,17 @@
 
 For the acceptance configs c4_exact (exact feedback), c4_noisy (unbiased
 noise), c6_dynamic (drifting stream, unbiased noise), c5_bda and c7_bda
-(kernel bandit) and c7_exp3 (EXP3 on 32 arms), cut to ``--horizon`` rounds,
+(kernel bandit) and c7_exp3 (EXP3 on 32 arms), and for the uniform player
+(exact feedback at exploration weight 1), cut to ``--horizon`` rounds,
 this runs ``--seeds`` seeds as one block (``run_seed(cfg, seeds)``) and as a
 loop of blocks of one (``run_seed(cfg, s)`` per seed), alternating the two
 ``--repeats`` times.  It checks that both give the same traces bit for
 bit and prints, per config, the median, quartiles and all samples of
 microseconds per seed-round, as one JSON object (also written to
 ``--out``).  With ``--seeds 1`` both sides are a block of one; run it once
-per package on PYTHONPATH to compare two versions.
+per package on PYTHONPATH to compare two versions.  On these 1024-cell
+configs exact feedback moves 8 rounds per step, so a horizon that is not a
+multiple of 8 (21 = 2 * 8 + 5, say) also compares a partial last step.
 """
 
 from __future__ import annotations
@@ -92,6 +95,12 @@ schedule.eps_coef = 0.35
     "c7_exp3": _COMMON + _C7_STREAM + """\
 algorithm = exp3_grid
 exp3.arms = 32
+""",
+    "uniform": _COMMON + """\
+algorithm = uniform
+stream.kind = trig_mixture
+stream.seed = 2024
+stream.payoff = true
 """,
 }
 

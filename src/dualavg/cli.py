@@ -12,17 +12,23 @@ the kernel radius floor of twice the cell diameter.
 Each of the ``--threads`` workers runs one contiguous block of the seeds, and
 every algorithm moves a block forward as one array program.  DA under exact
 feedback, and so the uniform player (DA at exploration weight 1), computes
-one strategy per round for the whole block; otherwise DA keeps one row of
-scores per seed and maps the rows together as one block through ``mirror``
+one strategy per round for the whole block, and the models of the coming
+rounds are known before they are played: a step of k = max(1, 8192 // n)
+rounds maps its k score rows as one block through ``mirror``, the
+exploration mix and ``grids.sample``, and each seed draws the k rounds'
+variates at once.  Otherwise DA keeps one row of scores per seed and maps
+the rows together, one round at a time, as one block through ``mirror``
 (the logit as row operations, a Newton solve per row otherwise), the
 exploration mix and ``grids.sample``.  BDA is that loop with the bandit
 channel, whose kernel model is added on its patch alone.  EXP3 keeps one row
 of scores per seed and computes the block's probabilities as row operations.
 Every draw picks its cell with ``grids.draw_cell``, and every realized value
-is read at the drawn cell.  Outputs are byte-deterministic for a fixed
-config and independent of --threads: every seed draws from its own
-generator in the same order whatever its block, and results are merged in
-seed order; floats are written with 12 significant digits.
+is read at the drawn cell.  At each checkpoint, one window sum of the stream
+serves both static regret columns of every seed of a block.  Outputs are
+byte-deterministic for a fixed config and independent of --threads: every
+seed draws from its own generator in the same order whatever its block, and
+results are merged in seed order; floats are written with 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -59,19 +65,18 @@ def _block_results(args: tuple[ExperimentConfig, list[int]]) -> list[tuple[int, 
     """Worker: run one block of seeds.
 
     Returns, per seed, (seed, rows (t, expected, realized, dynamic) per
-    checkpoint).
+    checkpoint).  The block's traces share one stream, which keeps the last
+    window sum it made, so with checkpoints in the outer loop each
+    checkpoint's sum serves both static columns of every seed.
     """
     cfg, seeds = args
-    checkpoints = [int(cp) for cp in cfg.checkpoints()]
-    results = []
-    for seed, trace in zip(seeds, run_seed(cfg, seeds)):
-        rows = [
-            [cp, static_regret(trace, cp), static_regret(trace, cp, realized=True),
-             dynamic_regret(trace, cp)]
-            for cp in checkpoints
-        ]
-        results.append((seed, rows))
-    return results
+    traces = run_seed(cfg, seeds)
+    per_checkpoint = [
+        [[cp, static_regret(trace, cp), static_regret(trace, cp, realized=True),
+          dynamic_regret(trace, cp)] for trace in traces]
+        for cp in cfg.checkpoints().tolist()
+    ]
+    return [(seed, list(rows)) for seed, rows in zip(seeds, zip(*per_checkpoint))]
 
 
 def _seed_blocks(seeds: list[int], workers: int) -> list[list[int]]:

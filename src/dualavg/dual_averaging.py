@@ -34,13 +34,19 @@ from . import grids
 __all__ = ["EnergyDiagnostics", "mixed_strategy", "run_da"]
 
 
-def mixed_strategy(x: Density, eps: float) -> Density:
+def mixed_strategy(x: Density, eps: float | Sequence[float]) -> Density:
     """The exploration mix (1 - eps) * x + eps * (1 / volume), per row of a block.
 
+    ``eps`` is one weight for every row, or a sequence of one weight per row.
     Every cell of the result has density at least eps / volume, which bounds
     the importance weight of the bandit channel's kernel model.
     """
-    if not (0.0 <= eps <= 1.0):
+    if isinstance(eps, (int, float)):  # numpy checks on a scalar cost microseconds a round
+        valid = 0.0 <= eps <= 1.0
+    else:
+        eps = np.asarray(eps, dtype=float).reshape(-1, 1)
+        valid = bool(np.all((0.0 <= eps) & (eps <= 1.0)))
+    if not valid:
         raise DomainError("exploration weight must lie in [0, 1]")
     grid = x.grid
     mixed = x.values * (1.0 - eps)
@@ -109,6 +115,11 @@ class EnergyDiagnostics:
         self.sq_term[i] = eta_t * sup_model ** 2
 
 
+# Cell values per block array of a step (64 KiB of float64): under a
+# deterministic channel a step plays max(1, _STEP_VALUES // n) rounds.
+_STEP_VALUES = 8192
+
+
 def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: Schedule,
            T: int, rngs: Sequence[np.random.Generator],
            diagnostics: EnergyDiagnostics | None = None,
@@ -120,22 +131,27 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     in the order a run of that seed alone would, and its trace equals that
     run's bit for bit.
 
-    The scores are one (R, n) array.  The regret bounds are on the expected
-    regret over draws, so under a ``deterministic`` channel (exact feedback)
-    every seed plays the same strategy and R = 1; otherwise R is the number
-    of seeds.  Each round, ``mirror`` maps the scaled scores, as one block
-    of R rows, to the R strategies (the logit as row operations, or a Newton
-    solve per row, with one normalisability check for the block); with an
-    ``eps`` schedule, ``mixed_strategy`` mixes eps_t of the uniform density
-    into every row.  ``grids.sample`` builds the sampling CDFs with one
-    cumulative sum over the block and draws each seed's cell and point.
-    Per seed are the channel's observation at the drawn cell, the expected
-    value under the played strategy and the score update, in place on a
-    kernel model's patch; under exact feedback the observation and the
-    expected value are made once, for row 0.  The realized values are read
-    at the drawn cells.  The stream value and its per-round best are
-    computed once per round and shared.  The traces record no schedule
-    (the caller's) and no point (only the channel reads them).
+    The loop moves forward one step at a time, and the scores of a step are
+    one block of rows that ``mirror`` maps together (the logit as row
+    operations, or a Newton solve per row, with one normalisability check
+    for the block); with an ``eps`` schedule, ``mixed_strategy`` mixes eps_t
+    of the uniform density into every row.  ``grids.sample`` builds the
+    block's sampling CDFs with one cumulative sum and draws each seed's
+    cells.  The regret bounds are on the expected regret over draws, so
+    under a ``deterministic`` channel (exact feedback) every seed plays the
+    same strategy, and the models of the coming rounds are known before any
+    of them is played: a step is k = max(1, 8192 // n) rounds, whose models
+    are observed first, and row i holds the scores of the step's round i,
+    each the previous row minus (plus, for payoffs) its round's model, scaled
+    by its own eta_t.  Each seed then draws the k rounds' variates at once.
+    Otherwise a step is one round, row r holds seed r's scores, and the
+    channel observes each seed at its drawn cell, after the draw; the
+    score update is in place, on a kernel model's patch alone.  The expected
+    value is one ``grids.dot`` per strategy row and round, the realized
+    values are read at the drawn cells, and every round is recorded on its
+    own.  The stream value and its per-round best are computed once per
+    round and shared.  The traces record no schedule (the caller's) and no
+    point (only the channel reads them).
 
     An ``EnergyDiagnostics`` passed as ``diagnostics`` records per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed, and
@@ -146,36 +162,61 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     if diagnostics is not None and len(rngs) > 1:
         raise ConfigError("energy diagnostics follow one seed; pass a block of one generator")
     grid = stream.grid
-    shared = channel.deterministic  # one strategy row for the whole block
+    shared = channel.deterministic  # one strategy row per round for the whole block
+    k = max(1, _STEP_VALUES // grid.n_cells) if shared else 1
     payoff = stream.payoff_convention
     recorder = TraceRecorder(stream, T, seeds=len(rngs))
     if diagnostics is not None:
         diagnostics.start(reg, eta, T, stream)
     w = grid.cell_volume
-    y = np.zeros((1 if shared else len(rngs), grid.n_cells))
+    # Shared: row i scores the step's round i, and the row after the step's
+    # last round scores the next step's first.  Otherwise row r scores seed r.
+    y = np.zeros((k + 1 if shared else len(rngs), grid.n_cells))
     # Row views made once: iterating a 2-D array makes a view per row, a
     # cost a block of one would pay every round.
     score_rows = list(y)
-    for t in range(1, T + 1):
+    for first in range(1, T + 1, k):
+        rounds = range(first, min(first + k, T + 1))
+        if shared:
+            # Given no strategy, cell, action or generator: observed before the draw.
+            f_rows, models = [], []
+            for t, row, next_row in zip(rounds, score_rows, score_rows[1:]):
+                f_rows.append(stream.values(t))
+                models.append(channel.observe(stream, t, None, None, None, None).model.values)
+                (np.add if payoff else np.subtract)(row, models[-1], out=next_row)
+            scores, scale = y[:len(rounds)], np.array([eta(t) for t in rounds])[:, None]
+            step_eps = None if eps is None else [eps(t) for t in rounds]
+        else:
+            scores, scale = y, eta(first)
+            step_eps = None if eps is None else eps(first)
         # Sums of checked models; mirror rejects a row it cannot normalise.
-        x = mirror(reg, GridFunction.unchecked(grid, eta(t) * y))
-        played = x if eps is None else mixed_strategy(x, eps(t))
-        cells, actions = grids.sample(played, rngs)
-        f_vals = stream.values(t)
-        # Row r is played by seed r, or by every seed when shared; a shared
-        # channel reads neither the draw nor the generator it is given.
-        expected = []
-        for row, x_r, cell, action, g in zip(score_rows, played.values, cells, actions, rngs):
-            obs = channel.observe(stream, t, x_r, cell, action, g)
-            expected.append(grids.dot(f_vals, x_r) * w)
-            index, model = obs.patch or (Ellipsis, obs.model.values)
-            if payoff:
-                row[index] += model
+        x = mirror(reg, GridFunction.unchecked(grid, scale * scores))
+        played = x if eps is None else mixed_strategy(x, step_eps)
+        cells, actions = grids.sample(played, rngs, rounds=shared)
+        for i, t in enumerate(rounds):
+            if shared:
+                f_vals, index, model = f_rows[i], Ellipsis, models[i]
+                expected = [grids.dot(f_vals, played.values[i]) * w]
+                drawn, scores_next = cells[:, i], score_rows[i + 1]
             else:
-                row[index] -= model
-        recorder.record(t, f_vals, expected, f_vals[cells])
-        if diagnostics is not None:
-            model_vals = np.zeros(grid.n_cells)
-            model_vals[index] = model
-            diagnostics.end_round(t, y[0], model_vals, x.values[0], f_vals, expected[0])
+                f_vals = stream.values(t)
+                expected = []
+                for row, x_r, cell, action, g in zip(score_rows, played.values, cells,
+                                                     actions, rngs):
+                    obs = channel.observe(stream, t, x_r, cell, action, g)
+                    expected.append(grids.dot(f_vals, x_r) * w)
+                    index, model = obs.patch or (Ellipsis, obs.model.values)
+                    if payoff:
+                        row[index] += model
+                    else:
+                        row[index] -= model
+                drawn, scores_next = cells, score_rows[0]
+            recorder.record(t, f_vals, expected, f_vals[drawn])
+            if diagnostics is not None:
+                model_vals = np.zeros(grid.n_cells)
+                model_vals[index] = model
+                diagnostics.end_round(t, scores_next, model_vals, x.values[i], f_vals,
+                                      expected[0])
+        if shared:
+            y[0] = y[len(rounds)]
     return recorder.finish_block()

@@ -304,7 +304,7 @@ def l1_distance(p: GridFunction, q: GridFunction) -> float:
 
 
 def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
-           size: int | None = None) -> np.ndarray:
+           size: int | None = None, rounds: bool = False):
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
 
     Returns shape (d,) for ``size=None`` and (size, d) otherwise.  ``rng`` may
@@ -314,7 +314,12 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     caller reads the drawn cell instead of looking the point up.  With a
     sequence, ``p`` may be a block of densities: a block of one row serves
     every generator, and a block of len(rng) rows gives row i to ``rng[i]``.
-    The CDFs are built once per call, and every cell is picked by ``draw_cell``.
+    With ``rounds=True`` the k rows of the block are instead k successive
+    rounds that every generator plays in turn: generator i draws all k
+    rounds' variates with one ``random((k, 1 + d))``, the same doubles in the
+    same order as k single draws, and the cells and points are arrays of
+    shapes (len(rng), k) and (len(rng), k, d).  The CDFs are built with one
+    cumulative sum per call, and every cell is picked by ``draw_cell``.
     """
     grid = p.grid
     cdf = sampling_cdf(p)
@@ -322,13 +327,19 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
         if size is not None:
             raise ValueError("size applies to a single generator")
         rows = cdf.reshape(-1, grid.n_cells)
+        if rounds:
+            k = len(rows)
+            variates = np.array([gen.random((k, 1 + grid.dim)) for gen in rng])
+            cells = np.array([[draw_cell(row, u) for row, u in zip(rows, us)]
+                              for us in variates[:, :, 0].tolist()], dtype=int)
+            return cells, grid.centers[cells] + (variates[:, :, 1:] - 0.5) * grid.steps
         if len(rows) == 1:
             rows = [rows[0]] * len(rng)
         elif len(rows) != len(rng):
             raise ValueError(f"{len(rows)} density rows for {len(rng)} generators")
         cells, points = zip(*[draw_from_cdf(grid, c, gen) for c, gen in zip(rows, rng)])
         return list(cells), np.array(points).reshape(-1, grid.dim)
-    if cdf.ndim != 1:
+    if cdf.ndim != 1 or rounds:
         raise ValueError("a block of densities needs a sequence of generators")
     if size is None:
         return draw_from_cdf(grid, cdf, rng)[1]

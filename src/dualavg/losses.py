@@ -190,6 +190,7 @@ class LossStream:
     payoff_convention: bool = False
     _cached_key = None
     _cached_values = None
+    _cached_window = (None, None)  # ((start, stop), sum) of the last window summed
 
     def values(self, t: int) -> np.ndarray:
         raise NotImplementedError
@@ -198,7 +199,18 @@ class LossStream:
         return GridFunction(self.grid, self.values(t), copy=False)
 
     def window_sum(self, start: int, stop: int) -> np.ndarray:
-        """Sum of the stream values over rounds start..stop, on the grid."""
+        """Sum of the stream values over rounds start..stop, on the grid, read-only.
+
+        The last window asked for is kept until another is, so the regret
+        columns of every seed of a block at one checkpoint read one sum.
+        """
+        if self._cached_window[0] != (start, stop):
+            total = self._sum_window(start, stop)
+            total.setflags(write=False)
+            self._cached_window = ((start, stop), total)
+        return self._cached_window[1]
+
+    def _sum_window(self, start: int, stop: int) -> np.ndarray:
         total = np.zeros(self.grid.n_cells)
         for t in range(start, stop + 1):
             total += self.values(t)
@@ -277,7 +289,7 @@ class TrigStream(LossStream):
         phases = self.phases + (self.drift_rate * t ** self.drift_exponent)[:, None]
         return self.amplitudes * np.cos(phases), self.amplitudes * np.sin(phases)
 
-    def window_sum(self, start: int, stop: int) -> np.ndarray:
+    def _sum_window(self, start: int, stop: int) -> np.ndarray:
         """Sum over rounds start..stop in closed form: one ``linear`` of the summed coefficients.
 
         The coefficients are summed in blocks of rounds of at most
@@ -355,7 +367,7 @@ class PayoffStream(LossStream):
     def _from_base(self, t: int) -> np.ndarray:
         return (self.base.V - self.base.values(t)) / (2.0 * self.base.V)
 
-    def window_sum(self, start: int, stop: int) -> np.ndarray:
+    def _sum_window(self, start: int, stop: int) -> np.ndarray:
         """(k V - sum of the base over the k rounds) / (2V), from the base's window sum."""
         rounds = stop - start + 1
         return (rounds * self.base.V - self.base.window_sum(start, stop)) / (2.0 * self.base.V)
@@ -406,9 +418,10 @@ class FeedbackChannel:
     cell; only the bandit channel reads them.
 
     ``deterministic`` marks a channel whose model is a function of the stream
-    and the round alone: ``observe`` draws nothing from ``rng`` and reads
-    neither the strategy nor the action.  ``run_da`` then plays one strategy
-    per round for a whole block of seeds.
+    and the round alone.  ``run_da`` then plays one strategy per round for a
+    whole block of seeds, and observes such a channel before the draw: it is
+    given no strategy, cell, action or generator (``None`` for each), so the
+    models of several rounds are known before any of them is played.
     """
 
     deterministic = False
@@ -548,8 +561,17 @@ class BanditChannel(FeedbackChannel):
 
     def floor_rounds(self, grid: Grid, T: int) -> int:
         """How many rounds t = 1..T have the floor, not ``delta(t)``, as ``radius``."""
+        # delta is non-increasing, so those rounds are the last ones: search
+        # for the last round t with delta(t) >= floor.
         floor = 2.0 * grid.cell_diameter  # the floor of ``radius``, computed once
-        return sum(self.delta(t) < floor for t in range(1, T + 1))
+        lo, hi = 0, T  # delta(t) >= floor for t <= lo, and delta(t) < floor for t > hi
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self.delta(mid) < floor:
+                hi = mid - 1
+            else:
+                lo = mid
+        return T - lo
 
     def observe(self, stream, t, strategy, cell, action, rng):
         if not stream.payoff_convention:

@@ -304,6 +304,29 @@ def test_bda_config_validation(grid):
     assert channel.floor_rounds(grid, 4) == 0
 
 
+@pytest.mark.parametrize("n, d", [(64, 1), (1024, 1), (16, 2), (8, 3)])
+def test_floor_rounds_is_the_per_round_count(n, d):
+    grid = Grid(BoxDomain([0.0] * d, [1.0] * d), n)
+    floor = 2 * grid.cell_diameter
+    schedules = [Schedule(0.25, 0.25), Schedule(4 * floor, 1.0), Schedule(floor, 0.5),
+                 Schedule(floor, 0.0), Schedule(0.5 * floor, 0.0), Schedule(3.0, 0.3)]
+    for schedule in schedules:
+        channel = BanditChannel(schedule)
+        for T in (1, 2, 3, 17, 1000):
+            assert channel.floor_rounds(grid, T) == sum(
+                schedule(t) < floor for t in range(1, T + 1)), (schedule, T)
+
+
+def test_floor_rounds_at_a_million_rounds():
+    grid = Grid(BoxDomain(0.0, 1.0), 64)
+    floor = 2 * grid.cell_diameter
+    delta = Schedule(0.25, 0.25)
+    # The floor binds after t = (0.25 / floor)^4 = 4096 rounds.
+    count = sum(delta(t) < floor for t in range(1, 10**6 + 1))
+    assert 0 < count < 10**6
+    assert BanditChannel(delta).floor_rounds(grid, 10**6) == count
+
+
 def test_bda_no_exploration_mode(grid):
     # Without exploration the learner plays the logit itself: run_da with the
     # bandit channel and no eps schedule.

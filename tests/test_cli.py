@@ -425,3 +425,29 @@ def test_report_slope_column_synthetic(tmp_path, capsys):
     slope = float(rows[0][2])  # t, mean, slope, bound
     assert slope == pytest.approx(0.75, abs=0.02)
     assert os.path.exists(tmp_path / "rep.csv")
+
+
+def test_block_results_sum_each_checkpoint_window_once(monkeypatch):
+    # The block's traces share one stream, which keeps its last window sum:
+    # one sum per checkpoint serves both static columns of every seed, and
+    # the rows equal those computed for each seed alone.
+    from dualavg import cli, losses
+    from dualavg.config import run_seed
+    from dualavg.regret import dynamic_regret, static_regret
+
+    cfg = parse_config(BASE_CONFIG, source="base")
+    sums = []
+    original = losses.TrigStream._sum_window
+
+    def counted(self, start, stop):
+        sums.append((start, stop))
+        return original(self, start, stop)
+
+    monkeypatch.setattr(losses.TrigStream, "_sum_window", counted)
+    checkpoints = cfg.checkpoints().tolist()
+    results = cli._block_results((cfg, [0, 1, 2]))
+    assert sums == [(1, cp) for cp in checkpoints]
+    for seed, rows in results:
+        [trace] = run_seed(cfg, [seed])
+        assert rows == [[cp, static_regret(trace, cp), static_regret(trace, cp, realized=True),
+                         dynamic_regret(trace, cp)] for cp in checkpoints]

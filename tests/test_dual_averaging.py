@@ -19,7 +19,9 @@ from dualavg import (
     UnbiasedChannel,
     BanditChannel,
     default_trig_stream,
+    DomainError,
     mirror,
+    mixed_strategy,
     negentropy,
     quadratic,
     run_bda,
@@ -30,8 +32,9 @@ from dualavg import (
     to_payoff,
     tsallis,
 )
+from dualavg import grids
 from dualavg.config import ExperimentConfig, run_seed
-from dualavg.grids import draw_cell
+from dualavg.grids import draw_cell, draw_from_cdf, sampling_cdf
 from tests.test_regret import ConstantStream
 
 
@@ -136,25 +139,155 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
             assert getattr(trace, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
-class _RecordingExact(ExactChannel):
-    """Exact feedback that records the cell and point drawn in each round."""
+class _PerRoundRun:
+    """Exact-feedback DA one round at a time: the per-round oracle of ``run_da``.
 
-    def __init__(self):
-        self.cells, self.actions = [], []
+    A plain loop of ``mirror``, ``grids.sampling_cdf`` and ``draw_from_cdf``
+    per round, the seeds drawing in turn, with the scores updated by the
+    round's stream values.  Holds the (S, T) expected and realized values and
+    the drawn cells and points; with ``diagnostics``, it feeds them each round.
+    """
 
-    def observe(self, stream, t, strategy, cell, action, rng):
-        self.cells.append(cell)
-        self.actions.append(action.copy())
-        return super().observe(stream, t, strategy, cell, action, rng)
+    def __init__(self, reg, stream, eta, T, seeds, eps=None, diagnostics=None):
+        grid = stream.grid
+        w = grid.cell_volume
+        rngs = [np.random.default_rng(s) for s in seeds]
+        if diagnostics is not None:
+            diagnostics.start(reg, eta, T, stream)
+        y = np.zeros(grid.n_cells)
+        expected, realized, self.cells, points = [], [], [], []
+        for t in range(1, T + 1):
+            x = mirror(reg, GridFunction(grid, eta(t) * y))
+            played = x if eps is None else mixed_strategy(x, eps(t))
+            cdf = sampling_cdf(played)
+            f = stream.values(t)
+            draws = [draw_from_cdf(grid, cdf, g) for g in rngs]
+            self.cells.append([cell for cell, _ in draws])
+            points.append([point for _, point in draws])
+            expected.append(grids.dot(f, played.values) * w)
+            realized.append([f[cell] for cell, _ in draws])
+            y = y + f if stream.payoff_convention else y - f
+            if diagnostics is not None:
+                diagnostics.end_round(t, y, f, x.values, f, expected[-1])
+        self.expected = np.tile(expected, (len(seeds), 1))
+        self.realized = np.array(realized).T.copy()
+        self.points = np.array(points)
+
+    def matches(self, traces) -> bool:
+        """Whether every trace holds this run's values for its seed, bit for bit."""
+        return all(trace.expected.tobytes() == expected.tobytes()
+                   and trace.realized.tobytes() == realized.tobytes()
+                   for trace, expected, realized in zip(traces, self.expected, self.realized,
+                                                        strict=True))
+
+
+_SERIES = ("energy", "energy_rhs", "comparator_increment", "error_term", "sq_term")
+
+
+def _streams(grid):
+    static = default_trig_stream(grid, seed=21)
+    drifting = default_trig_stream(grid, seed=22, drift_rate=0.2)
+    return {"loss": static, "payoff": to_payoff(static), "drifting loss": drifting,
+            "drifting payoff": to_payoff(drifting)}
+
+
+# 1024 cells: a step is 8 rounds.  T = 1, T < 8, a multiple of 8, and one more.
+@pytest.mark.parametrize("T", [1, 5, 16, 17])
+@pytest.mark.parametrize("kind", ["loss", "payoff", "drifting loss", "drifting payoff"])
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+def test_exact_steps_match_the_per_round_oracle(T, kind, seeds):
+    grid = Grid(BoxDomain(0.0, 1.0), 1024)
+    stream = _streams(grid)[kind]
+    eta = Schedule(0.8, 0.5)
+    traces = run_da(negentropy(), stream, ExactChannel(), eta, T,
+                    [np.random.default_rng(s) for s in seeds])
+    assert _PerRoundRun(negentropy(), stream, eta, T, seeds).matches(traces)
+    eps = Schedule(0.3, 0.4)
+    traces = run_da(quadratic(), stream, ExactChannel(), eta, T,
+                    [np.random.default_rng(s) for s in seeds], eps=eps)
+    assert _PerRoundRun(quadratic(), stream, eta, T, seeds, eps=eps).matches(traces)
+    traces = run_uniform(stream, T, [np.random.default_rng(s) for s in seeds])
+    uniform = _PerRoundRun(negentropy(), stream, Schedule(1.0), T, seeds, eps=Schedule(1.0))
+    assert uniform.matches(traces)
+
+
+@pytest.mark.parametrize("T", [1, 7, 9])
+@pytest.mark.parametrize("kind", ["loss", "drifting payoff"])
+def test_exact_steps_match_the_oracle_in_the_energy_series(T, kind):
+    grid = Grid(BoxDomain(0.0, 1.0), 1024)
+    stream = _streams(grid)[kind]
+    eta = Schedule(0.8, 0.5)
+    diag, oracle_diag = (EnergyDiagnostics(_comparator(grid)) for _ in range(2))
+    traces = run_da(negentropy(), stream, ExactChannel(), eta, T, [np.random.default_rng(3)],
+                    diagnostics=diag)
+    oracle = _PerRoundRun(negentropy(), stream, eta, T, [3], diagnostics=oracle_diag)
+    assert oracle.matches(traces)
+    for name in _SERIES:
+        assert getattr(diag, name).tobytes() == getattr(oracle_diag, name).tobytes(), name
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+def test_exact_steps_of_one_round_match_the_oracle(seeds):
+    # 128 x 128 cells: a block of 8192 values holds less than one row, so a
+    # step is one round.
+    grid = Grid(BoxDomain([0.0, 0.0], [1.0, 1.0]), 128)
+    for stream in _streams(grid).values():
+        traces = run_da(negentropy(), stream, ExactChannel(), Schedule(0.8, 0.5), 3,
+                        [np.random.default_rng(s) for s in seeds])
+        assert _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 3, seeds).matches(traces)
+
+
+def test_deterministic_channel_is_observed_before_the_draw():
+    # 1024 cells: steps of 8 rounds.  Every round of a step is observed
+    # before the step's one draw per seed, and the channel is given no
+    # strategy, cell, action or generator.
+    grid = Grid(BoxDomain(0.0, 1.0), 1024)
+    stream = default_trig_stream(grid, seed=2)
+    log = []
+
+    class Recording(ExactChannel):
+        def observe(self, stream, t, strategy, cell, action, rng):
+            log.append(("observe", t, strategy, cell, action, rng))
+            return super().observe(stream, t, strategy, cell, action, rng)
+
+    class LoggedGenerator:
+        def __init__(self, seed):
+            self.g = np.random.default_rng(seed)
+
+        def random(self, size=None):
+            log.append(("draw", size))
+            return self.g.random(size)
+
+    traces = run_da(negentropy(), stream, Recording(), Schedule(0.8, 0.5), 10,
+                    [LoggedGenerator(1), LoggedGenerator(2)])
+    observed = [("observe", t, None, None, None, None) for t in range(1, 11)]
+    assert log == (observed[:8] + [("draw", (8, 2))] * 2
+                   + observed[8:] + [("draw", (2, 2))] * 2)
+    assert _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 10, [1, 2]).matches(traces)
+
+
+def test_mixed_strategy_takes_one_weight_per_row(grid):
+    rng = np.random.default_rng(0)
+    block = mirror(negentropy(), GridFunction(grid, rng.normal(size=(3, grid.n_cells))))
+    weights = [0.0, 0.25, 1.0]
+    mixed = mixed_strategy(block, weights).values
+    for row, eps, got in zip(block.values, weights, mixed):
+        alone = mixed_strategy(Density.unchecked(grid, row), eps).values
+        assert got.tobytes() == alone.tobytes()
+    with pytest.raises(DomainError):
+        mixed_strategy(block, [0.1, math.nan, 0.2])
 
 
 def test_run_da_plays_on_the_stream_grid():
-    # The stream owns the grid: a stream on [0, 2] is played on [0, 2].
+    # The stream owns the grid: a stream on [0, 2] is played on [0, 2].  The
+    # exact channel is given no point, so the points are those of a per-round
+    # replay, whose values the run's trace matches bit for bit.
     stream = default_trig_stream(Grid(BoxDomain(0.0, 2.0), 64), seed=7)
-    channel = _RecordingExact()
-    run_da(negentropy(), stream, channel, Schedule(1.0, 0.5), 200, [np.random.default_rng(0)])
-    actions = np.array(channel.actions)
-    assert actions.min() >= 0.0 and 1.5 < actions.max() < 2.0
+    traces = run_da(negentropy(), stream, ExactChannel(), Schedule(1.0, 0.5), 200,
+                    [np.random.default_rng(0)])
+    replay = _PerRoundRun(negentropy(), stream, Schedule(1.0, 0.5), 200, [0])
+    assert replay.matches(traces)
+    assert replay.points.min() >= 0.0 and 1.5 < replay.points.max() < 2.0
 
 
 class _EdgeGenerator:
@@ -274,13 +407,16 @@ def test_loss_payoff_consistency(grid):
     base = default_trig_stream(grid, seed=14)
     pay = to_payoff(base)
     eta = 0.4
-    loss_channel, pay_channel = _RecordingExact(), _RecordingExact()
-    [t_loss] = run_da(negentropy(), base, loss_channel,
+    [t_loss] = run_da(negentropy(), base, ExactChannel(),
                       Schedule(eta, 0.5), 60, [np.random.default_rng(15)])
-    [t_pay] = run_da(negentropy(), pay, pay_channel,
+    [t_pay] = run_da(negentropy(), pay, ExactChannel(),
                      Schedule(eta * 2 * base.V, 0.5), 60, [np.random.default_rng(15)])
-    assert loss_channel.cells == pay_channel.cells
-    assert np.array_equal(loss_channel.actions, pay_channel.actions)
+    # The draws, read from per-round replays that match the runs bit for bit.
+    loss_replay = _PerRoundRun(negentropy(), base, Schedule(eta, 0.5), 60, [15])
+    pay_replay = _PerRoundRun(negentropy(), pay, Schedule(eta * 2 * base.V, 0.5), 60, [15])
+    assert loss_replay.matches([t_loss]) and pay_replay.matches([t_pay])
+    assert loss_replay.cells == pay_replay.cells
+    assert np.array_equal(loss_replay.points, pay_replay.points)
     assert static_regret(t_pay) == pytest.approx(
         static_regret(t_loss) / (2 * base.V), rel=1e-9
     )

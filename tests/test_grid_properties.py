@@ -145,6 +145,30 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
 
 
 @SETTINGS
+@given(grids(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+       st.integers(1, 9))
+def test_sample_rounds_matches_one_draw_per_round(grid, seeds, k):
+    # With rounds=True the k rows are successive rounds of every generator:
+    # one random((k, 1 + d)) per generator gives the cells and points of k
+    # draws from the rows in turn, and leaves it where those draws would.
+    rng = np.random.default_rng(seeds[0])
+    weights = rng.random((k, grid.n_cells)) * (rng.random((k, grid.n_cells)) < 0.5) + 1e-9
+    block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
+    gens = [np.random.default_rng(s) for s in seeds]
+    cells, points = sample(block, gens, rounds=True)
+    assert cells.shape == (len(seeds), k) and points.shape == (len(seeds), k, grid.dim)
+    for s, gen, cell_row, point_row in zip(seeds, gens, cells, points):
+        alone = np.random.default_rng(s)
+        for row, cell, point in zip(block.values, cell_row, point_row):
+            drawn_cell, drawn_point = draw_from_cdf(grid, sampling_cdf(
+                Density.unchecked(grid, row)), alone)
+            assert cell == drawn_cell and point.tobytes() == drawn_point.tobytes()
+        assert gen.random() == alone.random()
+    with pytest.raises(ValueError):
+        sample(block, rng, rounds=True)
+
+
+@SETTINGS
 @given(grids())
 def test_cells_tile_the_domain(grid):
     assert grid.n_cells == grid.n ** grid.dim == len(grid.centers)
