@@ -9,22 +9,12 @@ A slope fit that cannot be made leaves its cell empty and prints the reason
 to stderr, and a ``bda`` run prints how many rounds (over all seeds) used
 the kernel radius floor of twice the cell diameter.
 
-Each of the ``--threads`` workers runs one contiguous block of the seeds, and
-every algorithm moves a block forward as one array program.  DA under exact
-feedback, and so the uniform player (DA at exploration weight 1), computes
-one strategy per round for the whole block, and the models of the coming
-rounds are known before they are played: a step of k = max(1, 8192 // n)
-rounds maps its k score rows as one block through ``mirror``, the
-exploration mix and ``grids.sample``, and each seed draws the k rounds'
-variates at once.  Otherwise DA keeps one row of scores per seed and maps
-the rows together, one round at a time, as one block through ``mirror``
-(the logit as row operations, a Newton solve per row otherwise), the
-exploration mix and ``grids.sample``.  BDA is that loop with the bandit
-channel, whose kernel model is added on its patch alone.  EXP3 keeps one row
-of scores per seed and computes the block's probabilities as row operations.
-Every draw picks its cell with ``grids.draw_cell``, and every realized value
-is read at the drawn cell.  At each checkpoint, one window sum of the stream
-serves both static regret columns of every seed of a block.  Outputs are
+Each of the ``--threads`` workers runs one contiguous block of the seeds,
+which its algorithm moves forward as one array program: how a step maps and
+draws the block is ``dual_averaging.run_da``'s (DA, BDA and the uniform
+player) or ``baselines.run_exp3``'s to say.  The CLI reads each block's
+traces at the config's checkpoints, one window sum of the stream per
+checkpoint serving both static regret columns of every seed.  Outputs are
 byte-deterministic for a fixed config and independent of --threads: every
 seed draws from its own generator in the same order whatever its block, and
 results are merged in seed order; floats are written with 12 significant

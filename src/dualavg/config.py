@@ -151,6 +151,15 @@ class ExperimentConfig:
                            ("channel.bias_decay", self.bias_decay)):
             if value is not None and not 0 <= value < math.inf:
                 raise ConfigError(f"{key} must be finite and >= 0")
+        if self.drift_rate > 0:
+            # The largest phase shift, drift_rate * t^drift_exponent, is the horizon's.
+            try:
+                shift = self.drift_rate * float(self.horizon) ** self.drift_exponent
+            except OverflowError:
+                shift = math.inf
+            if not math.isfinite(shift):
+                raise ConfigError("stream.drift_exponent must keep the phase shift "
+                                  "drift_rate * horizon^drift_exponent finite")
         for key, value in (("schedule.eta_coef", self.eta_coef),
                            ("schedule.delta_coef", self.delta_coef)):
             if value is not None and not 0 < value < math.inf:
@@ -165,6 +174,10 @@ class ExperimentConfig:
             raise ConfigError("algorithm 'da' needs a function-valued channel")
         if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint.ratio must exceed 1")
+        try:
+            self.checkpoints()
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint.ratio: {exc}") from None
 
     # domain / grid -----------------------------------------------------
 

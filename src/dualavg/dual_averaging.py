@@ -116,7 +116,8 @@ class EnergyDiagnostics:
 
 
 # Cell values per block array of a step (64 KiB of float64): under a
-# deterministic channel a step plays max(1, _STEP_VALUES // n) rounds.
+# deterministic channel a step plays k = max(1, _STEP_VALUES // n) rounds
+# (8 on 1024 cells), whose variates each seed draws with one call.
 _STEP_VALUES = 8192
 
 
@@ -135,23 +136,22 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     one block of rows that ``mirror`` maps together (the logit as row
     operations, or a Newton solve per row, with one normalisability check
     for the block); with an ``eps`` schedule, ``mixed_strategy`` mixes eps_t
-    of the uniform density into every row.  ``grids.sample`` builds the
-    block's sampling CDFs with one cumulative sum and draws each seed's
-    cells.  The regret bounds are on the expected regret over draws, so
-    under a ``deterministic`` channel (exact feedback) every seed plays the
-    same strategy, and the models of the coming rounds are known before any
-    of them is played: a step is k = max(1, 8192 // n) rounds, whose models
-    are observed first, and row i holds the scores of the step's round i,
-    each the previous row minus (plus, for payoffs) its round's model, scaled
-    by its own eta_t.  Each seed then draws the k rounds' variates at once.
-    Otherwise a step is one round, row r holds seed r's scores, and the
-    channel observes each seed at its drawn cell, after the draw; the
-    score update is in place, on a kernel model's patch alone.  The expected
-    value is one ``grids.dot`` per strategy row and round, the realized
-    values are read at the drawn cells, and every round is recorded on its
-    own.  The stream value and its per-round best are computed once per
-    round and shared.  The traces record no schedule (the caller's) and no
-    point (only the channel reads them).
+    of the uniform density into every row.  One ``grids.sample`` call per
+    step then draws every seed's cells and points for the step's rounds.
+    The regret bounds are on the expected regret over draws, so under a
+    ``deterministic`` channel (exact feedback) every seed plays the same
+    strategy, and the models of the coming rounds are known before any of
+    them is played: a step is several rounds (see ``_STEP_VALUES``), whose
+    models are observed first, and row i holds the scores of the step's
+    round i, each the previous row minus (plus, for payoffs) its round's
+    model, scaled by its own eta_t.  Otherwise a step is one round, row r
+    holds seed r's scores, and the channel observes each seed at its drawn
+    cell, after the draw; the score update is in place, on a kernel model's
+    patch alone.  The expected value is one ``grids.dot`` per strategy row
+    and round, the realized values are read at the drawn cells, and every
+    round is recorded on its own.  The stream value and its per-round best
+    are computed once per round and shared.  The traces record no schedule
+    (the caller's) and no point (only the channel reads them).
 
     An ``EnergyDiagnostics`` passed as ``diagnostics`` records per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed, and
@@ -192,17 +192,17 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
         # Sums of checked models; mirror rejects a row it cannot normalise.
         x = mirror(reg, GridFunction.unchecked(grid, scale * scores))
         played = x if eps is None else mixed_strategy(x, step_eps)
-        cells, actions = grids.sample(played, rngs, rounds=shared)
+        cells, actions = grids.sample(played, rngs, rounds=len(rounds))
         for i, t in enumerate(rounds):
             if shared:
                 f_vals, index, model = f_rows[i], Ellipsis, models[i]
                 expected = [grids.dot(f_vals, played.values[i]) * w]
-                drawn, scores_next = cells[:, i], score_rows[i + 1]
+                scores_next = score_rows[i + 1]
             else:
                 f_vals = stream.values(t)
                 expected = []
-                for row, x_r, cell, action, g in zip(score_rows, played.values, cells,
-                                                     actions, rngs):
+                for row, x_r, cell, action, g in zip(score_rows, played.values, cells[:, i],
+                                                     actions[:, i], rngs):
                     obs = channel.observe(stream, t, x_r, cell, action, g)
                     expected.append(grids.dot(f_vals, x_r) * w)
                     index, model = obs.patch or (Ellipsis, obs.model.values)
@@ -210,8 +210,8 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
                         row[index] += model
                     else:
                         row[index] -= model
-                drawn, scores_next = cells, score_rows[0]
-            recorder.record(t, f_vals, expected, f_vals[drawn])
+                scores_next = score_rows[0]
+            recorder.record(t, f_vals, expected, f_vals[cells[:, i]])
             if diagnostics is not None:
                 model_vals = np.zeros(grid.n_cells)
                 model_vals[index] = model

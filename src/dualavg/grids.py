@@ -32,7 +32,6 @@ __all__ = [
     "sample",
     "sampling_cdf",
     "draw_cell",
-    "draw_from_cdf",
     "ball_patch",
 ]
 
@@ -304,49 +303,40 @@ def l1_distance(p: GridFunction, q: GridFunction) -> float:
 
 
 def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
-           size: int | None = None, rounds: bool = False):
+           size: int | None = None, rounds: int = 1):
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
 
-    Returns shape (d,) for ``size=None`` and (size, d) otherwise.  ``rng`` may
-    also be a sequence of generators (with ``size=None``); the result is then
-    (cells, points): entry i of the cell list and row i of the (len(rng), d)
-    points are the cell and the point ``sample(p, rng[i])`` draws, so a
-    caller reads the drawn cell instead of looking the point up.  With a
-    sequence, ``p`` may be a block of densities: a block of one row serves
-    every generator, and a block of len(rng) rows gives row i to ``rng[i]``.
-    With ``rounds=True`` the k rows of the block are instead k successive
-    rounds that every generator plays in turn: generator i draws all k
-    rounds' variates with one ``random((k, 1 + d))``, the same doubles in the
-    same order as k single draws, and the cells and points are arrays of
-    shapes (len(rng), k) and (len(rng), k, d).  The CDFs are built with one
-    cumulative sum per call, and every cell is picked by ``draw_cell``.
+    With one Generator, ``p`` is one density and the result is one point of
+    shape (d,) for ``size=None``, or (size, d): all cell variates are drawn
+    first, then all offsets.  With a sequence of S generators, the result is
+    (cells, points) of shapes (S, rounds) and (S, rounds, d): the rows of
+    ``p`` are groups of ``rounds`` successive rounds, one group that every
+    generator plays or one group per generator.  Each generator draws its
+    variates with one ``random((rounds, 1 + d))``, a cell variate and then a
+    point's offsets per round, in the order a round-by-round draw would, so a
+    caller reads the drawn cell instead of looking the point up.  The CDFs
+    are built with one cumulative sum per call, and every cell is picked by
+    ``draw_cell``.
     """
     grid = p.grid
     cdf = sampling_cdf(p)
-    if not isinstance(rng, np.random.Generator):
-        if size is not None:
-            raise ValueError("size applies to a single generator")
-        rows = cdf.reshape(-1, grid.n_cells)
-        if rounds:
-            k = len(rows)
-            variates = np.array([gen.random((k, 1 + grid.dim)) for gen in rng])
-            cells = np.array([[draw_cell(row, u) for row, u in zip(rows, us)]
-                              for us in variates[:, :, 0].tolist()], dtype=int)
-            return cells, grid.centers[cells] + (variates[:, :, 1:] - 0.5) * grid.steps
-        if len(rows) == 1:
-            rows = [rows[0]] * len(rng)
-        elif len(rows) != len(rng):
-            raise ValueError(f"{len(rows)} density rows for {len(rng)} generators")
-        cells, points = zip(*[draw_from_cdf(grid, c, gen) for c, gen in zip(rows, rng)])
-        return list(cells), np.array(points).reshape(-1, grid.dim)
-    if cdf.ndim != 1 or rounds:
-        raise ValueError("a block of densities needs a sequence of generators")
-    if size is None:
-        return draw_from_cdf(grid, cdf, rng)[1]
-    m = int(size)
-    cells = draw_cell(cdf, rng.random(m))
-    offsets = (rng.random((m, grid.dim)) - 0.5) * grid.steps
-    return grid.centers[cells] + offsets
+    if isinstance(rng, np.random.Generator):
+        if cdf.ndim != 1 or rounds != 1:
+            raise ValueError("a block of densities needs a sequence of generators")
+        m = 1 if size is None else int(size)
+        cells = draw_cell(cdf, rng.random(m))
+        points = grid.centers[cells] + (rng.random((m, grid.dim)) - 0.5) * grid.steps
+        return points[0] if size is None else points
+    if size is not None:
+        raise ValueError("size applies to a single generator")
+    # Generator i plays rows [i * rounds, (i + 1) * rounds); zip(strict=True) rejects others.
+    rows = cdf.reshape(-1, grid.n_cells)
+    if len(rows) == rounds:  # one group that every generator plays
+        rows = list(rows) * len(rng)
+    variates = np.array([g.random((rounds, 1 + grid.dim)) for g in rng])
+    cells = np.array([draw_cell(row, u) for row, u in zip(
+        rows, variates[:, :, 0].ravel().tolist(), strict=True)]).reshape(len(rng), rounds)
+    return cells, grid.centers[cells] + (variates[:, :, 1:] - 0.5) * grid.steps
 
 
 def sampling_cdf(p: Density) -> np.ndarray:
@@ -369,13 +359,6 @@ def draw_cell(cdf: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
     if isinstance(u, float):
         return min(int(cdf.searchsorted(u * cdf[-1])), last)
     return np.minimum(cdf.searchsorted(u * cdf[-1]), last)
-
-
-def draw_from_cdf(grid: Grid, cdf: np.ndarray,
-                  rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """(cell, point): a cell from ``draw_cell`` on a ``sampling_cdf`` row, then a uniform point in it."""
-    cell = draw_cell(cdf, rng.random())
-    return cell, grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
 
 
 def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:

@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 
+# Most multiplications by the ratio that ``default_checkpoints`` takes to
+# pass T.  At most T checkpoints are distinct, but a ratio barely above 1
+# repeats each one for ages: 1 + 2**-52 takes about 1.35e16 steps from 10
+# to 200.
+_MAX_CHECKPOINT_STEPS = 10**6
+
+
 def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndarray:
     """Geometric checkpoint rounds from ``start`` with the given ratio, plus T."""
     if T < 1:
@@ -43,6 +50,11 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
     if not (start >= 1 and ratio > 1):
         # Otherwise the sequence never passes T.
         raise ValueError("checkpoints need start >= 1 and ratio > 1")
+    steps = math.log(T / start) / math.log(ratio)
+    if steps > _MAX_CHECKPOINT_STEPS:
+        raise ValueError(f"ratio {ratio!r} is too close to 1: the checkpoints from {start} "
+                         f"would take about {steps:.3g} steps to pass {T}, more than "
+                         f"{_MAX_CHECKPOINT_STEPS}")
     points = []
     c = float(start)
     while c <= T:

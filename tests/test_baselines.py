@@ -204,7 +204,7 @@ def test_run_uniform_draws_as_grids_sample(grid):
         # Each round draws a cell and a point in it; the realized value is
         # the stream's at the drawn cell.
         g = np.random.default_rng(seed)
-        cells = [sample(uniform, [g])[0][0] for _ in range(trace.horizon)]
+        cells = [sample(uniform, [g])[0][0, 0] for _ in range(trace.horizon)]
         realized = np.array([stream.values(t)[cell] for t, cell in enumerate(cells, start=1)])
         assert realized.tobytes() == trace.realized.tobytes()
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,9 @@ def test_semantic_validation():
     "schedule.eta_exponent = inf",
     "stream.drift_rate = -0.1\nstream.kind = drifting",
     "stream.drift_rate = 0.5",
+    # The phase shift 0.003 * 120^400 overflows the power, 1e10 * 120^147 the product.
+    "stream.drift_exponent = 400\nstream.kind = drifting\nstream.drift_rate = 0.003",
+    "stream.drift_exponent = 147\nstream.kind = drifting\nstream.drift_rate = 1e10",
     "regularizer.family = quadratic",
     "regularizer.family = tsallis\nregularizer.gamma = 0.5",
 ])
@@ -151,6 +155,22 @@ def test_keys_the_run_never_reads_rejected_at_parse(text):
     with pytest.raises(ConfigError,
                        match=rf"^exp\.cfg:{len(lines)}: '{re.escape(key)}' is read only when"):
         parse_config(text + "\nhorizon = 10\n", source="exp.cfg")
+
+
+def test_checkpoint_ratio_barely_above_one_exits_2_at_once(tmp_path, capsys):
+    # From 10 to 200 the checkpoint rule would multiply by this ratio about
+    # 1.35e16 times; the config is rejected before the loop would run.
+    text = BASE_CONFIG.replace("horizon = 150", "horizon = 200").replace(
+        "checkpoint.ratio = 1.6", "checkpoint.ratio = 1.0000000000000002")
+    with pytest.raises(ConfigError, match=r"^exp\.cfg: checkpoint\.ratio: .* too close to 1"):
+        parse_config(text, source="exp.cfg")
+    cfg = write(tmp_path, "exp.cfg", text)
+    started = time.perf_counter()
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "checkpoint.ratio" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_finite_sum_stream_kind_rejected_at_parse():
@@ -293,6 +313,10 @@ _SUMMARY_HEADER = "algorithm,t,mean_regret,std_regret,slope\n"
     pytest.param(["run", "--seeds", "a..b"], BASE_CONFIG, "--seeds: invalid literal",
                  id="seeds=a..b"),
     pytest.param(["run"], None, "Is a directory", id="config-is-a-directory"),
+    pytest.param(["run"], BASE_CONFIG.replace("stream.kind = trig_mixture", "stream.kind = "
+                                              "drifting\nstream.drift_rate = 0.003\n"
+                                              "stream.drift_exponent = 400"),
+                 "stream.drift_exponent must keep the phase shift", id="drift-overflows"),
     pytest.param(["run"], b"# caf\xe9\n" + BASE_CONFIG.encode(), "{path}: not UTF-8 text",
                  id="config-not-utf8"),
     pytest.param(["report", "--dim", "-3"], _SUMMARY_HEADER + "da,10,1.0,0.0,\n",

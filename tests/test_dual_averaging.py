@@ -34,7 +34,8 @@ from dualavg import (
 )
 from dualavg import grids
 from dualavg.config import ExperimentConfig, run_seed
-from dualavg.grids import draw_cell, draw_from_cdf, sampling_cdf
+from dualavg.grids import draw_cell, sampling_cdf
+from tests.test_grid_properties import draw_one_round
 from tests.test_regret import ConstantStream
 
 
@@ -142,10 +143,11 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
 class _PerRoundRun:
     """Exact-feedback DA one round at a time: the per-round oracle of ``run_da``.
 
-    A plain loop of ``mirror``, ``grids.sampling_cdf`` and ``draw_from_cdf``
-    per round, the seeds drawing in turn, with the scores updated by the
-    round's stream values.  Holds the (S, T) expected and realized values and
-    the drawn cells and points; with ``diagnostics``, it feeds them each round.
+    A plain loop of ``mirror``, ``grids.sampling_cdf`` and the draw oracle
+    ``draw_one_round`` per round, the seeds drawing in turn, with the scores
+    updated by the round's stream values.  Holds the (S, T) expected and
+    realized values and the drawn cells and points; with ``diagnostics``, it
+    feeds them each round.
     """
 
     def __init__(self, reg, stream, eta, T, seeds, eps=None, diagnostics=None):
@@ -161,7 +163,7 @@ class _PerRoundRun:
             played = x if eps is None else mixed_strategy(x, eps(t))
             cdf = sampling_cdf(played)
             f = stream.values(t)
-            draws = [draw_from_cdf(grid, cdf, g) for g in rngs]
+            draws = [draw_one_round(grid, cdf, g) for g in rngs]
             self.cells.append([cell for cell, _ in draws])
             points.append([point for _, point in draws])
             expected.append(grids.dot(f, played.values) * w)
@@ -291,17 +293,20 @@ def test_run_da_plays_on_the_stream_grid():
 
 
 class _EdgeGenerator:
-    """Gives the next cell variate of ``us``, then the in-cell variate 0.0.
+    """Gives the next cell variates of ``us`` in column 0, and in-cell variates 0.0.
 
-    The point is then the lower edge of the drawn cell, which the cell lookup
-    ``Grid.cell_index`` assigns to the cell below.
+    A round's point is then the lower edge of its drawn cell, which the cell
+    lookup ``Grid.cell_index`` assigns to the cell below.
     """
 
     def __init__(self, us):
         self.us = list(us)
 
-    def random(self, size=None):
-        return self.us.pop(0) if size is None else np.zeros(size)
+    def random(self, size):
+        variates = np.zeros(size)
+        for row in variates:
+            row[0] = self.us.pop(0)
+        return variates
 
 
 def test_run_da_reads_the_drawn_cell_not_a_lookup_of_the_point():

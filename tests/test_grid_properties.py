@@ -9,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualavg import BoxDomain, Density, Grid, sample
-from dualavg.grids import draw_from_cdf, sampling_cdf
+from dualavg.grids import draw_cell, sampling_cdf
 from dualavg.errors import DomainError
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def draw_one_round(grid, cdf, rng):
+    """The per-round draw oracle: (cell, point) from one ``sampling_cdf`` row.
+
+    One variate picks the cell through ``draw_cell``, then d more place the
+    point uniformly in it.
+    """
+    cell = draw_cell(cdf, rng.random())
+    return cell, grid.centers[cell] + (rng.random(grid.dim) - 0.5) * grid.steps
 
 
 @st.composite
@@ -118,13 +128,14 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
     p = Density(grid, weights / (weights.sum() * grid.cell_volume))
     gens = [np.random.default_rng(s) for s in seeds]
     cells, points = sample(p, gens)
-    assert points.shape == (len(seeds), grid.dim) and len(cells) == len(seeds)
-    for cell, point, s, gen in zip(cells, points, seeds, gens):
+    assert cells.shape == (len(seeds), 1) and points.shape == (len(seeds), 1, grid.dim)
+    for [cell], [point], s, gen in zip(cells, points, seeds, gens):
         alone = np.random.default_rng(s)
         assert point.tobytes() == sample(p, alone).tobytes()
         # The cell is the one drawn, not a lookup of the point.
-        drawn_cell, _ = draw_from_cdf(grid, sampling_cdf(p), np.random.default_rng(s))
-        assert cell == drawn_cell
+        drawn_cell, drawn_point = draw_one_round(grid, sampling_cdf(p),
+                                                 np.random.default_rng(s))
+        assert cell == drawn_cell and point.tobytes() == drawn_point.tobytes()
         assert gen.random() == alone.random()  # each generator advanced as one call would
     with pytest.raises(ValueError):
         sample(p, gens, size=2)
@@ -133,10 +144,10 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
     block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
     for q in (block, Density(grid, block.values[:1])):
         _, points = sample(q, [np.random.default_rng(s) for s in seeds])
-        assert points.shape == (len(seeds), grid.dim)
+        assert points.shape == (len(seeds), 1, grid.dim)
         for i, s in enumerate(seeds):
             row = Density(grid, q.values[i % len(q.values)])
-            assert points[i].tobytes() == sample(row, np.random.default_rng(s)).tobytes()
+            assert points[i, 0].tobytes() == sample(row, np.random.default_rng(s)).tobytes()
     with pytest.raises(ValueError):
         sample(block, rng)
     if len(seeds) > 1:
@@ -148,24 +159,40 @@ def test_sample_from_generator_sequence_matches_one_call_each(grid, seeds):
 @given(grids(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
        st.integers(1, 9))
 def test_sample_rounds_matches_one_draw_per_round(grid, seeds, k):
-    # With rounds=True the k rows are successive rounds of every generator:
-    # one random((k, 1 + d)) per generator gives the cells and points of k
-    # draws from the rows in turn, and leaves it where those draws would.
+    # With rounds=k the rows are groups of k successive rounds: one
+    # random((k, 1 + d)) per generator gives the cells and points of k draws
+    # from its group's rows in turn, and leaves it where those draws would.
+    # One group serves every generator, and S groups serve one each.
     rng = np.random.default_rng(seeds[0])
-    weights = rng.random((k, grid.n_cells)) * (rng.random((k, grid.n_cells)) < 0.5) + 1e-9
+    S = len(seeds)
+    weights = rng.random((S * k, grid.n_cells)) * (rng.random((S * k, grid.n_cells)) < 0.5)
+    weights += 1e-9
     block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
-    gens = [np.random.default_rng(s) for s in seeds]
-    cells, points = sample(block, gens, rounds=True)
-    assert cells.shape == (len(seeds), k) and points.shape == (len(seeds), k, grid.dim)
-    for s, gen, cell_row, point_row in zip(seeds, gens, cells, points):
-        alone = np.random.default_rng(s)
-        for row, cell, point in zip(block.values, cell_row, point_row):
-            drawn_cell, drawn_point = draw_from_cdf(grid, sampling_cdf(
-                Density.unchecked(grid, row)), alone)
-            assert cell == drawn_cell and point.tobytes() == drawn_point.tobytes()
-        assert gen.random() == alone.random()
+    one_group = Density(grid, block.values[:k])
+    for q, group_of in ((one_group, lambda i: 0), (block, lambda i: i)):
+        gens = [np.random.default_rng(s) for s in seeds]
+        cells, points = sample(q, gens, rounds=k)
+        assert cells.shape == (S, k) and points.shape == (S, k, grid.dim)
+        for i, (s, gen, cell_row, point_row) in enumerate(zip(seeds, gens, cells, points)):
+            alone = np.random.default_rng(s)
+            group = q.values[group_of(i) * k:(group_of(i) + 1) * k]
+            for row, cell, point in zip(group, cell_row, point_row):
+                drawn_cell, drawn_point = draw_one_round(grid, sampling_cdf(
+                    Density.unchecked(grid, row)), alone)
+                assert cell == drawn_cell and point.tobytes() == drawn_point.tobytes()
+            assert gen.random() == alone.random()
     with pytest.raises(ValueError):
-        sample(block, rng, rounds=True)
+        sample(one_group, rng, rounds=k)
+    if k > 1:
+        with pytest.raises(ValueError):  # rows that are no whole number of groups
+            sample(Density(grid, block.values[:k - 1]), [rng], rounds=k)
+    if S > 1:
+        with pytest.raises(ValueError):  # S groups for one generator
+            sample(block, [rng], rounds=k)
+    if S > 2:
+        with pytest.raises(ValueError):  # two groups for S generators
+            sample(Density(grid, block.values[:2 * k]),
+                   [np.random.default_rng(s) for s in seeds], rounds=k)
 
 
 @SETTINGS

@@ -379,6 +379,14 @@ def test_default_checkpoints_reject_a_sequence_that_never_passes_T(start, ratio)
         default_checkpoints(100, start=start, ratio=ratio)
 
 
+@pytest.mark.parametrize("T, start, ratio", [(10**6, 1, 1.00001), (2, 1, 1.0000001)])
+def test_default_checkpoints_reject_a_ratio_too_close_to_one(T, start, ratio):
+    # The rule would multiply by the ratio more than 10^6 times to pass T
+    # (1.4e6 and 6.9e6 times); the check decides without running the loop.
+    with pytest.raises(ValueError, match="too close to 1"):
+        default_checkpoints(T, start=start, ratio=ratio)
+
+
 _NUMPY_MA_PROBE = """\
 import sys
 from dualavg.config import parse_config, run_seed
