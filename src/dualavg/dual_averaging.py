@@ -219,4 +219,5 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
                                       expected[0])
         if shared:
             y[0] = y[len(rounds)]
+        x = played = obs = model = models = None  # none held through the next solve
     return recorder.finish_block()

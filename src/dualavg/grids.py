@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Sequence
@@ -76,8 +77,8 @@ class Grid:
     Cell centers are strictly interior; the cell volume ``w`` satisfies
     (number of cells) * w == volume(X) up to floating tolerance.  The
     geometry (``dim``, ``shape``, ``n_cells``, ``steps``, ``cell_volume``,
-    ``cell_diameter``) is fixed at construction and stored; assigning to any
-    attribute raises.
+    ``cell_diameter``) and the per-axis cell centers are fixed at
+    construction and stored; assigning to any attribute raises.
     """
 
     domain: BoxDomain
@@ -89,7 +90,9 @@ class Grid:
             raise DomainError(f"cells per axis must be an integer >= 1, got {n!r}")
         n = int(n)
         steps = domain.lengths / n
-        steps.setflags(write=False)
+        axes = tuple(lo + (np.arange(n) + 0.5) * h for lo, h in zip(domain.lower, steps))
+        for arr in (steps, *axes):
+            arr.setflags(write=False)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_centers", None)
@@ -99,6 +102,7 @@ class Grid:
         object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_cell_volume", float(np.prod(steps)))
         object.__setattr__(self, "_cell_diameter", float(np.linalg.norm(steps)))
+        object.__setattr__(self, "_axis_centers", axes)
         # Per axis (lower, upper, step) as Python floats for the scalar cell lookup.
         object.__setattr__(self, "_axes", tuple(
             zip(domain.lower.tolist(), domain.upper.tolist(), steps.tolist())))
@@ -116,15 +120,27 @@ class Grid:
         return self._cell_diameter
 
     def axis_centers(self, k: int) -> np.ndarray:
-        """The n cell-center coordinates along axis k, in increasing order."""
-        return self.domain.lower[k] + (np.arange(self.n) + 0.5) * self._steps[k]
+        """The n read-only cell-center coordinates along axis k, in increasing order.
+
+        Runs read cell coordinates here (or through ``cell_centers``), never in ``centers``.
+        """
+        return self._axis_centers[k]
+
+    def cell_centers(self, cells) -> np.ndarray:
+        """Centers of the flat ``cells``, of shape ``cells.shape + (d,)``: ``centers[cells]``."""
+        out = np.empty(np.shape(cells) + (self.dim,))
+        for k, i in enumerate(np.unravel_index(cells, self.shape)):
+            out[..., k] = self._axis_centers[k][i]
+        return out
 
     @property
     def centers(self) -> np.ndarray:
-        """Cell centers as an (n_cells, d) array, C-ordered over axes."""
+        """Cell centers as an (n_cells, d) array, C-ordered over axes.
+
+        Built on first use, for tests and outside callers; no run builds it.
+        """
         if self._centers is None:
-            axes = [self.axis_centers(k) for k in range(self.dim)]
-            mesh = np.meshgrid(*axes, indexing="ij")
+            mesh = np.meshgrid(*self._axis_centers, indexing="ij")
             centers = np.stack([m.ravel() for m in mesh], axis=-1)
             centers.setflags(write=False)
             object.__setattr__(self, "_centers", centers)
@@ -316,7 +332,9 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     point's offsets per round, in the order a round-by-round draw would, so a
     caller reads the drawn cell instead of looking the point up.  The CDFs
     are built with one cumulative sum per call, and every cell is picked by
-    ``draw_cell``.
+    ``draw_cell``.  A point is ``grid.cell_centers(cells) + offsets``, bit for
+    bit ``grid.centers[cells] + offsets``.  A block of rows that are neither
+    one group nor one per generator is rejected before any generator draws.
     """
     grid = p.grid
     cdf = sampling_cdf(p)
@@ -325,18 +343,20 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
             raise ValueError("a block of densities needs a sequence of generators")
         m = 1 if size is None else int(size)
         cells = draw_cell(cdf, rng.random(m))
-        points = grid.centers[cells] + (rng.random((m, grid.dim)) - 0.5) * grid.steps
+        points = grid.cell_centers(cells) + (rng.random((m, grid.dim)) - 0.5) * grid.steps
         return points[0] if size is None else points
     if size is not None:
         raise ValueError("size applies to a single generator")
-    # Generator i plays rows [i * rounds, (i + 1) * rounds); zip(strict=True) rejects others.
+    # Generator i plays rows [i * rounds, (i + 1) * rounds), or every generator rows [0, rounds).
     rows = cdf.reshape(-1, grid.n_cells)
+    if len(rows) not in (rounds, rounds * len(rng)):
+        raise ValueError(f"{len(rows)} density rows are neither one group nor one per generator")
     if len(rows) == rounds:  # one group that every generator plays
         rows = list(rows) * len(rng)
     variates = np.array([g.random((rounds, 1 + grid.dim)) for g in rng])
     cells = np.array([draw_cell(row, u) for row, u in zip(
-        rows, variates[:, :, 0].ravel().tolist(), strict=True)]).reshape(len(rng), rounds)
-    return cells, grid.centers[cells] + (variates[:, :, 1:] - 0.5) * grid.steps
+        rows, variates[:, :, 0].ravel().tolist())]).reshape(len(rng), rounds)
+    return cells, grid.cell_centers(cells) + (variates[:, :, 1:] - 0.5) * grid.steps
 
 
 def sampling_cdf(p: Density) -> np.ndarray:
@@ -367,15 +387,18 @@ def ball_patch(grid: Grid, x, delta: float) -> tuple[np.ndarray, float]:
     Returns (flat cell indices, measured volume = count * cell volume).  The
     patch is automatically clipped at the boundary of X since the grid covers
     only X.  Ties at exactly ``delta`` are included, and an infinite radius
-    takes every cell.
+    takes every cell.  Squared distances are the per-axis squares added in
+    axis order by ``np.add.outer``, with no (n_cells, d) array.  A NaN or
+    nonpositive radius, or a non-finite center, raises ``DomainError``.
     """
     if not delta > 0:
         raise DomainError("ball radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    dist2 = grid.centers - x
-    dist2 *= dist2
-    dist2 = dist2.sum(axis=1)
-    indices = np.nonzero(dist2 <= delta * delta)[0]
+    if x.shape != (grid.dim,):
+        raise DomainError(f"ball center {x} is not a point of the {grid.dim}-d domain")
+    dist2 = functools.reduce(np.add.outer, [
+        np.square(axis - xk) for axis, xk in zip(grid._axis_centers, x)])
+    indices = np.flatnonzero(dist2 <= delta * delta)
     if indices.size == 0:
         if not np.isfinite(x).all():
             raise DomainError(f"ball center {x} is not finite")

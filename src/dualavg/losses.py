@@ -480,7 +480,11 @@ class UnbiasedChannel(FeedbackChannel):
 
 
 class BiasedChannel(UnbiasedChannel):
-    """Unbiased channel plus a systematic offset of sup-norm B0 * t^(-decay)."""
+    """Unbiased channel plus a systematic offset of sup-norm B0 * t^(-decay).
+
+    The offset is B0 * t^(-decay) times a unit-sup sine of axis 0, kept as n
+    values and added to the model viewed as (n, n^(d-1)) by broadcasting.
+    """
 
     def __init__(self, noise_scale: float, bias_scale: float, bias_decay: float):
         super().__init__(noise_scale)
@@ -498,7 +502,7 @@ class BiasedChannel(UnbiasedChannel):
     def _profile(self, grid: Grid) -> np.ndarray:
         # Fixed unit-sup trig profile; the bound B0 * t^-b is then exact.
         if self._bias_profile is None or self._bias_profile[0] is not grid:
-            u = (grid.centers[:, 0] - grid.domain.lower[0]) / grid.domain.lengths[0]
+            u = (grid.axis_centers(0) - grid.domain.lower[0]) / grid.domain.lengths[0]
             prof = np.sin(2.0 * math.pi * u + self._bias_phase)
             peak = np.abs(prof).max()
             self._bias_profile = (grid, prof / peak if peak > 0 else prof)
@@ -509,7 +513,8 @@ class BiasedChannel(UnbiasedChannel):
         vals += stream.values(t)
         b_t = self.bias_bound(t)
         if b_t != 0.0:
-            vals += b_t * self._profile(stream.grid)
+            by_axis0 = vals.reshape(stream.grid.n, -1)  # a view: ``combine`` is contiguous
+            by_axis0 += (b_t * self._profile(stream.grid))[:, None]
         return Observation(
             model=GridFunction(stream.grid, vals, copy=False),
             bias_bound=b_t,

@@ -198,8 +198,8 @@ def neighborhood_comparator(grid: Grid, x, radius: float) -> tuple[Density, floa
     from .grids import ball_patch
 
     cells, _ = ball_patch(grid, x, radius)
-    anchor = grid.centers[grid.cell_index(x)]
-    diam = float(np.linalg.norm(grid.centers[cells] - anchor, axis=1).max())
+    anchor = grid.cell_centers(grid.cell_index(x))
+    diam = float(np.linalg.norm(grid.cell_centers(cells) - anchor, axis=1).max())
     return Density.uniform_on_cells(grid, cells), diam
 
 

@@ -178,21 +178,20 @@ def _bisect_multiplier(phi, lo: float, hi: float, tol: float = 1e-12,
     )
 
 
-def _solve(evaluate, lo: float, hi: float) -> np.ndarray:
-    """Unnormalized cell values at the root, for ``evaluate(x) -> (phi, slope, p)``.
+def _solve(evaluate, lo: float, hi: float) -> float:
+    """The root of ``evaluate(x) -> (phi, slope)``, the point it evaluated last.
 
-    One pass over the grid gives phi, its slope and the cell values p; the
-    slope answers the ``dphi`` call that follows each ``phi`` call, and p at
-    the root (always the last point evaluated) is the result.
+    One pass over the grid gives phi and its slope, and writes the cell values
+    at x into the solve's buffer, which at the root (always the last point
+    evaluated) holds the result; the slope answers the next ``dphi`` call.
     """
-    last = [None, None]
+    slope = [None]
 
     def phi(x):
-        value, last[0], last[1] = evaluate(x)
+        value, slope[0] = evaluate(x)
         return value
 
-    _bisect_multiplier(phi, lo, hi, dphi=lambda x: last[0])
-    return last[1]
+    return _bisect_multiplier(phi, lo, hi, dphi=lambda x: slope[0])
 
 
 def mirror(reg: Regularizer, y: GridFunction) -> Density:
@@ -202,10 +201,10 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
     result is the block of the R densities.  The entropic family is the
     logit, as row operations: shift each row by its max and exponentiate;
     this is the package's one logit over grid cells.  The other families
-    solve each row's multiplier by Newton.  A last pass divides every row by
-    its sum times the cell volume; a row whose integral is not finite and
-    positive raises NumericalError.  Every row gets the arithmetic that it
-    gets alone, bit for bit, whatever the other rows are.
+    solve each row's multiplier by Newton, into its row of the result.  A last
+    pass divides every row by its sum times the cell volume; a row whose
+    integral is not finite and positive raises NumericalError.  Every row gets
+    the arithmetic it gets alone, bit for bit, and ``y`` is left as it was.
     """
     grid = y.grid
     w = grid.cell_volume
@@ -215,12 +214,12 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
         np.exp(p, out=p)
     else:
         vol = grid.domain.volume
+        p = np.empty(yv.shape)
         try:
-            rows = [_mirror_by_multiplier(reg, float(row.max()) - row, w, vol)
-                    for row in yv.reshape(-1, grid.n_cells)]
+            for row, out in zip(yv.reshape(-1, grid.n_cells), p.reshape(-1, grid.n_cells)):
+                _mirror_by_multiplier(reg, float(row.max()) - row, w, vol, out)
         except NumericalError as exc:
             raise NumericalError(f"{reg.family} mirror map: {exc}") from exc
-        p = rows[0].reshape(yv.shape) if len(rows) == 1 else np.stack(rows)
 
     total = p.sum(axis=-1, keepdims=True) * w
     for value in total.ravel().tolist():
@@ -231,52 +230,54 @@ def mirror(reg: Regularizer, y: GridFunction) -> Density:
     return Density.unchecked(grid, p)
 
 
-def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float,
-                          vol: float) -> np.ndarray:
-    """Unnormalized Q(y) for the families whose multiplier solves phi = 0.
+def _mirror_by_multiplier(reg: Regularizer, gap: np.ndarray, w: float, vol: float,
+                          p: np.ndarray) -> None:
+    """Unnormalized Q(y), written into ``p``, for the families whose multiplier solves phi = 0.
 
     Every family solves for its multiplier relative to max y, so p depends on
     y only through ``gap = max y - y``: exactly shift-invariant, and as
     precise at |y| = 1e8 as at 1.  For Burg and Tsallis, d = lam - max y > 0
     is the gap to the pole, so the pole cell's p is a function of d alone.
+    Evaluations write into ``p`` (Tsallis also into one buffer made per
+    solve) and may overwrite ``gap``, the caller's scratch.
     """
     if reg.family == "quadratic":
         # Water-filling KKT solution p = (y - lam)_+ = (-nu - gap)_+ with
         # nu = lam - max y; Newton on this piecewise linear phi is Michelot's
         # algorithm and stops at the exact active set.
         def evaluate(nu):
-            p = -nu - gap
+            np.subtract(-nu, gap, out=p)
             np.maximum(p, 0.0, out=p)
-            return float(p.sum()) * w - 1.0, -w * np.count_nonzero(p), p
+            return float(p.sum()) * w - 1.0, -w * np.count_nonzero(p)
 
-        return _solve(evaluate, -float(gap.max()) - 1.0 / vol, 0.0)
-
-    if reg.family == "burg":
+        _solve(evaluate, -float(gap.max()) - 1.0 / vol, 0.0)
+    elif reg.family == "burg":
         # p = 1 / (d + gap); the pole cell alone integrates to 1 at d = w, and
         # every cell is at most 1 / vol at d = vol.
         def evaluate(d):
-            p = d + gap
+            np.add(gap, d, out=p)
             np.reciprocal(p, out=p)
-            return w * float(p.sum()) - 1.0, -w * dot(p, p), p
+            return w * float(p.sum()) - 1.0, -w * dot(p, p)
 
-        return _solve_in_log(evaluate, w, vol)
+        _solve_in_log(evaluate, w, vol)
+    else:
+        # Tsallis: p = ((1 - g) (d + gap))^(1 / (g - 1)); one power per step.
+        g = reg.gamma
+        c = 1.0 - g
+        expo = 1.0 / (g - 1.0)
+        cgap = np.multiply(gap, c, out=gap)
+        u = np.empty_like(gap)
 
-    # Tsallis: p = ((1 - g) (d + gap))^(1 / (g - 1)); one power per step.
-    g = reg.gamma
-    c = 1.0 - g
-    expo = 1.0 / (g - 1.0)
-    cgap = c * gap
+        def evaluate(d):
+            np.add(cgap, c * d, out=u)
+            np.power(u, expo, out=p)
+            np.divide(p, u, out=u)  # p / u = u^(expo - 1), the slope's integrand
+            return w * float(p.sum()) - 1.0, w * expo * c * float(u.sum())
 
-    def evaluate(d):
-        u = c * d + cgap
-        p = np.power(u, expo)
-        np.divide(p, u, out=u)  # p / u = u^(expo - 1), the slope's integrand
-        return w * float(p.sum()) - 1.0, w * expo * c * float(u.sum()), p
-
-    return _solve_in_log(evaluate, w ** c / c, vol ** c / c)
+        _solve_in_log(evaluate, w ** c / c, vol ** c / c)
 
 
-def _solve_in_log(evaluate, lo: float, hi: float) -> np.ndarray:
+def _solve_in_log(evaluate, lo: float, hi: float) -> float:
     """``_solve`` for a multiplier d > 0, with Newton in s = log d.
 
     The integral I(d) = phi(d) + 1 of Burg and Tsallis is a power of d when
@@ -291,8 +292,8 @@ def _solve_in_log(evaluate, lo: float, hi: float) -> np.ndarray:
     """
     def evaluate_log(s):
         d = math.exp(s)
-        value, slope, p = evaluate(d)
-        return math.log1p(value), d * slope / (value + 1.0), p
+        value, slope = evaluate(d)
+        return math.log1p(value), d * slope / (value + 1.0)
 
     return _solve(evaluate_log, math.log(lo), math.log(2.0 * hi))
 

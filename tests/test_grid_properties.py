@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualavg import BoxDomain, Density, Grid, sample
+from dualavg import BoxDomain, Density, Grid, ball_patch, sample
 from dualavg.grids import draw_cell, sampling_cdf
-from dualavg.errors import DomainError
+from dualavg.errors import DomainError, ResolutionError
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -215,3 +215,101 @@ def test_stored_geometry_is_immutable(grid):
     for arr in (grid.steps, grid.domain.lengths, grid.domain.lower, grid.centers):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@SETTINGS
+@given(grids(), st.data())
+def test_per_axis_centers_are_the_centers_table(grid, data):
+    # ``centers`` stays the reference: every per-axis read equals it bit for bit.
+    for k in range(grid.dim):
+        axis = grid.axis_centers(k)
+        assert axis.tobytes() == np.unique(grid.centers[:, k]).tobytes()
+        with pytest.raises(ValueError):
+            axis[0] = 0.0
+    shape = data.draw(st.sampled_from([(), (3,), (2, 4)]))
+    cells = np.array(data.draw(st.lists(st.integers(0, grid.n_cells - 1),
+                                        min_size=math.prod(shape), max_size=math.prod(shape))),
+                     dtype=np.intp).reshape(shape)
+    assert grid.cell_centers(cells).tobytes() == grid.centers[cells].tobytes()
+
+
+@SETTINGS
+@given(grids(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+       st.integers(1, 5))
+def test_sample_points_are_the_centers_table_plus_offsets(grid, seeds, k):
+    # Both paths, bit for bit: ``grid.centers[cells] + offsets``.
+    rng = np.random.default_rng(seeds[0])
+    weights = rng.random((len(seeds) * k, grid.n_cells)) + 1e-3
+    block = Density(grid, weights / (weights.sum(axis=1, keepdims=True) * grid.cell_volume))
+    points = sample(Density(grid, block.values[0]), np.random.default_rng(seeds[0]), size=k)
+    ref = np.random.default_rng(seeds[0])
+    cells = draw_cell(sampling_cdf(Density(grid, block.values[0])), ref.random(k))
+    offsets = (ref.random((k, grid.dim)) - 0.5) * grid.steps
+    assert points.tobytes() == (grid.centers[cells] + offsets).tobytes()
+
+    cells, points = sample(block, [np.random.default_rng(s) for s in seeds], rounds=k)
+    variates = np.array([np.random.default_rng(s).random((k, 1 + grid.dim)) for s in seeds])
+    offsets = (variates[:, :, 1:] - 0.5) * grid.steps
+    assert points.tobytes() == (grid.centers[cells] + offsets).tobytes()
+
+
+@SETTINGS
+@given(grids(), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_sample_rejects_a_block_before_any_generator_draws(grid, S, k, data):
+    n_rows = data.draw(st.integers(1, S * k + 2).filter(lambda r: r not in (k, S * k)))
+    block = Density(grid, np.full((n_rows, grid.n_cells), 1.0 / grid.domain.volume))
+    gens = [np.random.default_rng(s) for s in range(S)]
+    states = [g.bit_generator.state for g in gens]
+    with pytest.raises(ValueError):
+        sample(block, gens, rounds=k)
+    assert [g.bit_generator.state for g in gens] == states
+
+
+def scan_patch(grid, x, delta):
+    """The reference ball: the squared distance of every row of the (n_cells, d) centers table."""
+    dist2 = grid.centers - x
+    dist2 *= dist2
+    return np.flatnonzero(dist2.sum(axis=1) <= delta * delta)
+
+
+@SETTINGS
+@given(grids(dyadic=True), st.data())
+def test_ball_patch_is_the_full_scan(grid, data):
+    # Centers at a cell center, anywhere inside or on the domain boundary, per
+    # axis; radii at random and at exactly the distance of another cell
+    # center (dyadic grids make that distance exact, so the tie is real).
+    kinds = [data.draw(st.sampled_from(["center", "inside", "lower", "upper"]))
+             for _ in range(grid.dim)]
+    x = np.empty(grid.dim)
+    for k, kind in enumerate(kinds):
+        if kind == "center":
+            x[k] = grid.axis_centers(k)[data.draw(st.integers(0, grid.n - 1))]
+        elif kind == "inside":
+            x[k] = grid.domain.lower[k] + data.draw(st.floats(0, 1)) * grid.domain.lengths[k]
+        else:
+            x[k] = getattr(grid.domain, kind)[k]
+    axis = data.draw(st.integers(0, grid.dim - 1))
+    radii = [data.draw(st.floats(1e-3, 2.0)) * grid.domain.diameter,
+             data.draw(st.integers(1, max(1, grid.n - 1))) * grid.steps[axis]]
+    for delta in radii:
+        expected = scan_patch(grid, x, delta)
+        if expected.size == 0:
+            with pytest.raises(ResolutionError):
+                ball_patch(grid, x, delta)
+            continue
+        cells, volume = ball_patch(grid, x, delta)
+        assert cells.tolist() == expected.tolist()
+        assert volume == expected.size * grid.cell_volume
+    if all(kind == "center" for kind in kinds):
+        # The cell ``radii[1]`` away along ``axis`` sits exactly on the sphere.
+        tie = x.copy()
+        tie[axis] += radii[1]
+        if tie[axis] < grid.domain.upper[axis]:
+            assert grid.cell_index(tie) in ball_patch(grid, x, radii[1])[0].tolist()
+    cells, _ = ball_patch(grid, x, math.inf)
+    assert cells.tolist() == list(range(grid.n_cells)) == scan_patch(grid, x, math.inf).tolist()
+    for bad in (math.nan, math.inf, -math.inf):
+        y = x.copy()
+        y[axis] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            ball_patch(grid, y, 0.5 * grid.domain.diameter)

@@ -256,6 +256,13 @@ def test_ball_patch_non_finite_center_is_a_domain_error(coordinate):
         ball_patch(g, [0.5, coordinate], 0.3)
 
 
+@pytest.mark.parametrize("center", [[0.5], [0.5, 0.5, 0.5]], ids=["short", "long"])
+def test_ball_patch_center_of_another_dimension_is_a_domain_error(center):
+    g = Grid(BoxDomain([0.0, 0.0], [1.0, 1.0]), 10)
+    with pytest.raises(DomainError, match="not a point of the 2-d domain"):
+        ball_patch(g, center, 0.3)
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (63,)], ids=["same-size", "wrong-size"])
 def test_grid_function_names_the_shapes_it_takes(shape):
     # No reshaping: an (8, 8) array on a 64-cell 1-D grid is an error, as is

@@ -190,6 +190,25 @@ def test_biased_channel_profile_follows_the_grid():
         assert np.array_equal(obs.model.values, fresh.model.values)
 
 
+@pytest.mark.parametrize("lower,upper,n", [([0.0], [1.0], 16), ([-1.0, 0.0], [2.0, 0.5], 8),
+                                           ([0.0, 1.0, -2.0], [0.5, 3.0, 1.0], 4)])
+def test_biased_channel_model_is_the_full_grid_profile_sum(lower, upper, n):
+    # The axis-0 profile added by broadcasting gives, bit for bit, the model
+    # that a full-grid profile over ``grid.centers[:, 0]`` gives.
+    grid = Grid(BoxDomain(lower, upper), n)
+    stream = default_trig_stream(grid, seed=3)
+    channel = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5)
+    u = (grid.centers[:, 0] - grid.domain.lower[0]) / grid.domain.lengths[0]
+    profile = np.sin(2.0 * math.pi * u + channel._bias_phase)
+    profile = profile / np.abs(profile).max()
+    for t in (1, 2, 9):
+        model = channel.observe(stream, t, None, None, None, np.random.default_rng(t)).model
+        unbiased = UnbiasedChannel(noise_scale=0.5).observe(
+            stream, t, None, None, None, np.random.default_rng(t)).model
+        expected = unbiased.values + channel.bias_bound(t) * profile
+        assert model.values.tobytes() == expected.tobytes()
+
+
 def test_bandit_channel_kernel_model_and_descriptors(grid):
     # The model is the kernel estimate of the payoff at the drawn cell, with
     # the played density there; its sup stays within the declared M_t, and

@@ -150,6 +150,25 @@ def test_mirror_density_invariants_adversarial(grid):
             assert row.tobytes() == q.values.tobytes()
 
 
+@pytest.mark.parametrize("reg", [burg(), tsallis(0.5), quadratic()], ids=lambda r: r.family)
+@pytest.mark.parametrize("lower,upper,n", [(0.0, 1.0, 256), ([0.0, -1.0], [2.0, 1.0], 16)])
+def test_mirror_leaves_its_scores_and_maps_each_row_alone(reg, lower, upper, n):
+    # The Newton solves write into buffers of their own: the caller's scores
+    # are left as they were, and a block row is the row mapped alone.
+    grid = Grid(BoxDomain(lower, upper), n)
+    rng = np.random.default_rng(17)
+    scores = rng.normal(0.0, 3.0, (3, grid.n_cells))
+    scores[1] += 1e6  # scores far from zero
+    scores[2] = 0.25  # constant scores
+    before = scores.tobytes()
+    block = mirror(reg, GridFunction.unchecked(grid, scores)).values
+    assert scores.tobytes() == before
+    for row, mapped in zip(scores, block):
+        alone = mirror(reg, GridFunction.unchecked(grid, row)).values
+        assert mapped.tobytes() == alone.tobytes()
+    assert scores.tobytes() == before
+
+
 def test_mirror_rejects_a_block_row_it_cannot_normalise(grid):
     scores = np.zeros((2, grid.n_cells))
     scores[1, 3] = np.inf  # unchecked scores: mirror is the guard
