@@ -33,7 +33,6 @@ from .losses import (
     BanditChannel,
     BiasedChannel,
     ExactChannel,
-    Observation,
     TrigStream,
     UnbiasedChannel,
     default_trig_stream,

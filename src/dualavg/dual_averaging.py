@@ -4,17 +4,17 @@ The learner accumulates negated loss models into a score function and plays
 the mirror image of the scaled scores: x_t = Q(eta_t * y_t), y_{t+1} = y_t -
 model_t (payoff-convention streams accumulate with a plus sign), mixed with
 the uniform density under an optional exploration schedule
-(``mixed_strategy``).  The feedback channel makes the model: a function on
-the whole grid (exact, unbiased, biased), or the bandit channel's kernel
-model, added on its patch alone.  Kernel bandit dual averaging
-(``bandit.run_bda``) is this loop with the negentropy regularizer, the
-bandit channel and an exploration schedule; the uniform player
-(``baselines.run_uniform``) is it at exploration weight 1.  ``run_da``
-moves a block of seeds forward together, and each trace equals that of a
-run of its seed alone, bit for bit, so outputs do not depend on how seeds
-are blocked (the CLI's ``--threads``).  Optional per-step diagnostics
-(``EnergyDiagnostics``, the caller's object) track the energy of a fixed
-comparator for checks of the recursive and telescoped regret bounds.
+(``mixed_strategy``).  The feedback channel makes the model, a pair (index,
+values): a function on the whole grid (exact, unbiased, biased; index
+``...``), or the bandit channel's kernel model, added on its patch alone.
+Kernel bandit dual averaging (``bandit.run_bda``) is this loop with the
+negentropy regularizer, the bandit channel and an exploration schedule; the
+uniform player (``baselines.run_uniform``) is it at exploration weight 1.
+``run_da`` moves a block of seeds forward together, and each trace equals
+that of a run of its seed alone, bit for bit, so outputs do not depend on
+how seeds are blocked (the CLI's ``--threads``).  Optional per-step
+diagnostics (``EnergyDiagnostics``, the caller's object) track the energy of
+a fixed comparator for checks of the recursive and telescoped regret bounds.
 """
 
 from __future__ import annotations
@@ -146,12 +146,13 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     round i, each the previous row minus (plus, for payoffs) its round's
     model, scaled by its own eta_t.  Otherwise a step is one round, row r
     holds seed r's scores, and the channel observes each seed at its drawn
-    cell, after the draw; the score update is in place, on a kernel model's
-    patch alone.  The expected value is one ``grids.dot`` per strategy row
-    and round, the realized values are read at the drawn cells, and every
-    round is recorded on its own.  The stream value and its per-round best
-    are computed once per round and shared.  The traces record no schedule
-    (the caller's) and no point (only the channel reads them).
+    cell, after the draw; its model (index, values) updates the row in place
+    at ``index``, a kernel model's patch alone.  The expected value is one
+    ``grids.dot`` per strategy row and round, the realized values are read
+    at the drawn cells, and every round is recorded on its own.  The stream
+    value and its per-round best are computed once per round and shared.
+    The traces record no schedule (the caller's) and no point (only the
+    channel reads them).
 
     An ``EnergyDiagnostics`` passed as ``diagnostics`` records per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed, and
@@ -178,18 +179,20 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     for first in range(1, T + 1, k):
         rounds = range(first, min(first + k, T + 1))
         if shared:
-            # Given no strategy, cell, action or generator: observed before the draw.
+            # Given no strategy, cell, action or generator: observed before the
+            # draw, a model on the whole grid (index ``...``).
             f_rows, models = [], []
             for t, row, next_row in zip(rounds, score_rows, score_rows[1:]):
                 f_rows.append(stream.values(t))
-                models.append(channel.observe(stream, t, None, None, None, None).model.values)
-                (np.add if payoff else np.subtract)(row, models[-1], out=next_row)
+                _, model = channel.observe(stream, t, None, None, None, None)
+                models.append(model)
+                (np.add if payoff else np.subtract)(row, model, out=next_row)
             scores, scale = y[:len(rounds)], np.array([eta(t) for t in rounds])[:, None]
             step_eps = None if eps is None else [eps(t) for t in rounds]
         else:
             scores, scale = y, eta(first)
             step_eps = None if eps is None else eps(first)
-        # Sums of checked models; mirror rejects a row it cannot normalise.
+        # Sums of finite models; mirror rejects a row it cannot normalise.
         x = mirror(reg, GridFunction.unchecked(grid, scale * scores))
         played = x if eps is None else mixed_strategy(x, step_eps)
         cells, actions = grids.sample(played, rngs, rounds=len(rounds))
@@ -203,9 +206,8 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
                 expected = []
                 for row, x_r, cell, action, g in zip(score_rows, played.values, cells[:, i],
                                                      actions[:, i], rngs):
-                    obs = channel.observe(stream, t, x_r, cell, action, g)
+                    index, model = channel.observe(stream, t, x_r, cell, action, g)
                     expected.append(grids.dot(f_vals, x_r) * w)
-                    index, model = obs.patch or (Ellipsis, obs.model.values)
                     if payoff:
                         row[index] += model
                     else:
@@ -219,5 +221,5 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
                                       expected[0])
         if shared:
             y[0] = y[len(rounds)]
-        x = played = obs = model = models = None  # none held through the next solve
+        x = played = model = models = None  # none held through the next solve
     return recorder.finish_block()

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grids import Grid, GridFunction, ball_patch
+from .grids import Grid, ball_patch
 from .schedules import Schedule
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "BiasedChannel",
     "BanditChannel",
     "kernel_estimate",
-    "Observation",
     "variation",
 ]
 
@@ -179,9 +177,12 @@ def _axis_cycled_freqs(n_terms: int, dim: int) -> np.ndarray:
 class LossStream:
     """Base stream interface: a deterministic grid function per round.
 
-    ``values(t)`` returns a read-only array; ``loss_function(t)`` wraps that
-    array, without copying, in a GridFunction.  ``payoff_convention`` marks
-    streams whose values are payoffs in [0, 1] rather than losses.
+    ``values(t)`` returns a read-only array of finite cell values: a stream
+    rejects at construction the inputs that would make any round non-finite,
+    and raises ``DomainError`` for a round index that would.  The exact
+    channel hands the array to the learner as it is, unchecked.
+    ``payoff_convention`` marks streams whose values are payoffs in [0, 1]
+    rather than losses.
     """
 
     grid: Grid
@@ -194,9 +195,6 @@ class LossStream:
 
     def values(self, t: int) -> np.ndarray:
         raise NotImplementedError
-
-    def loss_function(self, t: int) -> GridFunction:
-        return GridFunction(self.grid, self.values(t), copy=False)
 
     def window_sum(self, start: int, stop: int) -> np.ndarray:
         """Sum of the stream values over rounds start..stop, on the grid, read-only.
@@ -249,7 +247,10 @@ class TrigStream(LossStream):
 
     Each term is a * sin(2*pi*f.u + phase) in normalized coordinates u; with
     ``drift_rate`` rho > 0 every phase is shifted by rho * t**drift_exponent,
-    which makes the variation V_T grow like T**drift_exponent.
+    which makes the variation V_T grow like T**drift_exponent.  The inputs,
+    V, L and each round's phase shift must be finite (``DomainError``
+    otherwise), so every round's values are finite, and no channel or
+    learner checks them again.
     """
 
     def __init__(self, grid, amplitudes, freqs, phases, drift_rate=0.0, drift_exponent=0.5):
@@ -258,16 +259,30 @@ class TrigStream(LossStream):
         self.phases = np.asarray(phases, dtype=float)
         self.drift_rate = float(drift_rate)
         self.drift_exponent = float(drift_exponent)
+        for name, value in (("amplitudes", self.amplitudes), ("phases", self.phases),
+                            ("drift rate", self.drift_rate),
+                            ("drift exponent", self.drift_exponent)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"trig stream {name} must be finite, got {value}")
         self._basis = _TrigBasis(grid, np.atleast_2d(np.asarray(freqs, dtype=float)))
         if self.amplitudes.shape[0] != self._basis.freqs.shape[0]:
             raise ValueError("one amplitude per frequency vector required")
         self.V = float(np.abs(self.amplitudes).sum())
         self.L = self._basis.lipschitz(self.amplitudes)
+        if not (math.isfinite(self.V) and math.isfinite(self.L)):
+            raise DomainError(f"trig stream bounds must be finite, got V = {self.V}, "
+                              f"L = {self.L}")
 
     def _phase_shift(self, t: int) -> float:
         if self.drift_rate == 0.0:
             return 0.0
-        return self.drift_rate * float(t) ** self.drift_exponent
+        try:
+            shift = self.drift_rate * float(t) ** self.drift_exponent
+        except OverflowError:
+            shift = math.inf
+        if not math.isfinite(shift):
+            raise DomainError(f"the phase shift of round {t} is not finite")
+        return shift
 
     def _cache_key(self, t: int) -> int:
         return t if self.drift_rate != 0.0 else 0
@@ -391,27 +406,18 @@ def variation(stream: LossStream, T: int) -> float:
     return stream.variation(T)
 
 
-@dataclass(slots=True)
-class Observation:
-    """One round's feedback: a model of the round function, and the realized payoff under bandit feedback.
-
-    The model is ``model`` on the whole grid, or a kernel ``patch`` =
-    (support, value): ``value`` on the flat cells ``support`` and 0
-    elsewhere.  ``bias_bound``, ``noise_bound`` and ``magnitude_bound`` are
-    the declared per-round descriptors (B_t, sigma_t, M_t) reported by the
-    channel.
-    """
-
-    model: GridFunction | None = None
-    patch: tuple[np.ndarray, float] | None = None
-    payoff: float | None = None
-    bias_bound: float = 0.0
-    noise_bound: float = 0.0
-    magnitude_bound: float = 0.0
-
-
 class FeedbackChannel:
-    """Observation process turning the true round function into feedback.
+    """Feedback process: turns the true round function into an inexact model of it.
+
+    ``observe`` returns the model as a pair (index, values): ``values`` on
+    the flat cells ``index`` and 0 elsewhere.  A model on the whole grid
+    (exact, unbiased, biased) has index ``...`` and n values; the bandit
+    channel's is ``kernel_estimate``'s (support, value).  The model is all
+    the learner reads.  The bounds on its bias, noise and magnitude that the
+    regret analysis uses are channel and stream parameters, not per-round
+    output: B_t is ``BiasedChannel.bias_bound(t)``, or ``stream.L *
+    BanditChannel.radius(grid, t)`` for the bandit channel; sigma_t is
+    ``noise_scale``; M_t is ``stream.V`` plus those two.
 
     ``observe`` is given the played ``strategy`` as its cell values (an
     array), the drawn ``cell`` and the drawn ``action``, a point in that
@@ -421,24 +427,24 @@ class FeedbackChannel:
     and the round alone.  ``run_da`` then plays one strategy per round for a
     whole block of seeds, and observes such a channel before the draw: it is
     given no strategy, cell, action or generator (``None`` for each), so the
-    models of several rounds are known before any of them is played.
+    models of several rounds are known before any of them is played; its
+    index is ``...``.
     """
 
     deterministic = False
 
     def observe(self, stream: LossStream, t: int, strategy: np.ndarray, cell: int, action,
-                rng: np.random.Generator) -> Observation:
+                rng: np.random.Generator) -> tuple:
         raise NotImplementedError
 
 
 class ExactChannel(FeedbackChannel):
+    """Model = truth: the stream's own read-only round values, not copied."""
+
     deterministic = True
 
     def observe(self, stream, t, strategy, cell, action, rng):
-        return Observation(
-            model=stream.loss_function(t),
-            magnitude_bound=stream.V,
-        )
+        return ..., stream.values(t)
 
 
 class UnbiasedChannel(FeedbackChannel):
@@ -472,11 +478,7 @@ class UnbiasedChannel(FeedbackChannel):
     def observe(self, stream, t, strategy, cell, action, rng):
         vals = self._noise(stream.grid, rng)
         vals += stream.values(t)
-        return Observation(
-            model=GridFunction(stream.grid, vals, copy=False),
-            noise_bound=self.noise_scale,
-            magnitude_bound=stream.V + self.noise_scale,
-        )
+        return ..., vals
 
 
 class BiasedChannel(UnbiasedChannel):
@@ -515,12 +517,7 @@ class BiasedChannel(UnbiasedChannel):
         if b_t != 0.0:
             by_axis0 = vals.reshape(stream.grid.n, -1)  # a view: ``combine`` is contiguous
             by_axis0 += (b_t * self._profile(stream.grid))[:, None]
-        return Observation(
-            model=GridFunction(stream.grid, vals, copy=False),
-            bias_bound=b_t,
-            noise_bound=self.noise_scale,
-            magnitude_bound=stream.V + self.noise_scale + b_t,
-        )
+        return ..., vals
 
 
 def kernel_estimate(grid: Grid, action, payoff: float, density_at_action: float,
@@ -550,11 +547,12 @@ class BanditChannel(FeedbackChannel):
     The model is ``kernel_estimate`` of the payoff at the drawn cell, with
     the played density there, on the ball around the action of radius
     ``radius(grid, t)`` = max(delta(t), 2 * cell diameter); the floor keeps
-    the patch from being empty.  It declares B_t = L * radius, the distance
-    of an L-Lipschitz payoff from its ball averages, and M_t = 1 / (patch
-    volume * density at the drawn cell), the model's value with the payoff
-    at its bound 1.  The radius is computed once per round and grid, not
-    once per seed.  Requires payoffs in [0, 1].
+    the patch from being empty.  Its bias is at most B_t = ``stream.L *
+    radius(grid, t)``, the distance of an L-Lipschitz payoff from its ball
+    averages; its value is at most 1 / (patch volume * density at the drawn
+    cell), which depends on the trajectory, and which the exploration floor
+    bounds a priori.  The radius is computed once per round and grid,
+    not once per seed.  Requires payoffs in [0, 1].
     """
 
     def __init__(self, delta: Schedule):
@@ -590,10 +588,4 @@ class BanditChannel(FeedbackChannel):
         delta_t = self._radius[2]
         payoff = float(stream.values(t)[cell])
         density = float(strategy[cell])
-        support, value = kernel_estimate(grid, action, payoff, density, delta_t)
-        return Observation(
-            patch=(support, value),
-            payoff=payoff,
-            bias_bound=stream.L * delta_t,
-            magnitude_bound=1.0 / (support.size * grid.cell_volume * density),
-        )
+        return kernel_estimate(grid, action, payoff, density, delta_t)

@@ -3,7 +3,7 @@
 Criteria 4-7 run through the CLI driver (configs below) so that criterion 8
 can re-execute the identical configs and compare output bytes.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines; the
-full suite, unit tests included, takes about 390 s on two cores.
+full suite, unit tests included, takes about 160 s on two cores.
 """
 
 import csv

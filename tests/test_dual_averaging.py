@@ -16,6 +16,7 @@ from dualavg import (
     Grid,
     GridFunction,
     Schedule,
+    TrigStream,
     UnbiasedChannel,
     BanditChannel,
     default_trig_stream,
@@ -316,24 +317,34 @@ def test_run_da_reads_the_drawn_cell_not_a_lookup_of_the_point():
 
     class Recording(BanditChannel):
         def observe(self, stream, t, strategy, cell, action, rng):
-            obs = super().observe(stream, t, strategy, cell, action, rng)
-            seen.append((cell, action.copy(), strategy.copy(), obs))
-            return obs
+            model = super().observe(stream, t, strategy, cell, action, rng)
+            seen.append((cell, action.copy(), strategy.copy(), model))
+            return model
 
     us = [0.55, 0.66, 0.3]
     trace = run_da(negentropy(), stream, Recording(Schedule(0.1, 0.0)), Schedule(0.5, 0.0),
                    3, [_EdgeGenerator(us)], eps=Schedule(0.1, 0.0))[0]
-    for t, (cell, action, strategy, obs) in enumerate(seen, 1):
+    for t, (cell, action, strategy, (support, value)) in enumerate(seen, 1):
         f = stream.values(t)
         assert cell == draw_cell(np.cumsum(strategy), us[t - 1]) and cell > 0
         assert action[0] == grid.centers[cell, 0] - 0.5 * grid.steps[0]
         assert grid.cell_index(action) == cell - 1  # the lookup would pick the cell below
-        assert obs.payoff == f[cell] and trace.realized[t - 1] == f[cell]
-        support, value = obs.patch
+        assert trace.realized[t - 1] == f[cell]
         assert value == f[cell] / (support.size * grid.cell_volume * strategy[cell])
     # In the last round the two cells' densities differ, so the check above
     # tells them apart.
     assert strategy[cell] != strategy[cell - 1]
+
+
+@pytest.mark.parametrize("channel", [ExactChannel(), UnbiasedChannel(0.1)],
+                         ids=["exact", "noisy"])
+def test_run_da_stops_at_a_last_round_with_a_non_finite_phase(channel):
+    # No channel checks its model and no mirror map follows the last round,
+    # so the stream's own check is what keeps a NaN model out of the trace.
+    grid = Grid(BoxDomain(0.0, 1.0), 16)
+    stream = TrigStream(grid, [0.5], [[1]], [0.1], drift_rate=1e308, drift_exponent=1.0)
+    with pytest.raises(DomainError, match="round 2 is not finite"):
+        run_da(negentropy(), stream, channel, Schedule(0.5, 0.5), 2, [np.random.default_rng(0)])
 
 
 def test_determinism_bit_identical(grid):

@@ -14,14 +14,14 @@ from dualavg import (
     BoxDomain,
     ConfigError,
     Density,
+    DomainError,
     ExactChannel,
     Grid,
-    GridFunction,
     Schedule,
     TrigStream,
     UnbiasedChannel,
     default_trig_stream,
-    sup_norm,
+    kernel_estimate,
     to_payoff,
     variation,
 )
@@ -36,16 +36,13 @@ def grid():
 
 def test_single_term_sup_bound(grid):
     stream = TrigStream(grid, amplitudes=[0.8], freqs=[[3]], phases=[0.4])
-    f = stream.loss_function(1)
-    assert sup_norm(f) <= 0.8
+    assert np.abs(stream.values(1)).max() <= 0.8
     assert stream.V == pytest.approx(0.8)
 
 
 def test_zero_drift_is_static(grid):
     stream = default_trig_stream(grid, seed=1, drift_rate=0.0)
-    f1 = stream.loss_function(1)
-    f99 = stream.loss_function(99)
-    assert np.array_equal(f1.values, f99.values)
+    assert np.array_equal(stream.values(1), stream.values(99))
 
 
 def test_drifting_changes_rounds(grid):
@@ -100,12 +97,12 @@ def test_payoff_stream_evaluates_base_once_per_key(grid, drift_rate, evaluations
 
 def test_exact_channel_returns_truth(grid):
     stream = default_trig_stream(grid, seed=6)
-    obs = ExactChannel().observe(stream, 3, Density.uniform(grid), 128, np.array([0.5]),
-                                 np.random.default_rng(0))
-    assert np.array_equal(obs.model.values, stream.values(3))
+    index, values = ExactChannel().observe(stream, 3, Density.uniform(grid), 128,
+                                           np.array([0.5]), np.random.default_rng(0))
+    assert index is ...
+    assert values is stream.values(3)  # the stream's own array, not a copy
     with pytest.raises(ValueError):
-        obs.model.values[0] = 0.0  # the model aliases the stream's read-only values
-    assert obs.bias_bound == 0.0 and obs.noise_bound == 0.0
+        values[0] = 0.0  # the model is the stream's read-only values
 
 
 def test_unbiased_channel_zero_mean():
@@ -117,9 +114,9 @@ def test_unbiased_channel_zero_mean():
     N = 10**5
     acc = np.zeros(probe.size)
     for t in range(N):
-        obs = channel.observe(stream, 1, None, None, None, rng)
-        acc += obs.model.values[probe]
-        assert obs.noise_bound == 0.5
+        index, values = channel.observe(stream, 1, None, None, None, rng)
+        acc += values[probe]
+        assert index is ...
     acc /= N
     truth = stream.values(1)[probe]
     assert np.abs(acc - truth).max() < 4 * 0.5 / math.sqrt(N)
@@ -131,8 +128,8 @@ def test_unbiased_noise_sup_bound(grid):
     rng = np.random.default_rng(10)
     truth = stream.values(1)
     for _ in range(200):
-        obs = channel.observe(stream, 1, None, None, None, rng)
-        assert np.abs(obs.model.values - truth).max() <= 0.25 + 1e-12
+        index, values = channel.observe(stream, 1, None, None, None, rng)
+        assert index is ... and np.abs(values - truth).max() <= 0.25 + 1e-12
 
 
 @pytest.mark.parametrize("make", [
@@ -146,19 +143,51 @@ def test_unbiased_noise_sup_bound(grid):
     pytest.param(lambda: BiasedChannel(0.3, 0.5, -1.0), id="bias-decay-negative"),
 ])
 def test_noise_channels_reject_bad_settings_at_construction(make):
-    # Caught here rather than as a non-finite grid function (or, for a
-    # negative decay, a bias that grows) mid-run.
+    # Caught here: no channel checks its model mid-run, so a non-finite
+    # setting would reach the scores (and a negative decay makes a bias
+    # that grows).
     with pytest.raises(ValueError, match="must be finite and nonnegative"):
         make()
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param(dict(amplitudes=[0.5, math.nan]), id="amplitude-nan"),
+    pytest.param(dict(amplitudes=[math.inf, 0.5]), id="amplitude-inf"),
+    pytest.param(dict(phases=[0.1, math.nan]), id="phase-nan"),
+    pytest.param(dict(phases=[-math.inf, 0.1]), id="phase-inf"),
+    pytest.param(dict(drift_rate=math.nan), id="drift-rate-nan"),
+    pytest.param(dict(drift_rate=math.inf), id="drift-rate-inf"),
+    pytest.param(dict(drift_exponent=math.nan), id="drift-exponent-nan"),
+    pytest.param(dict(drift_exponent=math.inf), id="drift-exponent-inf"),
+    pytest.param(dict(amplitudes=[1e308, 1e308]), id="sup-bound-overflows"),
+])
+def test_trig_stream_rejects_non_finite_inputs_at_construction(grid, kwargs):
+    # No channel checks a model: a stream that would make a non-finite round
+    # fails here, not at its first observation.
+    args = {"amplitudes": [0.5, 0.25], "freqs": [[1], [2]], "phases": [0.1, 0.2], **kwargs}
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="must be finite"):
+        TrigStream(grid, **args)
+
+
+@pytest.mark.parametrize("drift_rate, drift_exponent, t", [
+    (1e308, 1.0, 2),  # the product overflows
+    (1.0, 400.0, 10**4),  # the power overflows
+])
+def test_trig_stream_rejects_a_non_finite_phase_shift(grid, drift_rate, drift_exponent, t):
+    stream = TrigStream(grid, [0.5], [[1]], [0.1], drift_rate=drift_rate,
+                        drift_exponent=drift_exponent)
+    assert np.isfinite(stream.values(1)).all()
+    with pytest.raises(DomainError, match=f"round {t} is not finite"):
+        stream.values(t)
 
 
 def test_biased_channel_zero_bias_matches_unbiased(grid):
     stream = default_trig_stream(grid, seed=11)
     unbiased = UnbiasedChannel(noise_scale=0.3)
     degenerate = BiasedChannel(noise_scale=0.3, bias_scale=0.0, bias_decay=1.0)
-    o1 = unbiased.observe(stream, 2, None, None, None, np.random.default_rng(12))
-    o2 = degenerate.observe(stream, 2, None, None, None, np.random.default_rng(12))
-    assert np.array_equal(o1.model.values, o2.model.values)
+    i1, v1 = unbiased.observe(stream, 2, None, None, None, np.random.default_rng(12))
+    i2, v2 = degenerate.observe(stream, 2, None, None, None, np.random.default_rng(12))
+    assert i1 is ... and i2 is ... and np.array_equal(v1, v2)
 
 
 def test_biased_channel_bias_decay(grid):
@@ -171,7 +200,7 @@ def test_biased_channel_bias_decay(grid):
         N = 10**4
         acc = np.zeros(grid.n_cells)
         for _ in range(N):
-            acc += channel.observe(stream, t, None, None, None, rng).model.values
+            acc += channel.observe(stream, t, None, None, None, rng)[1]
         emp_bias = np.abs(acc / N - truth).max()
         assert emp_bias <= B0 * t ** (-decay) * 1.05
         assert channel.bias_bound(t) == pytest.approx(B0 * t ** (-decay))
@@ -184,10 +213,10 @@ def test_biased_channel_profile_follows_the_grid():
     for n in (8, 16, 8):
         grid = Grid(BoxDomain(0.0, 1.0), n)
         stream = default_trig_stream(grid, seed=3)
-        obs = channel.observe(stream, 2, None, None, None, np.random.default_rng(4))
-        fresh = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5).observe(
+        _, values = channel.observe(stream, 2, None, None, None, np.random.default_rng(4))
+        _, fresh = BiasedChannel(noise_scale=0.5, bias_scale=0.5, bias_decay=0.5).observe(
             stream, 2, None, None, None, np.random.default_rng(4))
-        assert np.array_equal(obs.model.values, fresh.model.values)
+        assert np.array_equal(values, fresh)
 
 
 @pytest.mark.parametrize("lower,upper,n", [([0.0], [1.0], 16), ([-1.0, 0.0], [2.0, 0.5], 8),
@@ -202,17 +231,18 @@ def test_biased_channel_model_is_the_full_grid_profile_sum(lower, upper, n):
     profile = np.sin(2.0 * math.pi * u + channel._bias_phase)
     profile = profile / np.abs(profile).max()
     for t in (1, 2, 9):
-        model = channel.observe(stream, t, None, None, None, np.random.default_rng(t)).model
-        unbiased = UnbiasedChannel(noise_scale=0.5).observe(
-            stream, t, None, None, None, np.random.default_rng(t)).model
-        expected = unbiased.values + channel.bias_bound(t) * profile
-        assert model.values.tobytes() == expected.tobytes()
+        index, model = channel.observe(stream, t, None, None, None, np.random.default_rng(t))
+        _, unbiased = UnbiasedChannel(noise_scale=0.5).observe(
+            stream, t, None, None, None, np.random.default_rng(t))
+        expected = unbiased + channel.bias_bound(t) * profile
+        assert index is ... and model.tobytes() == expected.tobytes()
 
 
 def test_bandit_channel_kernel_model_and_descriptors(grid):
     # The model is the kernel estimate of the payoff at the drawn cell, with
-    # the played density there; its sup stays within the declared M_t, and
-    # B_t = L * radius, with the radius floored at twice the cell diameter.
+    # the played density there, on the ball of radius ``channel.radius``,
+    # delta(t) floored at twice the cell diameter (B_t = L * radius); it stays
+    # within M_t, its value with the payoff at its bound 1.
     stream = to_payoff(default_trig_stream(grid, seed=15))
     delta = Schedule(0.2, 1.0)
     channel = BanditChannel(delta)
@@ -224,19 +254,18 @@ def test_bandit_channel_kernel_model_and_descriptors(grid):
         strategy = raw / (raw.sum() * grid.cell_volume)
         cell = int(rng.integers(grid.n_cells))
         action = grid.centers[cell] + (rng.random(1) - 0.5) * grid.steps
-        obs = channel.observe(stream, t, strategy, cell, action, rng)
+        support, value = channel.observe(stream, t, strategy, cell, action, rng)
         radius = max(delta(t), floor)
         floored += radius > delta(t)
-        assert obs.bias_bound == stream.L * radius
+        assert channel.radius(grid, t) == radius
         payoff = stream.values(t)[cell]
-        assert obs.payoff == payoff and obs.model is None
-        support, value = obs.patch
+        kernel_support, kernel_value = kernel_estimate(grid, action, payoff, strategy[cell],
+                                                       radius)
+        assert np.array_equal(support, kernel_support) and value == kernel_value
         dist = np.abs(grid.centers[:, 0] - action[0])
         assert np.array_equal(support, np.flatnonzero(dist <= radius))
         assert value == payoff / (support.size * grid.cell_volume * strategy[cell])
-        assert 0.0 <= value <= obs.magnitude_bound
-        # M_t is the model's value with the payoff at its bound 1.
-        assert obs.magnitude_bound == pytest.approx(value / payoff, rel=1e-12)
+        assert 0.0 <= value <= 1.0 / (support.size * grid.cell_volume * strategy[cell])
     assert floored == 3  # 0.2 / t < 2 * cell diameter from t = 40 on
     with pytest.raises(ConfigError):
         channel.observe(default_trig_stream(grid, seed=15), 1, strategy, 0, np.array([0.001]),
