@@ -5,8 +5,9 @@
 
 For the acceptance configs c4_exact (exact feedback), c4_noisy (unbiased
 noise), c6_dynamic (drifting stream, unbiased noise), c5_bda and c7_bda
-(kernel bandit) and c7_exp3 (EXP3 on 32 arms), and for the uniform player
-(exact feedback at exploration weight 1), cut to ``--horizon`` rounds,
+(kernel bandit) and c7_exp3 (EXP3 on 32 arms), for the uniform player
+(exact feedback at exploration weight 1) and for ``biased`` (c4_noisy's
+stream with the biased channel), cut to ``--horizon`` rounds,
 this runs ``--seeds`` seeds as one block (``run_seed(cfg, seeds)``) and as a
 loop of blocks of one (``run_seed(cfg, s)`` per seed), alternating the two
 ``--repeats`` times.  It checks that both give the same traces bit for
@@ -14,8 +15,9 @@ bit and prints, per config, the median, quartiles and all samples of
 microseconds per seed-round, as one JSON object (also written to
 ``--out``).  With ``--seeds 1`` both sides are a block of one; run it once
 per package on PYTHONPATH to compare two versions.  On these 1024-cell
-configs exact feedback moves 8 rounds per step, so a horizon that is not a
-multiple of 8 (21 = 2 * 8 + 5, say) also compares a partial last step.
+configs DA under exact, unbiased and biased feedback moves 8 rounds per
+step, so a horizon that is not a multiple of 8 (21 = 2 * 8 + 5, say) also
+compares a partial last step.
 """
 
 from __future__ import annotations
@@ -77,6 +79,14 @@ stream.drift_exponent = 0.5
 channel.kind = unbiased
 channel.noise_scale = 0.5
 schedule.eta_exponent = 0.16666666666666666
+""",
+    "biased": _DA + """\
+stream.kind = trig_mixture
+channel.kind = biased
+channel.noise_scale = 0.5
+channel.bias_scale = 0.5
+channel.bias_decay = 0.5
+schedule.eta_exponent = 0.5
 """,
     "c5_bda": _COMMON + _BDA_SCHEDULES + """\
 algorithm = bda

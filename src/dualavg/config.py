@@ -29,7 +29,7 @@ from .losses import (
     default_trig_stream,
     to_payoff,
 )
-from .regret import RegretTrace, default_checkpoints
+from .regret import RegretTrace, checkpoint_steps, default_checkpoints
 from .regularizers import Regularizer
 from .schedules import Schedule
 
@@ -175,7 +175,7 @@ class ExperimentConfig:
         if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint.ratio must exceed 1")
         try:
-            self.checkpoints()
+            checkpoint_steps(self.horizon, self.checkpoint_start, self.checkpoint_ratio)
         except ValueError as exc:
             raise ConfigError(f"checkpoint.ratio: {exc}") from None
 

@@ -37,14 +37,14 @@ __all__ = ["EnergyDiagnostics", "mixed_strategy", "run_da"]
 def mixed_strategy(x: Density, eps: float | Sequence[float]) -> Density:
     """The exploration mix (1 - eps) * x + eps * (1 / volume), per row of a block.
 
-    ``eps`` is one weight for every row, or a sequence of one weight per row.
+    ``eps`` is one weight for every row, or a sequence of one per row in C order.
     Every cell of the result has density at least eps / volume, which bounds
     the importance weight of the bandit channel's kernel model.
     """
     if isinstance(eps, (int, float)):  # numpy checks on a scalar cost microseconds a round
         valid = 0.0 <= eps <= 1.0
     else:
-        eps = np.asarray(eps, dtype=float).reshape(-1, 1)
+        eps = np.asarray(eps, dtype=float).reshape(x.values.shape[:-1] + (1,))
         valid = bool(np.all((0.0 <= eps) & (eps <= 1.0)))
     if not valid:
         raise DomainError("exploration weight must lie in [0, 1]")
@@ -115,9 +115,9 @@ class EnergyDiagnostics:
         self.sq_term[i] = eta_t * sup_model ** 2
 
 
-# Cell values per block array of a step (64 KiB of float64): under a
-# deterministic channel a step plays k = max(1, _STEP_VALUES // n) rounds
-# (8 on 1024 cells), whose variates each seed draws with one call.
+# Cell values per block array of a step (64 KiB of float64): under a channel
+# that does not read the play a step moves k = max(1, _STEP_VALUES // n)
+# rounds (8 on 1024 cells).
 _STEP_VALUES = 8192
 
 
@@ -132,27 +132,28 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     in the order a run of that seed alone would, and its trace equals that
     run's bit for bit.
 
-    The loop moves forward one step at a time, and the scores of a step are
-    one block of rows that ``mirror`` maps together (the logit as row
-    operations, or a Newton solve per row, with one normalisability check
-    for the block); with an ``eps`` schedule, ``mixed_strategy`` mixes eps_t
-    of the uniform density into every row.  One ``grids.sample`` call per
-    step then draws every seed's cells and points for the step's rounds.
-    The regret bounds are on the expected regret over draws, so under a
-    ``deterministic`` channel (exact feedback) every seed plays the same
-    strategy, and the models of the coming rounds are known before any of
-    them is played: a step is several rounds (see ``_STEP_VALUES``), whose
-    models are observed first, and row i holds the scores of the step's
-    round i, each the previous row minus (plus, for payoffs) its round's
-    model, scaled by its own eta_t.  Otherwise a step is one round, row r
-    holds seed r's scores, and the channel observes each seed at its drawn
-    cell, after the draw; its model (index, values) updates the row in place
-    at ``index``, a kernel model's patch alone.  The expected value is one
-    ``grids.dot`` per strategy row and round, the realized values are read
-    at the drawn cells, and every round is recorded on its own.  The stream
-    value and its per-round best are computed once per round and shared.
-    The traces record no schedule (the caller's) and no point (only the
-    channel reads them).
+    The loop moves one step of rounds at a time.  The scores are (L, k + 1,
+    n), k + 1 rows per line (one for the bandit channel): a line per seed,
+    or one line that every seed plays under a ``deterministic`` channel
+    (exact feedback); row i scores the step's round i.  A step starts with
+    the draws: each seed reads its Generator round by round, the round's
+    1 + d draw variates, then the channel's own (``FeedbackChannel.draw``).
+    A channel that does not read the play (exact, unbiased, biased) makes
+    its models from the stream, the round and its own draws alone, so its
+    step is k = max(1, _STEP_VALUES // n) rounds, observed as one block per
+    line before the draws are played: row i + 1 is row i minus (plus, for
+    payoffs) round i's model, and row m of a step of m rounds is the next
+    step's row 0.  The bandit channel's step is one round: it observes each
+    seed at the drawn cell and adds the model to row 0 in place, on the
+    model's index alone (a kernel patch).  Each row is scaled by its own
+    eta_t, one ``mirror`` call maps the step's rows (the logit as row
+    operations, or a Newton solve per row), ``mixed_strategy`` mixes in
+    eps_t of the uniform density under an ``eps`` schedule, and one
+    ``grids.sample`` call picks every seed's cells and points from the
+    drawn variates.  Each round's expected value is one ``grids.dot`` per
+    strategy row, its realized values are read at the drawn cells, and it
+    is recorded on its own; its stream values and best are shared.  The
+    traces record no schedule (the caller's) and no point.
 
     An ``EnergyDiagnostics`` passed as ``diagnostics`` records per-step energy
     accounting (roughly doubles the per-round cost); it follows one seed, and
@@ -163,63 +164,65 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     if diagnostics is not None and len(rngs) > 1:
         raise ConfigError("energy diagnostics follow one seed; pass a block of one generator")
     grid = stream.grid
-    shared = channel.deterministic  # one strategy row per round for the whole block
-    k = max(1, _STEP_VALUES // grid.n_cells) if shared else 1
-    payoff = stream.payoff_convention
+    n, w = grid.n_cells, grid.cell_volume
+    blind = not channel.reads_play
+    k = max(1, _STEP_VALUES // n) if blind else 1
+    step = np.add if stream.payoff_convention else np.subtract
     recorder = TraceRecorder(stream, T, seeds=len(rngs))
     if diagnostics is not None:
         diagnostics.start(reg, eta, T, stream)
-    w = grid.cell_volume
-    # Shared: row i scores the step's round i, and the row after the step's
-    # last round scores the next step's first.  Otherwise row r scores seed r.
-    y = np.zeros((k + 1 if shared else len(rngs), grid.n_cells))
-    # Row views made once: iterating a 2-D array makes a view per row, a
-    # cost a block of one would pay every round.
-    score_rows = list(y)
+    # Row m of a step of m rounds is the next step's row 0; the bandit channel
+    # updates row 0 in place.
+    y = np.zeros((1 if channel.deterministic else len(rngs), k + blind, n))
+    # Row views made once: indexing a row makes a view, a cost paid every round.
+    line_rows = [list(line) for line in y]
+    # Scaled in place when rows 0..m - 1 are read by the mirror map alone.
+    in_place = blind and diagnostics is None
+    width = 1 + grid.dim  # draw variates per round: a cell, then a point in it
     for first in range(1, T + 1, k):
         rounds = range(first, min(first + k, T + 1))
-        if shared:
-            # Given no strategy, cell, action or generator: observed before the
-            # draw, a model on the whole grid (index ``...``).
-            f_rows, models = [], []
-            for t, row, next_row in zip(rounds, score_rows, score_rows[1:]):
-                f_rows.append(stream.values(t))
-                _, model = channel.observe(stream, t, None, None, None, None)
-                models.append(model)
-                (np.add if payoff else np.subtract)(row, model, out=next_row)
-            scores, scale = y[:len(rounds)], np.array([eta(t) for t in rounds])[:, None]
-            step_eps = None if eps is None else [eps(t) for t in rounds]
+        m = len(rounds)
+        variates, own_draws = zip(*[channel.draw(g, m, width) for g in rngs])
+        f_rows = stream.rows(rounds)
+        if blind:  # row i + 1 is row i minus (plus, for payoffs) round i's model
+            for rows, own in zip(line_rows, own_draws):
+                _, models = channel.observe(stream, rounds, None, None, None, own)
+                for i, model in enumerate(models):
+                    step(rows[i], model, out=rows[i + 1])
+        # Per-row schedules, or for a step of one round one number (array set-up and
+        # numpy checks on a list cost microseconds a round).
+        scale = eta(first) if m == 1 else np.array([eta(t) for t in rounds])[:, None]
+        scores = y[:, :m]
+        if in_place:
+            scores *= scale
         else:
-            scores, scale = y, eta(first)
-            step_eps = None if eps is None else eps(first)
+            scores = scale * scores
         # Sums of finite models; mirror rejects a row it cannot normalise.
-        x = mirror(reg, GridFunction.unchecked(grid, scale * scores))
-        played = x if eps is None else mixed_strategy(x, step_eps)
-        cells, actions = grids.sample(played, rngs, rounds=len(rounds))
+        x = mirror(reg, GridFunction.unchecked(grid, scores))
+        played = x if eps is None else mixed_strategy(
+            x, eps(first) if m == 1 else [eps(t) for t in rounds] * len(y))
+        cells, actions = grids.sample(played, rngs, rounds=m,
+                                      variates=np.array(variates))
+        strategies = list(played.values)  # each line's (m, n) rows
         for i, t in enumerate(rounds):
-            if shared:
-                f_vals, index, model = f_rows[i], Ellipsis, models[i]
-                expected = [grids.dot(f_vals, played.values[i]) * w]
-                scores_next = score_rows[i + 1]
-            else:
-                f_vals = stream.values(t)
-                expected = []
-                for row, x_r, cell, action, g in zip(score_rows, played.values, cells[:, i],
-                                                     actions[:, i], rngs):
-                    index, model = channel.observe(stream, t, x_r, cell, action, g)
-                    expected.append(grids.dot(f_vals, x_r) * w)
-                    if payoff:
-                        row[index] += model
-                    else:
-                        row[index] -= model
-                scores_next = score_rows[0]
+            f_vals = f_rows[i]
+            expected = [grids.dot(f_vals, x_rows[i]) * w for x_rows in strategies]
+            if not blind:  # observed at the drawn cell; added to row 0 on its index alone
+                for rows, x_rows, cell, action, g in zip(line_rows, strategies, cells[:, i],
+                                                         actions[:, i], rngs):
+                    index, model = channel.observe(stream, t, x_rows[i], cell, action, g)
+                    rows[0][index] = step(rows[0][index], model)
             recorder.record(t, f_vals, expected, f_vals[cells[:, i]])
             if diagnostics is not None:
-                model_vals = np.zeros(grid.n_cells)
+                if blind:
+                    index, model = ..., models[i]
+                model_vals = np.zeros(n)
                 model_vals[index] = model
-                diagnostics.end_round(t, scores_next, model_vals, x.values[i], f_vals,
-                                      expected[0])
-        if shared:
-            y[0] = y[len(rounds)]
-        x = played = model = models = None  # none held through the next solve
+                diagnostics.end_round(t, line_rows[0][i + 1 if blind else 0], model_vals,
+                                      x.values[0, i], f_vals, expected[0])
+        if blind and k == 1:  # row 1 holds the next scores: the rows trade places, no copy
+            y, line_rows = y[:, ::-1], [rows[::-1] for rows in line_rows]
+        elif blind:
+            y[:, 0] = y[:, m]  # the next step's first scores
+        x = played = strategies = None  # not held through the next solve
     return recorder.finish_block()

@@ -319,7 +319,7 @@ def l1_distance(p: GridFunction, q: GridFunction) -> float:
 
 
 def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
-           size: int | None = None, rounds: int = 1):
+           size: int | None = None, rounds: int = 1, variates: np.ndarray | None = None):
     """Draw point(s) from a density: categorical over cells, then uniform in the cell.
 
     With one Generator, ``p`` is one density and the result is one point of
@@ -330,7 +330,8 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
     generator plays or one group per generator.  Each generator draws its
     variates with one ``random((rounds, 1 + d))``, a cell variate and then a
     point's offsets per round, in the order a round-by-round draw would, so a
-    caller reads the drawn cell instead of looking the point up.  The CDFs
+    caller reads the drawn cell instead of looking the point up (or passes
+    the (S, rounds, 1 + d) ``variates``, drawn between its own).  The CDFs
     are built with one cumulative sum per call, and every cell is picked by
     ``draw_cell``.  A point is ``grid.cell_centers(cells) + offsets``, bit for
     bit ``grid.centers[cells] + offsets``.  A block of rows that are neither
@@ -353,7 +354,8 @@ def sample(p: Density, rng: np.random.Generator | Sequence[np.random.Generator],
         raise ValueError(f"{len(rows)} density rows are neither one group nor one per generator")
     if len(rows) == rounds:  # one group that every generator plays
         rows = list(rows) * len(rng)
-    variates = np.array([g.random((rounds, 1 + grid.dim)) for g in rng])
+    if variates is None:
+        variates = np.array([g.random((rounds, 1 + grid.dim)) for g in rng])
     cells = np.array([draw_cell(row, u) for row, u in zip(
         rows, variates[:, :, 0].ravel().tolist())]).reshape(len(rng), rounds)
     return cells, grid.cell_centers(cells) + (variates[:, :, 1:] - 0.5) * grid.steps

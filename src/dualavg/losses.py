@@ -134,13 +134,18 @@ class _TrigBasis:
         """sum_k a_sin_k * sin(2*pi*f_k.u) + a_cos_k * cos(2*pi*f_k.u) on all cells.
 
         Every trig sum is linear in these coefficients: a sin(x + phase) has
-        a_sin = a cos(phase) and a_cos = a sin(phase).
+        a_sin = a cos(phase) and a_cos = a sin(phase).  (m, K) coefficient
+        rows give the (m, n) rows, each bit for bit the sum of its row alone.
         """
         out = None
         for terms, sin, cos in self.tables:
-            axis = _sum_terms(a_sin[terms], a_cos[terms], sin, cos)
-            out = axis if out is None else np.add.outer(out, axis)
-        return out.ravel()
+            # Contiguous rows (an index array makes strided ones, with other last bits).
+            s, c = np.take(a_sin, terms, axis=-1), np.take(a_cos, terms, axis=-1)
+            axis = (_sum_terms(s, c, sin, cos) if s.ndim == 1
+                    else np.array([_sum_terms(*row, sin, cos) for row in zip(s, c)]))
+            out = axis if out is None else (
+                out[..., :, None] + axis[..., None, :]).reshape(*axis.shape[:-1], -1)
+        return out
 
     def sup_abs(self, a_sin: np.ndarray, a_cos: np.ndarray) -> float:
         """sup over cells of |``linear(a_sin, a_cos)``|, without forming it on the grid.
@@ -196,6 +201,10 @@ class LossStream:
     def values(self, t: int) -> np.ndarray:
         raise NotImplementedError
 
+    def rows(self, rounds: range) -> np.ndarray:
+        """The (m, n) values of the m rounds in ``rounds``, row i ``values(rounds[i])``."""
+        return np.array([self.values(t) for t in rounds])
+
     def window_sum(self, start: int, stop: int) -> np.ndarray:
         """Sum of the stream values over rounds start..stop, on the grid, read-only.
 
@@ -228,18 +237,25 @@ class LossStream:
         """A round whose values equal round t's: 0 for a static stream, else t."""
         return t
 
-    def _last_round(self, key: int, compute) -> np.ndarray:
-        """``compute(key)``, made read-only and kept until a different key is asked for.
+    def _last_round(self, t, compute) -> np.ndarray:
+        """``compute`` of round t's cache key, read-only, kept until another key is asked for.
 
         A learner and its channel both read round t, so a one-entry cache
         evaluates each round once; a static stream, keyed 0, is evaluated once.
+        A range of rounds (more than one) is its own key, and its (m, n) rows
+        are ``compute`` of it, or one round's row repeated without a copy.
         """
+        rows = isinstance(t, range)
+        key = self._cache_key(t[0] if rows and len(t) == 1 else t)
         if self._cached_key != key:
             vals = compute(key)
             vals.setflags(write=False)
             self._cached_values = vals
             self._cached_key = key
-        return self._cached_values
+        vals = self._cached_values
+        if rows and vals.ndim == 1:  # the one row repeated, read-only (broadcast_to takes 3 us)
+            return np.ndarray((len(t), vals.size), vals.dtype, vals, 0, (0, vals.itemsize))
+        return vals
 
 
 class TrigStream(LossStream):
@@ -287,12 +303,18 @@ class TrigStream(LossStream):
     def _cache_key(self, t: int) -> int:
         return t if self.drift_rate != 0.0 else 0
 
-    def values(self, t: int) -> np.ndarray:
-        return self._last_round(self._cache_key(t), self._combine)
+    def values(self, t: int | range) -> np.ndarray:
+        return self._last_round(t, self._combine)
 
-    def _combine(self, t: int) -> np.ndarray:
-        phases = self.phases if t == 0 else self.phases + self._phase_shift(t)
-        return self._basis.combine(self.amplitudes, phases)
+    def rows(self, rounds: range) -> np.ndarray:
+        return self.values(rounds)  # one block, through ``values``
+
+    def _combine(self, key: int | range) -> np.ndarray:
+        if key == 0:
+            return self._basis.combine(self.amplitudes, self.phases)
+        shifts = ([self._phase_shift(t) for t in key] if isinstance(key, range)
+                  else self._phase_shift(key))
+        return self._basis.combine(self.amplitudes, self.phases + np.array(shifts)[..., None])
 
     def _coefficients(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """(a cos(phase_t), a sin(phase_t)) for rounds t = first..last (t >= 1).
@@ -376,11 +398,15 @@ class PayoffStream(LossStream):
     def _cache_key(self, t: int) -> int:
         return self.base._cache_key(t)
 
-    def values(self, t: int) -> np.ndarray:
-        return self._last_round(self._cache_key(t), self._from_base)
+    def values(self, t: int | range) -> np.ndarray:
+        return self._last_round(t, self._from_base)
 
-    def _from_base(self, t: int) -> np.ndarray:
-        return (self.base.V - self.base.values(t)) / (2.0 * self.base.V)
+    def rows(self, rounds: range) -> np.ndarray:
+        return self.values(rounds)
+
+    def _from_base(self, key: int | range) -> np.ndarray:
+        base = self.base.rows(key) if isinstance(key, range) else self.base.values(key)
+        return (self.base.V - base) / (2.0 * self.base.V)
 
     def _sum_window(self, start: int, stop: int) -> np.ndarray:
         """(k V - sum of the base over the k rounds) / (2V), from the base's window sum."""
@@ -421,20 +447,24 @@ class FeedbackChannel:
 
     ``observe`` is given the played ``strategy`` as its cell values (an
     array), the drawn ``cell`` and the drawn ``action``, a point in that
-    cell; only the bandit channel reads them.
-
-    ``deterministic`` marks a channel whose model is a function of the stream
-    and the round alone.  ``run_da`` then plays one strategy per round for a
-    whole block of seeds, and observes such a channel before the draw: it is
-    given no strategy, cell, action or generator (``None`` for each), so the
-    models of several rounds are known before any of them is played; its
-    index is ``...``.
+    cell; only the bandit channel (``reads_play``) reads them.  ``run_da``
+    observes any other channel a step of m rounds at a time, before their
+    draws are played: ``t`` is a range, ``rng`` the channel's own draws for
+    those rounds from ``draw``, the rest None, and the values the (m, n)
+    rows, each bit for bit the model of its round observed alone.  ``draw``
+    reads a step from a generator round by round: ``width`` draw variates
+    (a cell, then a point in it), then the channel's own.  Every seed plays
+    the same strategies under a ``deterministic`` channel (exact feedback).
     """
 
     deterministic = False
+    reads_play = False
 
-    def observe(self, stream: LossStream, t: int, strategy: np.ndarray, cell: int, action,
-                rng: np.random.Generator) -> tuple:
+    def draw(self, rng: np.random.Generator, rounds: int, width: int) -> tuple:
+        """The (rounds, width) draw variates and the channel's own draws (here none)."""
+        return rng.random((rounds, width)), None
+
+    def observe(self, stream: LossStream, t, strategy, cell, action, rng) -> tuple:
         raise NotImplementedError
 
 
@@ -444,7 +474,7 @@ class ExactChannel(FeedbackChannel):
     deterministic = True
 
     def observe(self, stream, t, strategy, cell, action, rng):
-        return ..., stream.values(t)
+        return ..., stream.rows(t) if isinstance(t, range) else stream.values(t)
 
 
 class UnbiasedChannel(FeedbackChannel):
@@ -452,7 +482,8 @@ class UnbiasedChannel(FeedbackChannel):
 
     The noise is sum_k c_k sin(2*pi*f_k.u + psi_k) normalized by sum|c_k|,
     with symmetric coefficients c ~ N(0,1); its conditional mean vanishes by
-    the sign symmetry of c, and the normalization caps the sup-norm.
+    the sign symmetry of c, and the normalization caps the sup-norm.  Each
+    round draws c (``standard_normal``) and then psi (``uniform``).
     """
 
     def __init__(self, noise_scale: float):
@@ -461,24 +492,35 @@ class UnbiasedChannel(FeedbackChannel):
         self.noise_scale = float(noise_scale)
         self._basis = None
 
-    def _noise(self, grid: Grid, rng: np.random.Generator) -> np.ndarray:
-        if self._basis is None or self._basis.grid is not grid:
-            self._basis = _TrigBasis(grid, _axis_cycled_freqs(_NOISE_TERMS, grid.dim))
-        c = rng.standard_normal(_NOISE_TERMS)
-        psi = rng.uniform(0.0, 2.0 * math.pi, _NOISE_TERMS)
-        scale = np.abs(c).sum()
-        if scale == 0.0:
-            return np.zeros(grid.n_cells)
-        # Scaling the sum, not the amplitudes: folding the scale into c
-        # changes the last bits at d = 1.
-        noise = self._basis.combine(c / scale, psi)
-        noise *= self.noise_scale
-        return noise
+    def draw(self, rng, rounds, width):
+        draws = [(rng.random(width), rng.standard_normal(_NOISE_TERMS),
+                  rng.uniform(0.0, 2.0 * math.pi, _NOISE_TERMS)) for _ in range(rounds)]
+        variates, c, psi = (np.array(column) for column in zip(*draws))
+        return variates, (c, psi)
 
     def observe(self, stream, t, strategy, cell, action, rng):
-        vals = self._noise(stream.grid, rng)
-        vals += stream.values(t)
-        return ..., vals
+        return ..., self._noisy(stream, t, rng)
+
+    def _noisy(self, stream, t, rng) -> np.ndarray:
+        """Truth plus noise: round t's, drawn from ``rng``, or for a range of
+        rounds the (m, n) block from the noise that ``draw`` drew for them."""
+        if isinstance(t, range):
+            (c, psi), truth = rng, stream.rows(t)
+        else:
+            c = rng.standard_normal(_NOISE_TERMS)
+            psi = rng.uniform(0.0, 2.0 * math.pi, _NOISE_TERMS)
+            truth = stream.values(t)
+        grid = stream.grid
+        if self._basis is None or self._basis.grid is not grid:
+            self._basis = _TrigBasis(grid, _axis_cycled_freqs(_NOISE_TERMS, grid.dim))
+        # Scaling the sum, not the amplitudes: folding the scale into c
+        # changes the last bits at d = 1.  A zero c (scale 0) divided by the
+        # least positive float is zero noise.
+        scale = np.maximum(np.abs(c).sum(axis=-1, keepdims=True), math.ulp(0.0))
+        vals = self._basis.combine(c / scale, psi)
+        vals *= self.noise_scale
+        vals += truth
+        return vals
 
 
 class BiasedChannel(UnbiasedChannel):
@@ -511,12 +553,11 @@ class BiasedChannel(UnbiasedChannel):
         return self._bias_profile[1]
 
     def observe(self, stream, t, strategy, cell, action, rng):
-        vals = self._noise(stream.grid, rng)
-        vals += stream.values(t)
-        b_t = self.bias_bound(t)
-        if b_t != 0.0:
-            by_axis0 = vals.reshape(stream.grid.n, -1)  # a view: ``combine`` is contiguous
-            by_axis0 += (b_t * self._profile(stream.grid))[:, None]
+        vals = self._noisy(stream, t, rng)
+        rounds = t if isinstance(t, range) else [t]
+        b = np.array([self.bias_bound(s) for s in rounds])
+        by_axis0 = vals.reshape(len(rounds), stream.grid.n, -1)  # a view of contiguous ``vals``
+        by_axis0 += (b[:, None] * self._profile(stream.grid))[:, :, None]
         return ..., vals
 
 
@@ -554,6 +595,8 @@ class BanditChannel(FeedbackChannel):
     bounds a priori.  The radius is computed once per round and grid,
     not once per seed.  Requires payoffs in [0, 1].
     """
+
+    reads_play = True
 
     def __init__(self, delta: Schedule):
         self.delta = delta

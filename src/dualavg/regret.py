@@ -43,8 +43,9 @@ __all__ = [
 _MAX_CHECKPOINT_STEPS = 10**6
 
 
-def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndarray:
-    """Geometric checkpoint rounds from ``start`` with the given ratio, plus T."""
+def checkpoint_steps(T: int, start: int, ratio: float) -> float:
+    """log(T / start) / log(ratio), the steps the checkpoint rule takes to pass T,
+    or ValueError if it never passes T or takes over ``_MAX_CHECKPOINT_STEPS``."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
     if not (start >= 1 and ratio > 1):
@@ -55,6 +56,12 @@ def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndar
         raise ValueError(f"ratio {ratio!r} is too close to 1: the checkpoints from {start} "
                          f"would take about {steps:.3g} steps to pass {T}, more than "
                          f"{_MAX_CHECKPOINT_STEPS}")
+    return steps
+
+
+def default_checkpoints(T: int, start: int = 100, ratio: float = 1.3) -> np.ndarray:
+    """Geometric checkpoint rounds from ``start`` with the given ratio, plus T."""
+    checkpoint_steps(T, start, ratio)
     points = []
     c = float(start)
     while c <= T:

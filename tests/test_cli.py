@@ -173,6 +173,29 @@ def test_checkpoint_ratio_barely_above_one_exits_2_at_once(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_ratio_just_inside_the_step_budget_validates_without_the_checkpoint_loop(
+        monkeypatch):
+    # From 1 to 10^6 this ratio takes just under 10^6 steps.  Validation reads
+    # that count; the checkpoint loop, about 0.6 s at this ratio, does not run.
+    from dualavg import config
+    from dualavg.regret import checkpoint_steps
+
+    ratio = math.exp(math.log(10**6) / (10**6 - 1))
+    assert 0.999e6 < checkpoint_steps(10**6, 1, ratio) <= 10**6
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("validation ran the checkpoint loop")
+
+    monkeypatch.setattr(config, "default_checkpoints", no_loop)
+    cfg = config.ExperimentConfig(horizon=10**6, checkpoint_start=1, checkpoint_ratio=ratio)
+    cfg.validate()
+    with pytest.raises(AssertionError, match="checkpoint loop"):
+        cfg.checkpoints()  # what the patch stands in for
+    cfg.checkpoint_ratio = math.exp(math.log(10**6) / (10**6 + 10))
+    with pytest.raises(ConfigError, match=r"^checkpoint\.ratio: .* too close to 1"):
+        cfg.validate()
+
+
 def test_finite_sum_stream_kind_rejected_at_parse():
     # Finite-sum streams carry arbitrary components and are built in code only.
     with pytest.raises(ConfigError, match=r"^exp\.cfg: stream\.kind must be one of"):

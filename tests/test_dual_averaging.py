@@ -19,6 +19,7 @@ from dualavg import (
     TrigStream,
     UnbiasedChannel,
     BanditChannel,
+    BiasedChannel,
     default_trig_stream,
     DomainError,
     mirror,
@@ -142,37 +143,43 @@ def test_run_da_with_bandit_channel_and_exploration_is_run_bda(grid):
 
 
 class _PerRoundRun:
-    """Exact-feedback DA one round at a time: the per-round oracle of ``run_da``.
+    """DA one round at a time: the per-round oracle of ``run_da``.
 
-    A plain loop of ``mirror``, ``grids.sampling_cdf`` and the draw oracle
-    ``draw_one_round`` per round, the seeds drawing in turn, with the scores
-    updated by the round's stream values.  Holds the (S, T) expected and
-    realized values and the drawn cells and points; with ``diagnostics``, it
-    feeds them each round.
+    A plain loop per round and seed, the seeds in turn, each with its own
+    scores: ``mirror``, ``grids.sampling_cdf``, the draw oracle
+    ``draw_one_round``, then the channel's per-round ``observe`` at the
+    drawn cell with the seed's generator, and the score update by the
+    model.  ``channel`` defaults to exact feedback.  Holds the (S, T)
+    expected and realized values and the drawn cells and points; with
+    ``diagnostics`` (one seed), it feeds them each round.
     """
 
-    def __init__(self, reg, stream, eta, T, seeds, eps=None, diagnostics=None):
+    def __init__(self, reg, stream, eta, T, seeds, eps=None, diagnostics=None, channel=None):
+        channel = ExactChannel() if channel is None else channel
         grid = stream.grid
         w = grid.cell_volume
         rngs = [np.random.default_rng(s) for s in seeds]
         if diagnostics is not None:
             diagnostics.start(reg, eta, T, stream)
-        y = np.zeros(grid.n_cells)
+        ys = [np.zeros(grid.n_cells) for _ in seeds]
         expected, realized, self.cells, points = [], [], [], []
         for t in range(1, T + 1):
-            x = mirror(reg, GridFunction(grid, eta(t) * y))
-            played = x if eps is None else mixed_strategy(x, eps(t))
-            cdf = sampling_cdf(played)
             f = stream.values(t)
-            draws = [draw_one_round(grid, cdf, g) for g in rngs]
-            self.cells.append([cell for cell, _ in draws])
-            points.append([point for _, point in draws])
-            expected.append(grids.dot(f, played.values) * w)
-            realized.append([f[cell] for cell, _ in draws])
-            y = y + f if stream.payoff_convention else y - f
-            if diagnostics is not None:
-                diagnostics.end_round(t, y, f, x.values, f, expected[-1])
-        self.expected = np.tile(expected, (len(seeds), 1))
+            rounds = []
+            for s, g in enumerate(rngs):
+                x = mirror(reg, GridFunction(grid, eta(t) * ys[s]))
+                played = x if eps is None else mixed_strategy(x, eps(t))
+                cell, point = draw_one_round(grid, sampling_cdf(played), g)
+                _, model = channel.observe(stream, t, played.values, cell, point, g)
+                ys[s] = ys[s] + model if stream.payoff_convention else ys[s] - model
+                rounds.append((cell, point, grids.dot(f, played.values) * w, f[cell]))
+                if diagnostics is not None:
+                    diagnostics.end_round(t, ys[s], model, x.values, f, rounds[-1][2])
+            self.cells.append([cell for cell, _, _, _ in rounds])
+            points.append([point for _, point, _, _ in rounds])
+            expected.append([value for _, _, value, _ in rounds])
+            realized.append([value for _, _, _, value in rounds])
+        self.expected = np.array(expected).T.copy()
         self.realized = np.array(realized).T.copy()
         self.points = np.array(points)
 
@@ -240,33 +247,105 @@ def test_exact_steps_of_one_round_match_the_oracle(seeds):
         assert _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 3, seeds).matches(traces)
 
 
-def test_deterministic_channel_is_observed_before_the_draw():
-    # 1024 cells: steps of 8 rounds.  Every round of a step is observed
-    # before the step's one draw per seed, and the channel is given no
-    # strategy, cell, action or generator.
+_NOISY = {"unbiased": UnbiasedChannel(0.5), "biased": BiasedChannel(0.5, 0.4, 0.6)}
+
+
+# 1024 cells: a step is 8 rounds.  T = 1, T < 8, a multiple of 8, and one more.
+@pytest.mark.parametrize("T", [1, 5, 16, 17])
+@pytest.mark.parametrize("kind", ["loss", "payoff", "drifting loss", "drifting payoff"])
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+@pytest.mark.parametrize("name", _NOISY)
+def test_noisy_steps_match_the_per_round_oracle(name, T, kind, seeds):
+    grid = Grid(BoxDomain(0.0, 1.0), 1024)
+    stream, channel = _streams(grid)[kind], _NOISY[name]
+    eta = Schedule(0.8, 0.5)
+    traces = run_da(negentropy(), stream, channel, eta, T,
+                    [np.random.default_rng(s) for s in seeds])
+    assert _PerRoundRun(negentropy(), stream, eta, T, seeds, channel=channel).matches(traces)
+    eps = Schedule(0.3, 0.4)
+    traces = run_da(quadratic(), stream, channel, eta, T,
+                    [np.random.default_rng(s) for s in seeds], eps=eps)
+    oracle = _PerRoundRun(quadratic(), stream, eta, T, seeds, eps=eps, channel=channel)
+    assert oracle.matches(traces)
+
+
+@pytest.mark.parametrize("T", [1, 7, 9])
+@pytest.mark.parametrize("kind", ["loss", "drifting payoff"])
+@pytest.mark.parametrize("name", _NOISY)
+def test_noisy_steps_match_the_oracle_in_the_energy_series(name, T, kind):
+    grid = Grid(BoxDomain(0.0, 1.0), 1024)
+    stream, channel = _streams(grid)[kind], _NOISY[name]
+    eta = Schedule(0.8, 0.5)
+    diag, oracle_diag = (EnergyDiagnostics(_comparator(grid)) for _ in range(2))
+    traces = run_da(negentropy(), stream, channel, eta, T, [np.random.default_rng(3)],
+                    diagnostics=diag)
+    oracle = _PerRoundRun(negentropy(), stream, eta, T, [3], diagnostics=oracle_diag,
+                          channel=channel)
+    assert oracle.matches(traces)
+    for series in _SERIES:
+        assert getattr(diag, series).tobytes() == getattr(oracle_diag, series).tobytes(), series
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+@pytest.mark.parametrize("name", _NOISY)
+def test_noisy_steps_of_one_round_match_the_oracle(name, seeds):
+    # 128 x 128 cells: a step is one round.
+    grid = Grid(BoxDomain([0.0, 0.0], [1.0, 1.0]), 128)
+    for stream in _streams(grid).values():
+        traces = run_da(negentropy(), stream, _NOISY[name], Schedule(0.8, 0.5), 3,
+                        [np.random.default_rng(s) for s in seeds])
+        oracle = _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 3, seeds,
+                              channel=_NOISY[name])
+        assert oracle.matches(traces)
+
+
+class _LoggedGenerator:
+    """A Generator that logs each call (name and size) to ``log`` before it draws."""
+
+    def __init__(self, seed, log):
+        self.g, self.log = np.random.default_rng(seed), log
+
+    def __getattr__(self, name):
+        def logged(*args):
+            self.log.append((name, args[-1]))
+            return getattr(self.g, name)(*args)
+
+        return logged
+
+
+@pytest.mark.parametrize("name", ["exact", "unbiased"])
+def test_blind_channels_draw_then_are_observed_once_per_step(name):
+    # 1024 cells: steps of 8 rounds.  Each seed first reads its generator
+    # round by round: a cell variate and a point's offset, then the noise
+    # channel's own normals and phases.  The channel then observes each line
+    # once per step (one line for exact feedback, one per seed otherwise),
+    # given the step's rounds and its own draws but no strategy, cell or
+    # action.
     grid = Grid(BoxDomain(0.0, 1.0), 1024)
     stream = default_trig_stream(grid, seed=2)
     log = []
+    base = {"exact": ExactChannel, "unbiased": UnbiasedChannel}[name]
 
-    class Recording(ExactChannel):
+    class Recording(base):
         def observe(self, stream, t, strategy, cell, action, rng):
-            log.append(("observe", t, strategy, cell, action, rng))
+            log.append(("observe", t, strategy, cell, action, rng is None))
             return super().observe(stream, t, strategy, cell, action, rng)
 
-    class LoggedGenerator:
-        def __init__(self, seed):
-            self.g = np.random.default_rng(seed)
-
-        def random(self, size=None):
-            log.append(("draw", size))
-            return self.g.random(size)
-
-    traces = run_da(negentropy(), stream, Recording(), Schedule(0.8, 0.5), 10,
-                    [LoggedGenerator(1), LoggedGenerator(2)])
-    observed = [("observe", t, None, None, None, None) for t in range(1, 11)]
-    assert log == (observed[:8] + [("draw", (8, 2))] * 2
-                   + observed[8:] + [("draw", (2, 2))] * 2)
-    assert _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 10, [1, 2]).matches(traces)
+    channel = Recording() if name == "exact" else Recording(0.5)
+    traces = run_da(negentropy(), stream, channel, Schedule(0.8, 0.5), 10,
+                    [_LoggedGenerator(1, log), _LoggedGenerator(2, log)])
+    expected = []
+    for rounds in (range(1, 9), range(9, 11)):
+        if name == "exact":
+            expected += [("random", (len(rounds), 2))] * 2
+            expected += [("observe", rounds, None, None, None, True)]
+        else:
+            expected += [("random", 2), ("standard_normal", 5), ("uniform", 5)] * 2 * len(rounds)
+            expected += [("observe", rounds, None, None, None, False)] * 2
+    assert log == expected
+    oracle = _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 10, [1, 2],
+                          channel=base() if name == "exact" else base(0.5))
+    assert oracle.matches(traces)
 
 
 def test_mixed_strategy_takes_one_weight_per_row(grid):

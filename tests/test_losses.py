@@ -523,3 +523,84 @@ def test_run_starts_no_blas_helper_work(n, terms, horizon):
     out = subprocess.run([sys.executable, "-c", _HELPER_THREAD_CPU], input=config,
                          env=env, capture_output=True, text=True, check=True)
     assert float(out.stdout) < 0.05
+
+
+@st.composite
+def step_streams(draw):
+    """A maker of twin trig streams at d = 1..3 (static or drifting, as losses or
+    payoffs) and a step of 1..9 rounds."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {1: 64, 2: 12, 3: 5}[dim]))
+    upper = [draw(st.floats(0.5, 3.0))] * dim
+    kwargs = dict(seed=draw(st.integers(0, 1000)), n_terms=draw(st.integers(1, 8)),
+                  drift_rate=draw(st.sampled_from([0.0, 0.003, 0.7])),
+                  drift_exponent=draw(st.floats(0.2, 1.0)))
+    payoff = draw(st.booleans())
+
+    def make():
+        stream = default_trig_stream(Grid(BoxDomain([0.0] * dim, upper), n), **kwargs)
+        return to_payoff(stream) if payoff else stream
+
+    first = draw(st.integers(1, 200))
+    return make, range(first, first + draw(st.integers(1, 9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_streams())
+def test_stream_step_rows_equal_the_per_round_values(case):
+    make, rounds = case
+    stream, alone = make(), make()
+    rows = stream.values(rounds)
+    assert np.shape(rows) == (len(rounds), stream.grid.n_cells)
+    assert np.array(stream.rows(rounds)).tobytes() == np.array(rows).tobytes()
+    for row, t in zip(rows, rounds):
+        assert not row.flags.writeable
+        assert row.tobytes() == alone.values(t).tobytes()
+
+
+class _ZeroGenerator:
+    """Draws zeros only: every noise coefficient vanishes, the zero-scale branch."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_streams(), st.sampled_from(["unbiased", "biased"]), st.floats(0.0, 2.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_channel_step_models_equal_the_per_round_models(case, kind, noise_scale, zero, seed):
+    # A step's draws and its block of models equal, bit for bit, the draws
+    # and the models of per-round observations from a generator in the same
+    # state: per round the draw variates first, then the channel's own.
+    make, rounds = case
+
+    def channel():
+        if kind == "unbiased":
+            return UnbiasedChannel(noise_scale)
+        return BiasedChannel(noise_scale, bias_scale=0.4, bias_decay=0.6)
+
+    def generator():
+        return _ZeroGenerator() if zero else np.random.default_rng(seed)
+
+    stream = make()
+    width = 1 + stream.grid.dim
+    variates, own = channel().draw(generator(), len(rounds), width)
+    index, models = channel().observe(stream, rounds, None, None, None, own)
+    assert index is ... and np.shape(models) == (len(rounds), stream.grid.n_cells)
+    alone, per_round, g = make(), channel(), generator()
+    for t, u, model in zip(rounds, variates, models):
+        assert u.tobytes() == g.random(width).tobytes()
+        _, expected = per_round.observe(alone, t, None, None, None, g)
+        assert model.tobytes() == expected.tobytes()
+        if zero:  # no noise: the truth, plus the bias
+            truth = np.array(alone.values(t))
+            if kind == "biased":
+                truth.reshape(alone.grid.n, -1)[:] += (
+                    per_round.bias_bound(t) * per_round._profile(alone.grid))[:, None]
+            assert expected.tobytes() == truth.tobytes()
