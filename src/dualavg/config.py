@@ -10,6 +10,7 @@ line number.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -339,14 +340,14 @@ def run_seed(cfg: ExperimentConfig,
              seed: int | Sequence[int]) -> RegretTrace | list[RegretTrace]:
     """Run one algorithm instance per seed; trace i is deterministic in (cfg, seed i).
 
-    ``seed`` is one seed, for which one trace is returned, or a block of
-    seeds, for which a list of traces is returned in the same order; the
+    ``seed`` is one integer seed (numpy's too), for which one trace is returned,
+    or an iterable block of seeds, for which a list of traces is returned in order; the
     ``run_*`` drivers take only blocks.  The grid, stream,
     channel and schedules are built once for the block, each seed draws from
     its own Generator, and the algorithm moves the whole block forward
     together.
     """
-    single = not isinstance(seed, Sequence)
+    single = isinstance(seed, numbers.Integral)
     seeds = [seed] if single else list(seed)
     grid = cfg.build_grid()
     stream = cfg.build_stream(grid)

@@ -138,14 +138,15 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
     (exact feedback); row i scores the step's round i.  A step starts with
     the draws: each seed reads its Generator round by round, the round's
     1 + d draw variates, then the channel's own (``FeedbackChannel.draw``).
+    The step's rows, read once (``stream.rows``), are the channel's truth.
     A channel that does not read the play (exact, unbiased, biased) makes
-    its models from the stream, the round and its own draws alone, so its
-    step is k = max(1, _STEP_VALUES // n) rounds, observed as one block per
-    line before the draws are played: row i + 1 is row i minus (plus, for
-    payoffs) round i's model, and row m of a step of m rounds is the next
-    step's row 0.  The bandit channel's step is one round: it observes each
-    seed at the drawn cell and adds the model to row 0 in place, on the
-    model's index alone (a kernel patch).  Each row is scaled by its own
+    its models from the truth and its own draws alone, so its step is k =
+    max(1, _STEP_VALUES // n) rounds, observed as one block per line before
+    the draws are played: row i + 1 is row i minus (plus, for payoffs) round
+    i's model, and row m of a step of m rounds is the next step's row 0.
+    The bandit channel's step is one round: it observes each seed at the
+    drawn cell and adds the model to row 0 in place, on the model's index
+    alone (a kernel patch).  Each row is scaled by its own
     eta_t, one ``mirror`` call maps the step's rows (the logit as row
     operations, or a Newton solve per row), ``mixed_strategy`` mixes in
     eps_t of the uniform density under an ``eps`` schedule, and one
@@ -186,7 +187,7 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
         f_rows = stream.rows(rounds)
         if blind:  # row i + 1 is row i minus (plus, for payoffs) round i's model
             for rows, own in zip(line_rows, own_draws):
-                _, models = channel.observe(stream, rounds, None, None, None, own)
+                _, models = channel.observe(stream, rounds, f_rows, own)
                 for i, model in enumerate(models):
                     step(rows[i], model, out=rows[i + 1])
         # Per-row schedules, or for a step of one round one number (array set-up and
@@ -208,9 +209,9 @@ def run_da(reg: Regularizer, stream: LossStream, channel: FeedbackChannel, eta: 
             f_vals = f_rows[i]
             expected = [grids.dot(f_vals, x_rows[i]) * w for x_rows in strategies]
             if not blind:  # observed at the drawn cell; added to row 0 on its index alone
-                for rows, x_rows, cell, action, g in zip(line_rows, strategies, cells[:, i],
-                                                         actions[:, i], rngs):
-                    index, model = channel.observe(stream, t, x_rows[i], cell, action, g)
+                for rows, x_rows, cell, action in zip(line_rows, strategies, cells[:, i],
+                                                      actions[:, i]):
+                    index, model = channel.observe(stream, t, f_vals, x_rows[i], cell, action)
                     rows[0][index] = step(rows[0][index], model)
             recorder.record(t, f_vals, expected, f_vals[cells[:, i]])
             if diagnostics is not None:

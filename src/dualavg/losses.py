@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from itertools import pairwise, repeat
 
 import numpy as np
 
@@ -184,18 +185,17 @@ class LossStream:
 
     ``values(t)`` returns a read-only array of finite cell values: a stream
     rejects at construction the inputs that would make any round non-finite,
-    and raises ``DomainError`` for a round index that would.  The exact
-    channel hands the array to the learner as it is, unchecked.
-    ``payoff_convention`` marks streams whose values are payoffs in [0, 1]
-    rather than losses.
+    and raises ``DomainError`` for a round index that would.  ``run_da``
+    reads each step's (m, n) ``rows`` once, and the exact channel hands
+    them to the learner unchecked.  ``payoff_convention`` marks streams
+    whose values are payoffs in [0, 1] rather than losses.
     """
 
     grid: Grid
     V: float
     L: float
     payoff_convention: bool = False
-    _cached_key = None
-    _cached_values = None
+    _row = None  # a static stream's one read-only row, computed at construction
     _cached_window = (None, None)  # ((start, stop), sum) of the last window summed
 
     def values(self, t: int) -> np.ndarray:
@@ -218,44 +218,18 @@ class LossStream:
         return self._cached_window[1]
 
     def _sum_window(self, start: int, stop: int) -> np.ndarray:
-        total = np.zeros(self.grid.n_cells)
-        for t in range(start, stop + 1):
-            total += self.values(t)
-        return total
+        return sum(map(self.values, range(start, stop + 1)), np.zeros(self.grid.n_cells))
 
     def variation(self, T: int) -> float:
-        """sum_{t < T} sup|f_{t+1} - f_t|; see ``losses.variation``."""
-        total = 0.0
-        prev = self.values(1)
-        for t in range(2, T + 1):
-            cur = self.values(t)
-            total += float(np.abs(cur - prev).max())
-            prev = cur
-        return total
+        """sum_{t < T} sup|f_{t+1} - f_t|, each round evaluated once; see ``losses.variation``."""
+        rounds = pairwise(map(self.values, range(1, T + 1)))
+        return sum((float(np.abs(cur - prev).max()) for prev, cur in rounds), 0.0)
 
-    def _cache_key(self, t: int) -> int:
-        """A round whose values equal round t's: 0 for a static stream, else t."""
-        return t
-
-    def _last_round(self, t, compute) -> np.ndarray:
-        """``compute`` of round t's cache key, read-only, kept until another key is asked for.
-
-        A learner and its channel both read round t, so a one-entry cache
-        evaluates each round once; a static stream, keyed 0, is evaluated once.
-        A range of rounds (more than one) is its own key, and its (m, n) rows
-        are ``compute`` of it, or one round's row repeated without a copy.
-        """
-        rows = isinstance(t, range)
-        key = self._cache_key(t[0] if rows and len(t) == 1 else t)
-        if self._cached_key != key:
-            vals = compute(key)
-            vals.setflags(write=False)
-            self._cached_values = vals
-            self._cached_key = key
-        vals = self._cached_values
-        if rows and vals.ndim == 1:  # the one row repeated, read-only (broadcast_to takes 3 us)
-            return np.ndarray((len(t), vals.size), vals.dtype, vals, 0, (0, vals.itemsize))
-        return vals
+    def _static_values(self, t: int | range) -> np.ndarray:
+        """The static row, or for m rounds a read-only (m, n) zero-stride view of it."""
+        row = self._row  # broadcast_to makes the view too, in 3 us
+        return row if not isinstance(t, range) else np.ndarray(
+            (len(t), row.size), row.dtype, row, 0, (0, row.itemsize))
 
 
 class TrigStream(LossStream):
@@ -266,7 +240,8 @@ class TrigStream(LossStream):
     which makes the variation V_T grow like T**drift_exponent.  The inputs,
     V, L and each round's phase shift must be finite (``DomainError``
     otherwise), so every round's values are finite, and no channel or
-    learner checks them again.
+    learner checks them again.  A static stream computes its one read-only
+    row at construction; a drifting one computes each round it is asked for.
     """
 
     def __init__(self, grid, amplitudes, freqs, phases, drift_rate=0.0, drift_exponent=0.5):
@@ -288,33 +263,37 @@ class TrigStream(LossStream):
         if not (math.isfinite(self.V) and math.isfinite(self.L)):
             raise DomainError(f"trig stream bounds must be finite, got V = {self.V}, "
                               f"L = {self.L}")
-
-    def _phase_shift(self, t: int) -> float:
         if self.drift_rate == 0.0:
-            return 0.0
+            self._row = self._basis.combine(self.amplitudes, self.phases)
+            self._row.setflags(write=False)
+
+    def _phase_shift(self, rounds: range) -> np.ndarray:
+        """rho * t**v of each of ``rounds``: the one phase rule of rounds, sums and V_T.
+
+        The power is Python's, ``math.pow``: numpy's differs in the last bit on
+        some rounds.  ``DomainError`` names the first round whose shift is not finite."""
+        powers = []
         try:
-            shift = self.drift_rate * float(t) ** self.drift_exponent
-        except OverflowError:
-            shift = math.inf
-        if not math.isfinite(shift):
-            raise DomainError(f"the phase shift of round {t} is not finite")
-        return shift
+            powers.extend(map(math.pow, rounds, repeat(self.drift_exponent)))
+        except OverflowError:  # the power overflows at the next round
+            powers.append(math.inf)
+        rate = self.drift_rate
+        if not math.isfinite(rate * max(powers, default=0.0)):  # the powers are positive
+            bad = next(i for i, p in enumerate(powers) if not math.isfinite(rate * p))
+            raise DomainError(f"the phase shift of round {rounds[bad]} is not finite")
+        return rate * np.array(powers)
 
-    def _cache_key(self, t: int) -> int:
-        return t if self.drift_rate != 0.0 else 0
-
-    def values(self, t: int | range) -> np.ndarray:
-        return self._last_round(t, self._combine)
+    def values(self, t: int | range) -> np.ndarray:  # a range gives (m, n) rows
+        if self._row is not None:
+            return self._static_values(t)
+        shifts = self._phase_shift(t if isinstance(t, range) else range(t, t + 1))
+        vals = self._basis.combine(self.amplitudes, self.phases + (
+            shifts[:, None] if isinstance(t, range) else shifts[0]))
+        vals.setflags(write=False)
+        return vals
 
     def rows(self, rounds: range) -> np.ndarray:
         return self.values(rounds)  # one block, through ``values``
-
-    def _combine(self, key: int | range) -> np.ndarray:
-        if key == 0:
-            return self._basis.combine(self.amplitudes, self.phases)
-        shifts = ([self._phase_shift(t) for t in key] if isinstance(key, range)
-                  else self._phase_shift(key))
-        return self._basis.combine(self.amplitudes, self.phases + np.array(shifts)[..., None])
 
     def _coefficients(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """(a cos(phase_t), a sin(phase_t)) for rounds t = first..last (t >= 1).
@@ -322,8 +301,7 @@ class TrigStream(LossStream):
         Both are (rounds, K) arrays; round t's values are ``_basis.linear`` of
         its row.
         """
-        t = np.arange(first, last + 1, dtype=float)
-        phases = self.phases + (self.drift_rate * t ** self.drift_exponent)[:, None]
+        phases = self.phases + self._phase_shift(range(first, last + 1))[:, None]
         return self.amplitudes * np.cos(phases), self.amplitudes * np.sin(phases)
 
     def _sum_window(self, start: int, stop: int) -> np.ndarray:
@@ -394,19 +372,21 @@ class PayoffStream(LossStream):
         self.grid = base.grid
         self.V = 1.0
         self.L = base.L / (2.0 * base.V)
-
-    def _cache_key(self, t: int) -> int:
-        return self.base._cache_key(t)
+        if base._row is not None:
+            self._row = self._from_base(base._row)
 
     def values(self, t: int | range) -> np.ndarray:
-        return self._last_round(t, self._from_base)
+        if self._row is not None:
+            return self._static_values(t)
+        return self._from_base(self.base.rows(t) if isinstance(t, range) else self.base.values(t))
 
     def rows(self, rounds: range) -> np.ndarray:
         return self.values(rounds)
 
-    def _from_base(self, key: int | range) -> np.ndarray:
-        base = self.base.rows(key) if isinstance(key, range) else self.base.values(key)
-        return (self.base.V - base) / (2.0 * self.base.V)
+    def _from_base(self, base: np.ndarray) -> np.ndarray:
+        vals = (self.base.V - base) / (2.0 * self.base.V)
+        vals.setflags(write=False)
+        return vals
 
     def _sum_window(self, start: int, stop: int) -> np.ndarray:
         """(k V - sum of the base over the k rounds) / (2V), from the base's window sum."""
@@ -445,16 +425,16 @@ class FeedbackChannel:
     BanditChannel.radius(grid, t)`` for the bandit channel; sigma_t is
     ``noise_scale``; M_t is ``stream.V`` plus those two.
 
-    ``observe`` is given the played ``strategy`` as its cell values (an
-    array), the drawn ``cell`` and the drawn ``action``, a point in that
-    cell; only the bandit channel (``reads_play``) reads them.  ``run_da``
-    observes any other channel a step of m rounds at a time, before their
-    draws are played: ``t`` is a range, ``rng`` the channel's own draws for
-    those rounds from ``draw``, the rest None, and the values the (m, n)
-    rows, each bit for bit the model of its round observed alone.  ``draw``
-    reads a step from a generator round by round: ``width`` draw variates
-    (a cell, then a point in it), then the channel's own.  Every seed plays
-    the same strategies under a ``deterministic`` channel (exact feedback).
+    No channel reads the stream: ``run_da`` passes in the true rows it read.
+    A channel that does not read the play (exact, unbiased, biased) has one
+    form, ``observe(stream, rounds, truth, own)``: a range of m rounds, their
+    (m, n) true rows and its own draws for them from ``draw`` give ``...``
+    and the (m, n) models.  The bandit channel (``reads_play``) has
+    ``observe(stream, t, truth, strategy, cell, action)``: round t's true
+    values, the played strategy's cell values, the drawn cell and action.
+    ``draw`` reads a step from a generator round by round: ``width`` draw
+    variates (a cell, then a point in it), then the channel's own.  Every
+    seed plays the same strategies under a ``deterministic`` channel.
     """
 
     deterministic = False
@@ -464,17 +444,17 @@ class FeedbackChannel:
         """The (rounds, width) draw variates and the channel's own draws (here none)."""
         return rng.random((rounds, width)), None
 
-    def observe(self, stream: LossStream, t, strategy, cell, action, rng) -> tuple:
+    def observe(self, stream: LossStream, rounds: range, truth: np.ndarray, own) -> tuple:
         raise NotImplementedError
 
 
 class ExactChannel(FeedbackChannel):
-    """Model = truth: the stream's own read-only round values, not copied."""
+    """Model = truth: the step's read-only rows as ``run_da`` read them, not copied."""
 
     deterministic = True
 
-    def observe(self, stream, t, strategy, cell, action, rng):
-        return ..., stream.rows(t) if isinstance(t, range) else stream.values(t)
+    def observe(self, stream, rounds, truth, own):
+        return ..., truth
 
 
 class UnbiasedChannel(FeedbackChannel):
@@ -498,18 +478,12 @@ class UnbiasedChannel(FeedbackChannel):
         variates, c, psi = (np.array(column) for column in zip(*draws))
         return variates, (c, psi)
 
-    def observe(self, stream, t, strategy, cell, action, rng):
-        return ..., self._noisy(stream, t, rng)
+    def observe(self, stream, rounds, truth, own):
+        return ..., self._noisy(stream, truth, own)
 
-    def _noisy(self, stream, t, rng) -> np.ndarray:
-        """Truth plus noise: round t's, drawn from ``rng``, or for a range of
-        rounds the (m, n) block from the noise that ``draw`` drew for them."""
-        if isinstance(t, range):
-            (c, psi), truth = rng, stream.rows(t)
-        else:
-            c = rng.standard_normal(_NOISE_TERMS)
-            psi = rng.uniform(0.0, 2.0 * math.pi, _NOISE_TERMS)
-            truth = stream.values(t)
+    def _noisy(self, stream, truth, own) -> np.ndarray:
+        """The (m, n) truth plus the noise of the (m, K) coefficients and phases ``own``."""
+        c, psi = own
         grid = stream.grid
         if self._basis is None or self._basis.grid is not grid:
             self._basis = _TrigBasis(grid, _axis_cycled_freqs(_NOISE_TERMS, grid.dim))
@@ -552,10 +526,9 @@ class BiasedChannel(UnbiasedChannel):
             self._bias_profile = (grid, prof / peak if peak > 0 else prof)
         return self._bias_profile[1]
 
-    def observe(self, stream, t, strategy, cell, action, rng):
-        vals = self._noisy(stream, t, rng)
-        rounds = t if isinstance(t, range) else [t]
-        b = np.array([self.bias_bound(s) for s in rounds])
+    def observe(self, stream, rounds, truth, own):
+        vals = self._noisy(stream, truth, own)
+        b = np.array([self.bias_bound(t) for t in rounds])
         by_axis0 = vals.reshape(len(rounds), stream.grid.n, -1)  # a view of contiguous ``vals``
         by_axis0 += (b[:, None] * self._profile(stream.grid))[:, :, None]
         return ..., vals
@@ -585,8 +558,8 @@ def kernel_estimate(grid: Grid, action, payoff: float, density_at_action: float,
 class BanditChannel(FeedbackChannel):
     """Kernel feedback: the realized payoff at the drawn cell, made into a ball-kernel model.
 
-    The model is ``kernel_estimate`` of the payoff at the drawn cell, with
-    the played density there, on the ball around the action of radius
+    The model is ``kernel_estimate`` of the true payoff at the drawn cell,
+    with the played density there, on the ball around the action of radius
     ``radius(grid, t)`` = max(delta(t), 2 * cell diameter); the floor keeps
     the patch from being empty.  Its bias is at most B_t = ``stream.L *
     radius(grid, t)``, the distance of an L-Lipschitz payoff from its ball
@@ -619,7 +592,7 @@ class BanditChannel(FeedbackChannel):
                 lo = mid
         return T - lo
 
-    def observe(self, stream, t, strategy, cell, action, rng):
+    def observe(self, stream, t, truth, strategy, cell, action):
         if not stream.payoff_convention:
             raise ConfigError(
                 "bandit feedback requires a payoff-convention stream with values "
@@ -629,6 +602,6 @@ class BanditChannel(FeedbackChannel):
         if self._radius[0] is not grid or self._radius[1] != t:
             self._radius = (grid, t, self.radius(grid, t))
         delta_t = self._radius[2]
-        payoff = float(stream.values(t)[cell])
+        payoff = float(truth[cell])
         density = float(strategy[cell])
         return kernel_estimate(grid, action, payoff, density, delta_t)

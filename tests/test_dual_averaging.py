@@ -147,9 +147,12 @@ class _PerRoundRun:
 
     A plain loop per round and seed, the seeds in turn, each with its own
     scores: ``mirror``, ``grids.sampling_cdf``, the draw oracle
-    ``draw_one_round``, then the channel's per-round ``observe`` at the
-    drawn cell with the seed's generator, and the score update by the
-    model.  ``channel`` defaults to exact feedback.  Holds the (S, T)
+    ``draw_one_round``, then the channel's ``observe`` of the round's truth,
+    and the score update by the model.  The bandit channel observes the
+    round at the drawn cell; any other channel observes a one-round step,
+    a noise channel with the noise the loop draws from the seed's
+    generator after the round's draw: five normals, then five phases.
+    ``channel`` defaults to exact feedback.  Holds the (S, T)
     expected and realized values and the drawn cells and points; with
     ``diagnostics`` (one seed), it feeds them each round.
     """
@@ -170,7 +173,12 @@ class _PerRoundRun:
                 x = mirror(reg, GridFunction(grid, eta(t) * ys[s]))
                 played = x if eps is None else mixed_strategy(x, eps(t))
                 cell, point = draw_one_round(grid, sampling_cdf(played), g)
-                _, model = channel.observe(stream, t, played.values, cell, point, g)
+                if channel.reads_play:
+                    _, model = channel.observe(stream, t, f, played.values, cell, point)
+                else:
+                    noise = None if not isinstance(channel, UnbiasedChannel) else (
+                        g.standard_normal(5)[None], g.uniform(0.0, 2.0 * math.pi, 5)[None])
+                    _, [model] = channel.observe(stream, range(t, t + 1), f[None], noise)
                 ys[s] = ys[s] + model if stream.payoff_convention else ys[s] - model
                 rounds.append((cell, point, grids.dot(f, played.values) * w, f[cell]))
                 if diagnostics is not None:
@@ -319,17 +327,16 @@ def test_blind_channels_draw_then_are_observed_once_per_step(name):
     # round by round: a cell variate and a point's offset, then the noise
     # channel's own normals and phases.  The channel then observes each line
     # once per step (one line for exact feedback, one per seed otherwise),
-    # given the step's rounds and its own draws but no strategy, cell or
-    # action.
+    # given the step's rounds, its true rows and its own draws.
     grid = Grid(BoxDomain(0.0, 1.0), 1024)
     stream = default_trig_stream(grid, seed=2)
     log = []
     base = {"exact": ExactChannel, "unbiased": UnbiasedChannel}[name]
 
     class Recording(base):
-        def observe(self, stream, t, strategy, cell, action, rng):
-            log.append(("observe", t, strategy, cell, action, rng is None))
-            return super().observe(stream, t, strategy, cell, action, rng)
+        def observe(self, stream, rounds, truth, own):
+            log.append(("observe", rounds, truth.shape, own is None))
+            return super().observe(stream, rounds, truth, own)
 
     channel = Recording() if name == "exact" else Recording(0.5)
     traces = run_da(negentropy(), stream, channel, Schedule(0.8, 0.5), 10,
@@ -338,14 +345,58 @@ def test_blind_channels_draw_then_are_observed_once_per_step(name):
     for rounds in (range(1, 9), range(9, 11)):
         if name == "exact":
             expected += [("random", (len(rounds), 2))] * 2
-            expected += [("observe", rounds, None, None, None, True)]
+            expected += [("observe", rounds, (len(rounds), 1024), True)]
         else:
             expected += [("random", 2), ("standard_normal", 5), ("uniform", 5)] * 2 * len(rounds)
-            expected += [("observe", rounds, None, None, None, False)] * 2
+            expected += [("observe", rounds, (len(rounds), 1024), False)] * 2
     assert log == expected
     oracle = _PerRoundRun(negentropy(), stream, Schedule(0.8, 0.5), 10, [1, 2],
                           channel=base() if name == "exact" else base(0.5))
     assert oracle.matches(traces)
+
+
+def _count_evaluations(base, stream):
+    """Count the ``values`` calls of ``stream`` and its base and the base's trig sums."""
+    counts = {"values": 0, "base values": 0, "trig sums": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    base._basis.combine = counted("trig sums", base._basis.combine)
+    base.values = counted("base values", base.values)
+    if stream is not base:
+        stream.values = counted("values", stream.values)
+    return counts
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+@pytest.mark.parametrize("drifting", [False, True], ids=["static", "drifting"])
+@pytest.mark.parametrize("channel, payoff", [
+    (name, payoff) for name in ("exact", "unbiased", "biased") for payoff in (False, True)
+] + [("bandit", True)])
+def test_run_da_evaluates_the_stream_once_per_step(channel, payoff, drifting, seeds):
+    # 1024 cells: a blind channel's T = 17 rounds are 3 steps, the bandit
+    # channel's 17.  run_da reads each step's rows once and no channel reads
+    # the stream again; a static stream is never evaluated after
+    # construction, and its payoff view reads the base's row not at all.
+    grid = Grid(BoxDomain(0.0, 1.0), 1024)
+    base = default_trig_stream(grid, seed=22, drift_rate=0.2 if drifting else 0.0)
+    stream = to_payoff(base) if payoff else base
+    counts = _count_evaluations(base, stream)
+    T, eta = 17, Schedule(0.8, 0.5)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    if channel == "bandit":
+        steps = T
+        run_bda(stream, BDAConfig.defaults(grid), T, rngs)
+    else:
+        steps = 3
+        run_da(negentropy(), stream, {"exact": ExactChannel(), **_NOISY}[channel], eta, T, rngs)
+    reads = steps if drifting or not payoff else 0
+    assert counts == {"values": steps if payoff else 0, "base values": reads,
+                      "trig sums": steps if drifting else 0}
 
 
 def test_mixed_strategy_takes_one_weight_per_row(grid):
@@ -395,8 +446,8 @@ def test_run_da_reads_the_drawn_cell_not_a_lookup_of_the_point():
     seen = []
 
     class Recording(BanditChannel):
-        def observe(self, stream, t, strategy, cell, action, rng):
-            model = super().observe(stream, t, strategy, cell, action, rng)
+        def observe(self, stream, t, truth, strategy, cell, action):
+            model = super().observe(stream, t, truth, strategy, cell, action)
             seen.append((cell, action.copy(), strategy.copy(), model))
             return model
 
@@ -631,6 +682,18 @@ def test_seed_block_matches_one_run_per_seed(case):
 @given(bandit_seed_blocks())
 def test_bandit_seed_block_matches_one_run_per_seed(case):
     _check_block_matches_one_run_per_seed(*case)
+
+
+def test_run_seed_takes_a_numpy_array_as_a_block_of_seeds():
+    # A numpy array of seeds is a block, and a numpy integer one seed.
+    cfg = ExperimentConfig(grid_n=32, horizon=20, checkpoint_start=1, channel_kind="unbiased")
+    block = run_seed(cfg, np.arange(3))
+    assert len(block) == 3
+    for trace, alone in zip(block, run_seed(cfg, [0, 1, 2]), strict=True):
+        for name in ("expected", "realized", "round_best"):
+            assert _same(getattr(trace, name), getattr(alone, name)), name
+    one = run_seed(cfg, np.int64(2))
+    assert _same(one.expected, block[2].expected)
 
 
 def test_block_traces_share_read_only_stream_records():
